@@ -149,18 +149,28 @@ let engine_of_flag (s : string) : Machine.Config.engine =
     Fmt.epr "df_compile: %s@." msg;
     exit 2
 
+(* Fault injection and recovery run only on the reference machine: with
+   --engine packed they are a usage error (exit 2), never a silent
+   switch of engine. *)
+let reject_packed_faults engine ~asked =
+  if engine = Machine.Config.Packed && asked then begin
+    Fmt.epr
+      "df_compile: --engine packed has no fault injection or recovery: \
+       --fault-seed and --recover need --engine reference@.";
+    exit 2
+  end
+
 let run_cmd file schema transforms pes mem_latency verbose trace optimize
     fault_seed fault_rate fault_classes no_certify engine =
+  let engine = engine_of_flag engine in
+  reject_packed_faults engine ~asked:(fault_seed <> None);
   let p = read_program file in
   let transforms = transforms_of_list transforms in
   let compiled = Dflow.Driver.compile ~transforms schema p in
   let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
   Dfg.Check.check graph;
   if no_certify then Dfg.Graph.set_cert graph None;
-  let config =
-    { (config_of pes mem_latency) with
-      Machine.Config.engine = engine_of_flag engine }
-  in
+  let config = { (config_of pes mem_latency) with Machine.Config.engine } in
   let tracer = Machine.Trace.create () in
   let on_fire = if trace then Some (Machine.Trace.on_fire tracer) else None in
   let faults =
@@ -328,7 +338,8 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
   (* the packed engine models the idealised single-hop interconnect and
      static placement only; fail fast rather than silently ignore the
      scheduling flags until the packed x network marriage lands *)
-  (match engine_of_flag engine with
+  let engine = engine_of_flag engine in
+  (match engine with
   | Machine.Config.Packed
     when topo_kind <> Sched.Topology.Uniform || steal
          || placement = Machine.Placement.Hier ->
@@ -338,16 +349,14 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
          reference@.";
       exit 2
   | _ -> ());
+  reject_packed_faults engine ~asked:(fault_seed <> None || recover);
   let p = read_program file in
   let transforms = transforms_of_list transforms in
   let compiled = Dflow.Driver.compile ~transforms schema p in
   let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
   Dfg.Check.check graph;
   if no_certify then Dfg.Graph.set_cert graph None;
-  let config =
-    { (config_of None mem_latency) with
-      Machine.Config.engine = engine_of_flag engine }
-  in
+  let config = { (config_of None mem_latency) with Machine.Config.engine } in
   let faults =
     Option.map
       (fun seed ->

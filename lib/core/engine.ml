@@ -72,7 +72,7 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
           Array.append tokens.Token_map.names
             (Array.of_list
                (List.map
-                  (fun (l, x) -> Fmt.str "completion_%s_loop%d" x l)
+                  (fun (l, x) -> "completion_" ^ x ^ "_loop" ^ string_of_int l)
                   async_arrays));
       }
   in
@@ -135,7 +135,7 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
             | Barrier ->
                 let n =
                   B.add b
-                    ~label:(Fmt.str "loop-entry %d (barrier)" l)
+                    ~label:("loop-entry " ^ string_of_int l ^ " (barrier)")
                     (Dfg.Node.Loop_entry { loop = l; arity = k })
                 in
                 S_entry
@@ -149,8 +149,8 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
                   Array.init k (fun i ->
                       B.add b
                         ~label:
-                          (Fmt.str "loop-entry %d (%s)" l
-                             (Token_map.name tokens i))
+                          ("loop-entry " ^ string_of_int l ^ " ("
+                          ^ Token_map.name tokens i ^ ")")
                         (Dfg.Node.Loop_entry { loop = l; arity = 1 }))
                 in
                 S_entry
@@ -165,7 +165,7 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
               | Barrier ->
                   let n =
                     B.add b
-                      ~label:(Fmt.str "loop-exit %d (barrier)" l)
+                      ~label:("loop-exit " ^ string_of_int l ^ " (barrier)")
                       (Dfg.Node.Loop_exit { loop = l; arity = k })
                   in
                   ( Array.init k (fun i -> (n, i)),
@@ -175,8 +175,8 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
                     Array.init k (fun i ->
                         B.add b
                           ~label:
-                            (Fmt.str "loop-exit %d (%s)" l
-                               (Token_map.name tokens i))
+                            ("loop-exit " ^ string_of_int l ^ " ("
+                            ^ Token_map.name tokens i ^ ")")
                           (Dfg.Node.Loop_exit { loop = l; arity = 1 }))
                   in
                   ( Array.map (fun n -> (n, 0)) gates,
@@ -199,7 +199,7 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
                              "async arrays need a private access token")
                   in
                   let s =
-                    B.add b ~label:(Fmt.str "all stores of %s done" ax)
+                    B.add b ~label:("all stores of " ^ ax ^ " done")
                       (Dfg.Node.Synch 2)
                   in
                   B.connect b ~dummy:true x_outs.(xtau) (s, 0);
@@ -219,7 +219,7 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
         (fun (tau, x) ->
           let c =
             B.add b
-              ~label:(Fmt.str "initial %s" x)
+              ~label:("initial " ^ x)
               (Dfg.Node.Const (Imp.Value.Int 0))
           in
           B.connect b ~dummy:true (n, tau) (c, 0);
@@ -304,7 +304,7 @@ let translate ?(loop_control = Barrier) ?(mode = Statement.default_mode)
                    the store is observable *)
                 let st =
                   B.add b
-                    ~label:(Fmt.str "writeback %s" x)
+                    ~label:("writeback " ^ x)
                     (Dfg.Node.Store
                        { var = x; indexed = false; mem = Dfg.Node.Plain })
                 in

@@ -31,13 +31,18 @@ let transforms_material (t : Driver.transforms) : string =
   Printf.sprintf "v%br%ba%bi%b" t.Driver.value_passing
     t.Driver.parallel_reads t.Driver.array_parallel t.Driver.istructure
 
-let front ?(split_irreducible = false) (p : Imp.Ast.program) : Driver.front =
+(* [material] is [program_material p], which a compile miss already
+   holds. *)
+let front_of_material ~material ~split_irreducible (p : Imp.Ast.program) :
+    Driver.front =
   let key =
-    Service.Hash.key
-      [ "front"; program_material p; string_of_bool split_irreducible ]
+    Service.Hash.key [ "front"; material; string_of_bool split_irreducible ]
   in
   Service.Cache.find_or_compute fronts ~key (fun () ->
       Driver.front ~split_irreducible p)
+
+let front ?(split_irreducible = false) (p : Imp.Ast.program) : Driver.front =
+  front_of_material ~material:(program_material p) ~split_irreducible p
 
 let parse_source (src : string) : Imp.Ast.program =
   let key = Service.Hash.key [ "src"; src ] in
@@ -50,11 +55,12 @@ let front_of_source ?split_irreducible (src : string) : Driver.front =
 let compile ?(transforms = Driver.no_transforms) ?(optimize = false)
     ?(split_irreducible = false) (spec : Driver.spec) (p : Imp.Ast.program) :
     Driver.compiled =
+  let material = program_material p in
   let key =
     Service.Hash.key
       [
         "compiled";
-        program_material p;
+        material;
         Driver.spec_to_string spec;
         transforms_material transforms;
         string_of_bool optimize;
@@ -62,7 +68,7 @@ let compile ?(transforms = Driver.no_transforms) ?(optimize = false)
       ]
   in
   Service.Cache.find_or_compute graphs ~key (fun () ->
-      let fr = front ~split_irreducible p in
+      let fr = front_of_material ~material ~split_irreducible p in
       let c = Driver.compile_front ~transforms fr spec in
       if optimize then
         { c with Driver.graph = Dfg.Opt.run (Dfg.Simplify.run c.Driver.graph) }

@@ -182,7 +182,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
             invalid_arg (Fmt.str "no sources for access_%s" x)
         | [ s ] -> term_of x s
         | many ->
-            let m = B.add b ~label:(Fmt.str "merge %s" x) Dfg.Node.Merge in
+            let m = B.add b ~label:("merge " ^ x) Dfg.Node.Merge in
             List.iter
               (fun s ->
                 B.connect b ~dummy:true ~tokens:[ tau ] (term_of x s) (m, 0))
@@ -228,7 +228,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
                    variable's initial value, 0 *)
                 let c =
                   B.add b
-                    ~label:(Fmt.str "initial %s" x)
+                    ~label:("initial " ^ x)
                     (Dfg.Node.Const (Imp.Value.Int 0))
                 in
                 B.connect b ~dummy:true (s, i) (c, 0);
@@ -248,7 +248,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
                 (* value-passing epilogue: write the final value back *)
                 let st =
                   B.add b
-                    ~label:(Fmt.str "writeback %s" x)
+                    ~label:("writeback " ^ x)
                     (Dfg.Node.Store
                        { var = x; indexed = false; mem = Dfg.Node.Plain })
                 in
@@ -358,7 +358,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
                   | Some r -> r := (n, x) :: !r
                   | None -> ());
                   let m =
-                    B.add b ~label:(Fmt.str "merge %s" x) Dfg.Node.Merge
+                    B.add b ~label:("merge " ^ x) Dfg.Node.Merge
                   in
                   List.iter
                     (fun s ->
@@ -376,7 +376,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
             | Engine.Barrier ->
                 let nd =
                   B.add b
-                    ~label:(Fmt.str "loop-entry %d (barrier)" l)
+                    ~label:("loop-entry " ^ string_of_int l ^ " (barrier)")
                     (Dfg.Node.Loop_entry { loop = l; arity = k })
                 in
                 List.mapi
@@ -387,7 +387,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
                   (fun x ->
                     let nd =
                       B.add b
-                        ~label:(Fmt.str "loop-entry %d (%s)" l x)
+                        ~label:("loop-entry " ^ string_of_int l ^ " (" ^ x ^ ")")
                         (Dfg.Node.Loop_entry { loop = l; arity = 1 })
                     in
                     (x, (nd, 0), (nd, 1), (nd, 0)))
@@ -414,7 +414,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
             | Engine.Barrier ->
                 let nd =
                   B.add b
-                    ~label:(Fmt.str "loop-exit %d (barrier)" l)
+                    ~label:("loop-exit " ^ string_of_int l ^ " (barrier)")
                     (Dfg.Node.Loop_exit { loop = l; arity = k })
                 in
                 List.mapi (fun j x -> (x, (nd, j), (nd, j))) managed
@@ -423,7 +423,7 @@ let translate ?(loop_control = Engine.Barrier) ?(mode = Statement.default_mode)
                   (fun x ->
                     let nd =
                       B.add b
-                        ~label:(Fmt.str "loop-exit %d (%s)" l x)
+                        ~label:("loop-exit " ^ string_of_int l ^ " (" ^ x ^ ")")
                         (Dfg.Node.Loop_exit { loop = l; arity = 1 })
                     in
                     (x, (nd, 0), (nd, 0)))

@@ -177,7 +177,7 @@ let value_token (st : state) (x : string) : terminal =
   match st.base.(tau) with
   | Some t -> t
   | None ->
-      let id = B.add st.b ~label:(Fmt.str "value %s" x) Dfg.Node.Id in
+      let id = B.add st.b ~label:("value " ^ x) Dfg.Node.Id in
       st.entries.(tau) <- st.entries.(tau) @ [ (id, 0) ];
       st.base.(tau) <- Some (id, 0);
       (id, 0)
@@ -276,7 +276,7 @@ let do_store (st : state) (lv : Imp.Ast.lvalue) (value : terminal) : unit =
       | None ->
           (* the dead old-value token arrives from the predecessor and
              must be absorbed *)
-          let s = B.add st.b ~label:(Fmt.str "sink %s" x) Dfg.Node.Sink in
+          let s = B.add st.b ~label:("sink " ^ x) Dfg.Node.Sink in
           st.entries.(tau) <- st.entries.(tau) @ [ (s, 0) ]);
       st.base.(tau) <- Some value
   | Imp.Ast.Lvar x ->

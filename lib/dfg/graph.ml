@@ -90,39 +90,59 @@ module Builder = struct
 
   exception Ill_formed of string
 
+  (* The array of a reversed list.  Graph arrays are made from a static
+     placeholder and filled in place: [Array.of_list] or [Array.init] of
+     more than 256 elements whose first one is freshly allocated forces a
+     minor collection, four of them per graph built. *)
+  let array_of_rev placeholder (rev : 'a list) : 'a array =
+    let n = List.length rev in
+    let a = Array.make n placeholder in
+    List.iteri (fun k x -> a.(n - 1 - k) <- x) rev;
+    a
+
+  let no_node = { Node.id = -1; kind = Node.Id; label = "" }
+  let no_port = { node = -1; index = -1 }
+  let no_arc = { src = no_port; dst = no_port; dummy = false; tokens = [] }
+
+  (* Per node, one empty arc list per port (at least one); literals for
+     the common arities allocate inline. *)
+  let port_lists nodes arity =
+    let a = Array.make (Array.length nodes) [||] in
+    Array.iteri
+      (fun i n ->
+        a.(i) <-
+          (match arity n.Node.kind with
+          | 0 | 1 -> [| [] |]
+          | 2 -> [| []; [] |]
+          | k -> Array.make k []))
+      nodes;
+    a
+
   (** [finish b] freezes the builder into a graph, checking arities and
       wiring.
       @raise Ill_formed if a port is out of range, a non-merge input port
       has other than exactly one arc, or start/end are not unique. *)
   let finish (b : t) : graph =
-    let nodes =
-      Array.of_list (List.rev b.rev_nodes)
-    in
+    let nodes = array_of_rev no_node b.rev_nodes in
     Array.iteri
       (fun i n -> if n.Node.id <> i then raise (Ill_formed "node id mismatch"))
       nodes;
     let nn = Array.length nodes in
-    let arcs = Array.of_list (List.rev b.rev_arcs) in
-    let outs =
-      Array.init nn (fun i ->
-          Array.make (max 1 (Node.out_arity nodes.(i).Node.kind)) [])
-    in
-    let ins =
-      Array.init nn (fun i ->
-          Array.make (max 1 (Node.in_arity nodes.(i).Node.kind)) [])
+    let arcs = array_of_rev no_arc b.rev_arcs in
+    let outs = port_lists nodes Node.out_arity in
+    let ins = port_lists nodes Node.in_arity in
+    let check_port what { node = n; index = p } arity_of =
+      if n < 0 || n >= nn then
+        raise (Ill_formed (Fmt.str "%s node %d out of range" what n));
+      let ar = arity_of nodes.(n).Node.kind in
+      if p < 0 || p >= ar then
+        raise
+          (Ill_formed
+             (Fmt.str "%s port %d of node %d (%s, arity %d) out of range"
+                what p n nodes.(n).Node.label ar))
     in
     Array.iter
       (fun a ->
-        let check_port what { node = n; index = p } arity_of =
-          if n < 0 || n >= nn then
-            raise (Ill_formed (Fmt.str "%s node %d out of range" what n));
-          let ar = arity_of nodes.(n).Node.kind in
-          if p < 0 || p >= ar then
-            raise
-              (Ill_formed
-                 (Fmt.str "%s port %d of node %d (%s, arity %d) out of range"
-                    what p n nodes.(n).Node.label ar))
-        in
         check_port "source" a.src Node.out_arity;
         check_port "destination" a.dst Node.in_arity;
         outs.(a.src.node).(a.src.index) <- a :: outs.(a.src.node).(a.src.index);
@@ -147,20 +167,25 @@ module Builder = struct
                         n.Node.label k))
         done)
       nodes;
-    let find_unique pred what =
-      match
-        Array.to_list nodes
-        |> List.filter (fun n -> pred n.Node.kind)
-        |> List.map (fun n -> n.Node.id)
-      with
-      | [ i ] -> i
-      | l -> raise (Ill_formed (Fmt.str "%d %s nodes" (List.length l) what))
+    (* Start and End in one pass: (count, last id) of each *)
+    let starts = ref 0 and start = ref (-1) and ends = ref 0 and stop = ref (-1) in
+    Array.iteri
+      (fun i n ->
+        match n.Node.kind with
+        | Node.Start _ ->
+            incr starts;
+            start := i
+        | Node.End _ ->
+            incr ends;
+            stop := i
+        | _ -> ())
+      nodes;
+    let unique count what =
+      if count <> 1 then raise (Ill_formed (Fmt.str "%d %s nodes" count what))
     in
-    let start =
-      find_unique (function Node.Start _ -> true | _ -> false) "start"
-    in
-    let stop = find_unique (function Node.End _ -> true | _ -> false) "end" in
-    { nodes; arcs; outs; ins; start; stop; cert = None }
+    unique !starts "start";
+    unique !ends "end";
+    { nodes; arcs; outs; ins; start = !start; stop = !stop; cert = None }
 end
 
 (** [set_cert g c] attaches certificate metadata (driver-side). *)

@@ -109,27 +109,28 @@ let out_arity : kind -> int = function
     whose ordering the access tokens exist to enforce. *)
 let is_memory_op = function Load _ | Store _ -> true | _ -> false
 
-let kind_to_string : kind -> string = function
-  | Start k -> Fmt.str "start/%d" k
-  | End k -> Fmt.str "end/%d" k
-  | Const v -> Fmt.str "const %s" (Imp.Value.to_string v)
+(* Built by concatenation: the builder labels most nodes with this, so
+   it runs once per node of every translated graph. *)
+let kind_to_string (kind : kind) : string =
+  let mem = function Plain -> "" | I_structure -> "-i" in
+  let indexed b = if b then "[]" else "" in
+  match kind with
+  | Start k -> "start/" ^ string_of_int k
+  | End k -> "end/" ^ string_of_int k
+  | Const v -> "const " ^ Imp.Value.to_string v
   | Binop op -> Imp.Pretty.binop_string op
   | Unop Imp.Ast.Neg -> "neg"
   | Unop Imp.Ast.Not -> "not"
   | Id -> "id"
   | Sink -> "sink"
-  | Load { var; indexed; mem } ->
-      Fmt.str "load%s %s%s"
-        (match mem with Plain -> "" | I_structure -> "-i")
-        var
-        (if indexed then "[]" else "")
-  | Store { var; indexed; mem } ->
-      Fmt.str "store%s %s%s"
-        (match mem with Plain -> "" | I_structure -> "-i")
-        var
-        (if indexed then "[]" else "")
+  | Load { var; indexed = i; mem = m } ->
+      String.concat "" [ "load"; mem m; " "; var; indexed i ]
+  | Store { var; indexed = i; mem = m } ->
+      String.concat "" [ "store"; mem m; " "; var; indexed i ]
   | Switch -> "switch"
   | Merge -> "merge"
-  | Synch n -> Fmt.str "synch/%d" n
-  | Loop_entry { loop; arity } -> Fmt.str "loop-entry %d/%d" loop arity
-  | Loop_exit { loop; arity } -> Fmt.str "loop-exit %d/%d" loop arity
+  | Synch n -> "synch/" ^ string_of_int n
+  | Loop_entry { loop; arity } ->
+      String.concat "" [ "loop-entry "; string_of_int loop; "/"; string_of_int arity ]
+  | Loop_exit { loop; arity } ->
+      String.concat "" [ "loop-exit "; string_of_int loop; "/"; string_of_int arity ]

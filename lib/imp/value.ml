@@ -33,7 +33,9 @@ let pp ppf = function
   | Int n -> Fmt.int ppf n
   | Bool b -> Fmt.bool ppf b
 
-let to_string v = Fmt.str "%a" pp v
+let to_string = function
+  | Int n -> string_of_int n
+  | Bool b -> string_of_bool b
 
 (** [binop op a b] applies a binary operator, with total division.
     @raise Type_error when operand kinds do not match the operator. *)

@@ -178,9 +178,13 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
     (p : program) : (result, Diagnosis.t) Stdlib.result =
   match (config.Config.engine, faults) with
   | Config.Packed, None -> run_packed ~config ?on_fire p
-  | (Config.Packed | Config.Reference), _ ->
-  (* fault injection is a reference-engine feature: a faulty run under
-     [engine = Packed] silently uses the reference machine *)
+  | Config.Packed, Some _ ->
+      (* fault injection is a reference-engine feature; running another
+         machine than the one asked for would be a silent fallback *)
+      invalid_arg
+        "Interp.run_report: the packed engine has no fault injection; use \
+         the reference engine"
+  | Config.Reference, _ ->
   let g = p.graph in
   let memory = Imp.Memory.create p.layout in
   (* token-conservation sanitizer, report-only on the single-PE path:

@@ -84,7 +84,10 @@ val avg_parallelism : result -> float
     reached quiescence — inspect [r.diagnosis] to distinguish clean
     completion from deadlock or leftover tokens; [Error d] is a hard
     failure (collision, double write, divergence) with the machine state
-    at the failure point.  Never raises the legacy exceptions. *)
+    at the failure point.  Never raises the legacy exceptions.
+    @raise Invalid_argument when [config] selects the packed engine and
+    [faults] is given: fault injection is a reference-engine feature,
+    and no engine is swapped for another behind the caller's back. *)
 val run_report :
   ?config:Config.t ->
   ?faults:Fault.plan ->

@@ -110,8 +110,8 @@ let run ?(config = Config.default) ?(net = Network.default)
   | Config.Packed, None, None, None, None ->
       (* the compiled token store with the idealised interconnect: every
          cross-PE token pays the network's hop latency, partitioned by
-         the same placement.  Fault injection and fail-stop recovery
-         stay reference-engine features (the fall-through below). *)
+         the same placement.  Fault injection, fail-stop recovery,
+         topologies and stealing stay reference-engine features. *)
       let g = p.Interp.graph in
       let code = Packed.compile_graph g in
       let place = Placement.compute placement ~pes g in
@@ -173,7 +173,11 @@ let run ?(config = Config.default) ?(net = Network.default)
               recovery = None;
               diagnosis = r.Packed.diagnosis;
             })
-  | _ ->
+  | Config.Packed, _, _, _, _ ->
+      invalid_arg
+        "Multiproc.run: the packed engine has no fault injection, recovery, \
+         topology or stealing; use the reference engine"
+  | Config.Reference, _, _, _, _ ->
   let g = p.Interp.graph in
   let pcount = pes in
   let place = ref (Placement.compute ~tree ?topo placement ~pes:pcount g) in

@@ -101,7 +101,11 @@ type result = {
     [?steal] turns on deterministic work stealing of ready firings
     ({!Sched.Steal}): timing and traffic change, the final store never
     does — stolen firings emit from the thief, rendezvous stays at the
-    consumer's placed PE. *)
+    consumer's placed PE.
+    @raise Invalid_argument when [config] selects the packed engine
+    together with [?faults], [?recovery], [?topo] or [?steal]: those are
+    reference-engine features, and no engine is swapped for another
+    behind the caller's back. *)
 val run :
   ?config:Config.t ->
   ?net:Network.config ->

@@ -169,13 +169,36 @@ let op_compile id j =
       ("certified", J.Bool (c.Dflow.Driver.graph.Dfg.Graph.cert <> None));
     ]
 
+let fault_plan_of j =
+  match int_opt j "fault-seed" with
+  | None -> None
+  | Some seed ->
+      let classes =
+        try Machine.Fault.classes_of_string (str ~default:"all" j "fault-classes")
+        with Failure m -> bad "%s" m
+      in
+      Some
+        (Machine.Fault.make
+           (Machine.Fault.spec ~seed
+              ~rate:(fnum ~default:0.01 j "fault-rate")
+              ~classes ()))
+
+(* Fault injection and recovery run only on the reference machine: a
+   packed job that asks for them is refused, never run on another
+   engine than the one it names. *)
+let refuse_packed (config : Machine.Config.t) what =
+  if config.Machine.Config.engine = Machine.Config.Packed then
+    bad "engine \"packed\" has no %s; use engine \"reference\"" what
+
 let op_run id j =
   let c = compiled_of j in
   let config = config_of j in
+  let faults = fault_plan_of j in
+  if Option.is_some faults then refuse_packed config "fault injection";
   let prog =
     { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
   in
-  match Machine.Interp.run_report ~config prog with
+  match Machine.Interp.run_report ~config ?faults prog with
   | Error d ->
       error_result id
         ("execution failed: "
@@ -198,20 +221,6 @@ let op_run id j =
                 r.Machine.Interp.memory );
             ("store", store_json r.Machine.Interp.memory);
           ]
-
-let fault_plan_of j =
-  match int_opt j "fault-seed" with
-  | None -> None
-  | Some seed ->
-      let classes =
-        try Machine.Fault.classes_of_string (str ~default:"all" j "fault-classes")
-        with Failure m -> bad "%s" m
-      in
-      Some
-        (Machine.Fault.make
-           (Machine.Fault.spec ~seed
-              ~rate:(fnum ~default:0.01 j "fault-rate")
-              ~classes ()))
 
 let op_simulate id j =
   let c = compiled_of j in
@@ -241,6 +250,8 @@ let op_simulate id j =
       in
       Some (Machine.Recovery.spec ~deaths ())
   in
+  if Option.is_some faults || Option.is_some recovery then
+    refuse_packed config "fault injection or recovery";
   match
     Machine.Multiproc.run ~config ~net ~placement ?faults ?recovery ~pes
       { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }

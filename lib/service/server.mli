@@ -12,12 +12,18 @@
     - ["compile"]: [source] (+ [schema], [transforms], [optimize]) ->
       static graph statistics and certification status.
     - ["run"]: compile then execute on the single-PE machine
-      ([engine], [pes], [mem-latency]) -> cycles/firings/store plus a
+      ([engine], [pes], [mem-latency], seeded [fault-seed] /
+      [fault-rate] / [fault-classes]) -> cycles/firings/store plus a
       reference-interpreter check.
     - ["simulate"]: compile then execute on the multiprocessor
-      ([pes], [placement], [net-latency], seeded [fault-seed] /
+      ([engine], [pes], [placement], [net-latency], seeded [fault-seed] /
       [fault-rate] / [fault-classes], [recover]) -> cycles, traffic,
       recovery accounting, store, reference check.
+
+    Faults and recovery need the reference engine: a ["run"] or
+    ["simulate"] job that asks for them with [engine] ["packed"] gets a
+    per-job error naming [engine] ["reference"]; no job runs on another
+    engine than the one it names.
     - ["selfcheck-combo"]: run the differential oracle's combo matrix
       (optionally one named [combo], optionally [broken]) on [source].
     - ["stats"]: the memoization cache counters.  Answered after the

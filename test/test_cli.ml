@@ -235,6 +235,21 @@ let test_simulate_packed_conflict () =
       checkb "error explains the conflict" true
         (contains out "single-PE idealised"))
     [ "--net mesh"; "--steal"; "--placement hier" ];
+  (* faults and recovery are reference-engine features too: refused,
+     not quietly run on the reference machine *)
+  List.iter
+    (fun (cmd, flags) ->
+      let code, out =
+        capture (Fmt.str "%s %s %s --engine packed %s" binary cmd f flags)
+      in
+      checki (cmd ^ " " ^ flags ^ " exit code") 2 code;
+      checkb "error names the reference engine" true
+        (contains out "--engine reference"))
+    [
+      ("run", "--fault-seed 2");
+      ("simulate", "--fault-seed 7 --recover");
+      ("simulate", "--recover");
+    ];
   (* packed with none of the conflicting flags still runs *)
   let code, _ = capture (Fmt.str "%s simulate %s --engine packed" binary f) in
   checki "plain packed simulate ok" 0 code

@@ -396,6 +396,130 @@ let test_opt_composes_with_simplify () =
     (Imp.Memory.equal (Imp.Eval.run_program p) r.Machine.Interp.memory)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned compiler output                                             *)
+
+(* Every translated and optimized graph, rendered in full: node ids,
+   kinds and labels, arcs with their ports, dummy flag and token
+   labels, the certificate, and Start/End.  The goldens pin only counts,
+   so this digest is what catches a changed label, node order or token
+   label.  The kind rendering is the test's own, independent of
+   [Node.kind_to_string]. *)
+let pin_kind (k : N.kind) : string =
+  let mem = function N.Plain -> "plain" | N.I_structure -> "istruct" in
+  match k with
+  | N.Start k -> Printf.sprintf "Start %d" k
+  | N.End k -> Printf.sprintf "End %d" k
+  | N.Const (Imp.Value.Int n) -> Printf.sprintf "Const int %d" n
+  | N.Const (Imp.Value.Bool b) -> Printf.sprintf "Const bool %b" b
+  | N.Binop op -> "Binop " ^ Imp.Pretty.binop_string op
+  | N.Unop Imp.Ast.Neg -> "Unop neg"
+  | N.Unop Imp.Ast.Not -> "Unop not"
+  | N.Id -> "Id"
+  | N.Sink -> "Sink"
+  | N.Load { var; indexed; mem = m } ->
+      Printf.sprintf "Load %s %b %s" var indexed (mem m)
+  | N.Store { var; indexed; mem = m } ->
+      Printf.sprintf "Store %s %b %s" var indexed (mem m)
+  | N.Switch -> "Switch"
+  | N.Merge -> "Merge"
+  | N.Synch n -> Printf.sprintf "Synch %d" n
+  | N.Loop_entry { loop; arity } -> Printf.sprintf "Loop_entry %d %d" loop arity
+  | N.Loop_exit { loop; arity } -> Printf.sprintf "Loop_exit %d %d" loop arity
+
+let render_graph buf (g : Dfg.Graph.t) =
+  let pr fmt = Printf.bprintf buf fmt in
+  pr "start %d end %d\n" g.Dfg.Graph.start g.Dfg.Graph.stop;
+  Array.iter
+    (fun (n : N.t) -> pr "n %d %s %S\n" n.N.id (pin_kind n.N.kind) n.N.label)
+    g.Dfg.Graph.nodes;
+  Array.iter
+    (fun (a : Dfg.Graph.arc) ->
+      pr "a %d.%d %d.%d %b [%s]\n" a.Dfg.Graph.src.Dfg.Graph.node
+        a.Dfg.Graph.src.Dfg.Graph.index a.Dfg.Graph.dst.Dfg.Graph.node
+        a.Dfg.Graph.dst.Dfg.Graph.index a.Dfg.Graph.dummy
+        (String.concat "," (List.map string_of_int a.Dfg.Graph.tokens)))
+    g.Dfg.Graph.arcs;
+  match g.Dfg.Graph.cert with
+  | None -> pr "cert none\n"
+  | Some c ->
+      pr "cert [%s]\n" (String.concat "," (Array.to_list c.Dfg.Graph.cert_elements));
+      Array.iteri
+        (fun i req ->
+          if req <> [] then
+            pr "req %d [%s]\n" i (String.concat "," (List.map string_of_int req)))
+        c.Dfg.Graph.cert_require
+
+let pin_programs () =
+  let examples =
+    match
+      List.find_opt Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+    with
+    | None -> Alcotest.fail "cannot locate examples/programs"
+    | Some dir ->
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".imp")
+        |> List.sort compare
+        |> List.map (fun f ->
+               let path = Filename.concat dir f in
+               let src = In_channel.with_open_bin path In_channel.input_all in
+               (f, Imp.Parser.program_of_string src))
+  in
+  let rand = Random.State.make [| 1990 |] in
+  let random config tag n =
+    List.init n (fun i ->
+        (Printf.sprintf "%s-%d" tag i, Workloads.Random_gen.structured ~config rand))
+  in
+  let default = Workloads.Random_gen.default_config in
+  examples
+  @ random default "random" 16
+  @ random
+      { default with Workloads.Random_gen.allow_alias = true; num_arrays = 2 }
+      "aliased" 6
+
+let pin_specs =
+  [
+    ("1", Dflow.Driver.Schema1);
+    ("2p", Dflow.Driver.Schema2 Dflow.Engine.Pipelined);
+    ("2optp", Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined);
+    ("3", Dflow.Driver.Schema3 (Dflow.Driver.Classes, Dflow.Engine.Barrier));
+  ]
+
+let pinned_digest = "e2f46c8c84eeedec40f8d48e97cd9378"
+
+let test_pin_compiled_graphs () =
+  let buf = Buffer.create (1 lsl 20) in
+  let transforms =
+    [ ("none", Dflow.Driver.no_transforms); ("all", Dflow.Driver.all_transforms) ]
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun (sname, spec) ->
+          List.iter
+            (fun (tname, transforms) ->
+              List.iter
+                (fun optimize ->
+                  Printf.bprintf buf "== %s %s %s optimize=%b\n" name sname
+                    tname optimize;
+                  match
+                    Dflow.Driver.compile ~transforms ~split_irreducible:true
+                      spec p
+                  with
+                  | c ->
+                      let g = c.Dflow.Driver.graph in
+                      render_graph buf
+                        (if optimize then Dfg.Opt.run (Dfg.Simplify.run g)
+                         else g)
+                  | exception e ->
+                      Printf.bprintf buf "raised %s\n" (Printexc.to_string e))
+                [ false; true ])
+            transforms)
+        pin_specs)
+    (pin_programs ());
+  Alcotest.(check string) "digest of every rendered graph" pinned_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* ------------------------------------------------------------------ *)
 (* Trace                                                              *)
 
 let test_trace_records () =
@@ -500,6 +624,11 @@ let () =
             test_opt_random_differential;
           Alcotest.test_case "composes with simplify" `Quick
             test_opt_composes_with_simplify;
+        ] );
+      ( "pin",
+        [
+          Alcotest.test_case "compiled graphs byte for byte" `Quick
+            test_pin_compiled_graphs;
         ] );
       ( "trace",
         [

@@ -381,6 +381,78 @@ let test_server_id_defaults () =
       checkb "explicit id echoed" true (contains b "\"id\":7")
   | _ -> Alcotest.fail "expected two result lines"
 
+let test_server_packed_refuses_faults () =
+  (* faults and recovery are reference-engine features: a packed job
+     that asks for them is a per-job error, never a quiet run on the
+     reference machine; the same jobs on the reference engine run *)
+  let job op engine extra =
+    line
+      ([
+         ("op", J.String op);
+         ("source", J.String sum_source);
+         ("schema", J.String "2optp");
+         ("engine", J.String engine);
+       ]
+      @ extra)
+  in
+  let stall = [ ("fault-seed", J.Int 2); ("fault-classes", J.String "stall") ] in
+  let recover = [ ("fault-seed", J.Int 7); ("recover", J.Bool true) ] in
+  let out =
+    Array.of_list
+      (Serve.Server.run_batch ~jobs:1
+         [
+           job "run" "packed" stall;
+           job "simulate" "packed" recover;
+           job "simulate" "packed" [ ("recover", J.Bool true) ];
+           job "run" "reference" stall;
+           job "simulate" "reference" recover;
+           job "run" "packed" [];
+         ])
+  in
+  for i = 0 to 2 do
+    checkb (Printf.sprintf "packed job %d refused" i) true
+      (contains out.(i) "\"ok\":false"
+      && contains out.(i) {|use engine \"reference\"|})
+  done;
+  for i = 3 to 5 do
+    checkb (Printf.sprintf "job %d runs" i) true
+      (contains out.(i) "\"ok\":true"
+      && contains out.(i) "\"reference\":\"ok\"")
+  done;
+  (* the library calls under the ops refuse the combination too *)
+  let c =
+    Dflow.Memo.compile_source
+      (Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined)
+      sum_source
+  in
+  let prog =
+    { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
+  in
+  let config =
+    { Machine.Config.default with Machine.Config.engine = Machine.Config.Packed }
+  in
+  let faults () =
+    Machine.Fault.make
+      (Machine.Fault.spec ~seed:2 ~classes:Machine.Fault.all_classes ())
+  in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let mesh = Sched.Topology.make Sched.Topology.Mesh ~pes:4 in
+  raises "Interp.run_report ~faults" (fun () ->
+      Machine.Interp.run_report ~config ~faults:(faults ()) prog);
+  raises "Multiproc.run ~faults" (fun () ->
+      Machine.Multiproc.run ~config ~faults:(faults ()) ~pes:2 prog);
+  raises "Multiproc.run ~recovery" (fun () ->
+      Machine.Multiproc.run ~config ~recovery:(Machine.Recovery.spec ()) ~pes:2
+        prog);
+  raises "Multiproc.run ~topo" (fun () ->
+      Machine.Multiproc.run ~config ~topo:mesh ~pes:4 prog);
+  raises "Multiproc.run ~steal" (fun () ->
+      Machine.Multiproc.run ~config ~steal:Sched.Steal.default ~pes:2 prog)
+
 let test_server_max_line_bytes () =
   let big =
     line
@@ -525,6 +597,8 @@ let () =
             test_server_byte_identical;
           Alcotest.test_case "per-op results" `Quick test_server_results;
           Alcotest.test_case "id defaulting" `Quick test_server_id_defaults;
+          Alcotest.test_case "packed engine refuses faults" `Quick
+            test_server_packed_refuses_faults;
           Alcotest.test_case "--max-line-bytes per-job error" `Quick
             test_server_max_line_bytes;
           Alcotest.test_case "oversized stream recovers" `Quick
