@@ -140,7 +140,8 @@ let engine_arg =
         ~doc:
           "Execution core: $(b,reference) (event-driven interpreter) or \
            $(b,packed) (compiled flat-array engine with an explicit token \
-           store).  Both produce bit-identical final stores.")
+           store).  Both produce bit-identical final stores and the same \
+           cycle counts; only the wall-clock time differs.")
 
 (** @raise on an unknown name: prints the valid engines and exits 2. *)
 let engine_of_flag (s : string) : Machine.Config.engine =
@@ -149,21 +150,18 @@ let engine_of_flag (s : string) : Machine.Config.engine =
     Fmt.epr "df_compile: %s@." msg;
     exit 2
 
-(* Fault injection and recovery run only on the reference machine: with
-   --engine packed they are a usage error (exit 2), never a silent
-   switch of engine. *)
-let reject_packed_faults engine ~asked =
-  if engine = Machine.Config.Packed && asked then begin
-    Fmt.epr
-      "df_compile: --engine packed has no fault injection or recovery: \
-       --fault-seed and --recover need --engine reference@.";
-    exit 2
-  end
-
 let run_cmd file schema transforms pes mem_latency verbose trace optimize
     fault_seed fault_rate fault_classes no_certify engine =
   let engine = engine_of_flag engine in
-  reject_packed_faults engine ~asked:(fault_seed <> None);
+  (* fault injection runs only on the reference machine: with --engine
+     packed it is a usage error (exit 2), never a silent switch of
+     engine *)
+  if engine = Machine.Config.Packed && fault_seed <> None then begin
+    Fmt.epr
+      "df_compile: --engine packed has no fault injection: --fault-seed \
+       needs --engine reference@.";
+    exit 2
+  end;
   let p = read_program file in
   let transforms = transforms_of_list transforms in
   let compiled = Dflow.Driver.compile ~transforms schema p in
@@ -321,7 +319,7 @@ let placement_conv : Machine.Placement.policy Arg.conv =
 
 let simulate_cmd file schema transforms optimize mp_pes placement net_kind
     steal net_latency net_bandwidth net_queue modules mem_latency trace_out
-    fault_seed fault_rate fault_classes recover no_certify engine =
+    fault_seed fault_rate fault_classes recover no_certify =
   (* usage errors first, same contract as --engine / --jobs: exit 2 with
      a message naming the flag and the valid values *)
   if mp_pes < 1 then begin
@@ -335,28 +333,13 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
         Fmt.epr "df_compile: %s@." msg;
         exit 2
   in
-  (* the packed engine models the idealised single-hop interconnect and
-     static placement only; fail fast rather than silently ignore the
-     scheduling flags until the packed x network marriage lands *)
-  let engine = engine_of_flag engine in
-  (match engine with
-  | Machine.Config.Packed
-    when topo_kind <> Sched.Topology.Uniform || steal
-         || placement = Machine.Placement.Hier ->
-      Fmt.epr
-        "df_compile: --engine packed is single-PE idealised: --net \
-         mesh/torus/cube, --steal and --placement hier need --engine \
-         reference@.";
-      exit 2
-  | _ -> ());
-  reject_packed_faults engine ~asked:(fault_seed <> None || recover);
   let p = read_program file in
   let transforms = transforms_of_list transforms in
   let compiled = Dflow.Driver.compile ~transforms schema p in
   let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
   Dfg.Check.check graph;
   if no_certify then Dfg.Graph.set_cert graph None;
-  let config = { (config_of None mem_latency) with Machine.Config.engine } in
+  let config = config_of None mem_latency in
   let faults =
     Option.map
       (fun seed ->
@@ -576,7 +559,7 @@ let simulate_term =
               "Enable checkpoint/replay recovery: epoch snapshots, plus — \
                with --fault-seed — one seeded PE fail-stop whose nodes are \
                remapped over the survivors and replayed.")
-    $ no_certify_arg $ engine_arg)
+    $ no_certify_arg)
 
 (* --- dot ------------------------------------------------------------- *)
 

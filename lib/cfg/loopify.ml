@@ -149,7 +149,13 @@ let transform (cfg : Core.t) : t =
     ls;
   (* Rebuild an immutable CFG. *)
   let n = !next in
-  let kind_arr = Array.init n (fun i -> Hashtbl.find kinds i) in
+  (* filled in place from a constant: [Array.init] of more than 256
+     elements whose first one is freshly allocated forces a minor
+     collection *)
+  let kind_arr = Array.make n Core.Start in
+  for i = 0 to n - 1 do
+    kind_arr.(i) <- Hashtbl.find kinds i
+  done;
   let edges = ref [] in
   for i = n - 1 downto 0 do
     List.iter (fun (d, t_) -> edges := (i, d, t_) :: !edges) (get succ i)

@@ -36,9 +36,11 @@ type combo = {
           checkpoint/replay recovery on: the recovered run must still
           verdict [Clean] and match the reference store exactly *)
   c_engine : Machine.Config.engine;
-      (** execution core for this point; [Packed] points carry a
-          ["+packed"] name suffix and hold the compiled engine to the
-          same differential bar *)
+      (** single-PE execution core for this point; [Packed] points
+          carry a ["+packed"] name suffix and hold the compiled engine
+          to the same differential bar.  Never [Packed] on a
+          multiprocessor point: {!Machine.Multiproc} runs the reference
+          engine only *)
   c_topo : Sched.Topology.kind option;
       (** interconnect topology for a multiprocessor point (["-mesh"]
           etc. in the name); [None] is the uniform wire *)

@@ -8,6 +8,15 @@
     graphs, but keeps the pass total).  Semantics-preserving; saves one
     routing cycle per spliced node. *)
 
+(* The sorted union of two token-label lists.  A combined list of at
+   most one label is already sorted and unique, so the common case
+   neither appends nor sorts. *)
+let union_tokens (a : int list) (b : int list) : int list =
+  match (a, b) with
+  | [], ([] | [ _ ]) -> b
+  | [ _ ], [] -> a
+  | _ -> List.sort_uniq Int.compare (a @ b)
+
 (** [run g] returns the simplified graph.  Idempotent. *)
 let run (g : Graph.t) : Graph.t =
   let n = Graph.num_nodes g in
@@ -27,8 +36,7 @@ let run (g : Graph.t) : Graph.t =
         match Graph.incoming g p.Graph.node 0 with
         | [ a ] ->
             let src, d, toks = resolve a.Graph.src in
-            (src, d || a.Graph.dummy,
-             List.sort_uniq compare (toks @ a.Graph.tokens))
+            (src, d || a.Graph.dummy, union_tokens toks a.Graph.tokens)
         | _ -> assert false
       else (p, false, [])
     in
@@ -57,7 +65,7 @@ let run (g : Graph.t) : Graph.t =
           if not splice.(src.Graph.node) then
             Graph.Builder.connect b
               ~dummy:(a.Graph.dummy || extra_dummy)
-              ~tokens:(List.sort_uniq compare (a.Graph.tokens @ extra_tokens))
+              ~tokens:(union_tokens a.Graph.tokens extra_tokens)
               (remap.(src.Graph.node), src.Graph.index)
               (remap.(a.Graph.dst.Graph.node), a.Graph.dst.Graph.index)
         end)

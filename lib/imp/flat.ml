@@ -160,11 +160,17 @@ let flatten (p : Ast.program) : t =
         go (desugar_case (Fmt.str "case$%d" !case_counter) e arms default)
   and go_in active s = go active s in
   go [] p.Ast.body;
+  (* filled in place from a static placeholder: [Array.of_list] of more
+     than 256 elements whose first one is freshly allocated forces a
+     minor collection *)
+  let n = List.length !buf in
+  let code = Array.make n (Label "") in
+  List.iteri (fun k i -> code.(n - 1 - k) <- i) !buf;
   {
     arrays = p.Ast.arrays;
     equiv = p.Ast.equiv;
     may_alias = p.Ast.may_alias;
-    code = Array.of_list (List.rev !buf);
+    code;
   }
 
 (** [label_table t] maps each label to its instruction index.

@@ -30,16 +30,18 @@ type policy =
   | Fifo  (** oldest enabled operation first (default) *)
   | Lifo  (** newest enabled operation first (depth-first-ish) *)
 
-(** Which execution core runs the graph.  [Reference] is the
-    map-and-list interpreter this module always had — the differential
-    oracle's ground machine.  [Packed] is the compiled engine
-    ({!Packed}): the graph is lowered once to flat instruction arrays
-    and tokens rendezvous in preallocated per-context frames with
-    presence bits, driven by an event-driven ready wheel.  Determinate
-    graphs produce bit-identical final stores under both; the packed
+(** Which execution core runs the single-PE machine.  [Reference] is
+    the map-and-list interpreter this module always had — the
+    differential oracle's ground machine.  [Packed] is the compiled
+    engine ({!Packed}): the graph is lowered once to flat instruction
+    arrays and tokens rendezvous in preallocated per-context frames
+    with presence bits, driven by an event-driven ready wheel.  The
+    choice changes only wall-clock time: both give bit-identical final
+    stores and the same cycle count and peak parallelism.  The packed
     engine's observability is coarser (no per-cycle curves, no dynamic
-    critical path) and fault injection stays a reference-engine
-    feature. *)
+    critical path), fault injection stays a reference-engine feature,
+    and the multiprocessor ({!Multiproc}) runs the reference engine
+    only. *)
 type engine =
   | Reference
   | Packed
@@ -77,10 +79,10 @@ type t = {
           as divergence), modelling a finite ETS frame memory that
           degrades gracefully. *)
   engine : engine;
-      (** execution core; [Reference] unless explicitly switched.  The
-          packed engine interprets [max_matching] at frame granularity
-          (simultaneously live contexts) rather than per (node, context)
-          entry. *)
+      (** single-PE execution core; [Reference] unless explicitly
+          switched.  The packed engine interprets [max_matching] at
+          frame granularity (simultaneously live contexts) rather than
+          per (node, context) entry. *)
 }
 
 let default =

@@ -30,14 +30,16 @@ type policy =
   | Fifo  (** oldest enabled operation first (default) *)
   | Lifo  (** newest enabled operation first *)
 
-(** Which execution core runs the graph.  [Reference] is the original
-    map-and-list interpreter — the differential oracle's ground machine.
-    [Packed] is the compiled engine ({!Packed}): flat instruction
-    arrays, preallocated per-context frames with presence bits, and an
-    event-driven ready wheel.  Determinate graphs produce bit-identical
-    final stores under both engines; packed observability is coarser
-    (no per-cycle curves or dynamic critical path) and fault injection
-    remains a reference-engine feature. *)
+(** Which execution core runs the single-PE machine.  [Reference] is
+    the original map-and-list interpreter — the differential oracle's
+    ground machine.  [Packed] is the compiled engine ({!Packed}): flat
+    instruction arrays, preallocated per-context frames with presence
+    bits, and an event-driven ready wheel.  The choice changes only
+    wall-clock time: both engines give bit-identical final stores and
+    the same cycle count and peak parallelism.  Packed observability
+    is coarser (no per-cycle curves or dynamic critical path), fault
+    injection remains a reference-engine feature, and the
+    multiprocessor ({!Multiproc}) runs the reference engine only. *)
 type engine =
   | Reference
   | Packed
@@ -73,7 +75,8 @@ type t = {
           packed engine reads the bound at frame granularity:
           simultaneously live iteration contexts instead of (node,
           context) entries. *)
-  engine : engine;  (** execution core; [Reference] by default *)
+  engine : engine;
+      (** single-PE execution core; [Reference] by default *)
 }
 
 (** Unbounded PEs, default latencies, FIFO, collision detection on. *)

@@ -101,83 +101,14 @@ let copy_store (s : slot Matching.store) :
 
 let run ?(config = Config.default) ?(net = Network.default)
     ?(placement = Placement.Hash) ?(tree = []) ?(topo : Sched.Topology.t option)
-    ?(steal : Sched.Steal.spec option) ?(issue_width = 1)
+    ?(steal : Sched.Steal.spec option)
     ?(on_fire : (int -> Dfg.Node.t -> Context.t -> pe:int -> unit) option)
     ?(faults : Fault.plan option) ?(recovery : Recovery.spec option) ~pes
     (p : Interp.program) : (result, Diagnosis.t) Stdlib.result =
   if pes < 1 then invalid_arg "Multiproc.run: pes must be >= 1";
-  match (config.Config.engine, faults, recovery, topo, steal) with
-  | Config.Packed, None, None, None, None ->
-      (* the compiled token store with the idealised interconnect: every
-         cross-PE token pays the network's hop latency, partitioned by
-         the same placement.  Fault injection, fail-stop recovery,
-         topologies and stealing stay reference-engine features. *)
-      let g = p.Interp.graph in
-      let code = Packed.compile_graph g in
-      let place = Placement.compute placement ~pes g in
-      let on_fire =
-        Option.map
-          (fun cb t node ctx ~pe -> cb t (Dfg.Graph.node g node) ctx ~pe)
-          on_fire
-      in
-      (* parity with the reference multiprocessor: the sanitizer only
-         runs when faults or recovery are requested, i.e. never here *)
-      (match
-         Packed.run_report ~config
-           ~multiproc:(place, issue_width, net.Network.latency)
-           ~sanitize:false ?on_fire ~layout:p.Interp.layout code
-       with
-      | Error d -> Error d
-      | Ok r ->
-          let cycles = r.Packed.cycles in
-          let utilisation =
-            Array.map
-              (fun busy ->
-                if cycles <= 0 then 0.0
-                else float_of_int busy /. float_of_int cycles)
-              r.Packed.per_pe_busy
-          in
-          let deliveries = r.Packed.local_deliveries + r.Packed.net_messages in
-          Ok
-            {
-              memory = r.Packed.memory;
-              cycles;
-              firings = r.Packed.firings;
-              memory_ops = r.Packed.memory_ops;
-              completed = r.Packed.completed;
-              leftover_tokens = r.Packed.leftover_tokens;
-              peak_matching = r.Packed.peak_frames;
-              per_pe_firings = r.Packed.per_pe_firings;
-              per_pe_busy = r.Packed.per_pe_busy;
-              utilisation;
-              per_pe_curve = Array.make pes [||];
-              local_deliveries = r.Packed.local_deliveries;
-              net_messages = r.Packed.net_messages;
-              cut_traffic =
-                (if deliveries = 0 then 0.0
-                 else
-                   float_of_int r.Packed.net_messages
-                   /. float_of_int deliveries);
-              (* the packed engine does not model memory homes: every
-                 access is served where it issues *)
-              mem_local = r.Packed.memory_ops;
-              mem_remote = 0;
-              backpressure = 0;
-              peak_queue = 0;
-              net_hops = r.Packed.net_messages;
-              steals = 0;
-              net_occupancy = [||];
-              placement = place;
-              placement_stats = Placement.stats g place;
-              transport = None;
-              recovery = None;
-              diagnosis = r.Packed.diagnosis;
-            })
-  | Config.Packed, _, _, _, _ ->
-      invalid_arg
-        "Multiproc.run: the packed engine has no fault injection, recovery, \
-         topology or stealing; use the reference engine"
-  | Config.Reference, _, _, _, _ ->
+  if config.Config.engine <> Config.Reference then
+    invalid_arg
+      "Multiproc.run: the multiprocessor runs on the reference engine only";
   let g = p.Interp.graph in
   let pcount = pes in
   let place = ref (Placement.compute ~tree ?topo placement ~pes:pcount g) in
@@ -823,11 +754,11 @@ let run ?(config = Config.default) ?(net = Network.default)
                     end
                 done
             | None -> ());
-            (* 4. every live PE issues up to [issue_width] enabled firings *)
+            (* 4. every live PE issues at most one enabled firing *)
             for pe = 0 to pcount - 1 do
               if alive.(pe) then begin
                 absorb_ready pe;
-                let budget = min issue_width (ready_length pe) in
+                let budget = min 1 (ready_length pe) in
                 for _ = 1 to budget do
                   execute pe (pop_next pe)
                 done;
@@ -959,11 +890,11 @@ let run ?(config = Config.default) ?(net = Network.default)
       }
   with Abort d -> Error d
 
-let run_exn ?config ?net ?placement ?tree ?topo ?steal ?issue_width ?on_fire
-    ?faults ?recovery ~pes p : result =
+let run_exn ?config ?net ?placement ?tree ?topo ?steal ?on_fire ?faults
+    ?recovery ~pes p : result =
   match
-    run ?config ?net ?placement ?tree ?topo ?steal ?issue_width ?on_fire
-      ?faults ?recovery ~pes p
+    run ?config ?net ?placement ?tree ?topo ?steal ?on_fire ?faults ?recovery
+      ~pes p
   with
   | Error d ->
       failwith

@@ -6,8 +6,8 @@
     {!Matching}), different transport.
 
     Each cycle: network arrivals and same-PE deliveries rendezvous in
-    their PE's matching store; every PE issues up to [issue_width]
-    enabled firings (FIFO or LIFO per {!Config.policy}); output tokens
+    their PE's matching store; every PE issues at most one enabled
+    firing (FIFO or LIFO per {!Config.policy}); output tokens
     bound for co-resident consumers are scheduled locally while
     cross-PE tokens enter the injection queue; the network moves
     bandwidth-limited messages into flight.  Memory is interleaved
@@ -27,7 +27,8 @@
     Of {!Config.t} the multiprocessor honours [latencies], [policy],
     [max_cycles] and [detect_collisions]; [pes], [memory_ports] and
     [max_matching] are single-machine notions superseded by [~pes],
-    the module interleaving and per-PE stores.
+    the module interleaving and per-PE stores.  [engine] must be
+    [Reference]: the packed engine is single-PE only.
 
     {b Fault tolerance.}  Passing [?faults] and/or [?recovery] switches
     the machine from the raw wire to the {!Network} reliable transport
@@ -86,7 +87,7 @@ type result = {
   diagnosis : Diagnosis.t;  (** [diagnosis.network] is always [Some _] *)
 }
 
-(** [run ?config ?net ?placement ?issue_width ?on_fire ~pes program] —
+(** [run ?config ?net ?placement ?on_fire ~pes program] —
     execute to quiescence on a fresh zeroed memory.  [on_fire] receives
     (cycle, node, context, pe) for every firing, in deterministic
     order — the feed for per-PE Chrome-trace tracks.
@@ -102,9 +103,9 @@ type result = {
     ({!Sched.Steal}): timing and traffic change, the final store never
     does — stolen firings emit from the thief, rendezvous stays at the
     consumer's placed PE.
-    @raise Invalid_argument when [config] selects the packed engine
-    together with [?faults], [?recovery], [?topo] or [?steal]: those are
-    reference-engine features, and no engine is swapped for another
+    @raise Invalid_argument when [pes < 1], or when [config] selects
+    the packed engine: the packed engine is single-PE, this module is
+    the one multiprocessor model, and no engine is swapped for another
     behind the caller's back. *)
 val run :
   ?config:Config.t ->
@@ -113,7 +114,6 @@ val run :
   ?tree:(int * int option) list ->
   ?topo:Sched.Topology.t ->
   ?steal:Sched.Steal.spec ->
-  ?issue_width:int ->
   ?on_fire:(int -> Dfg.Node.t -> Context.t -> pe:int -> unit) ->
   ?faults:Fault.plan ->
   ?recovery:Recovery.spec ->
@@ -131,7 +131,6 @@ val run_exn :
   ?tree:(int * int option) list ->
   ?topo:Sched.Topology.t ->
   ?steal:Sched.Steal.spec ->
-  ?issue_width:int ->
   ?on_fire:(int -> Dfg.Node.t -> Context.t -> pe:int -> unit) ->
   ?faults:Fault.plan ->
   ?recovery:Recovery.spec ->

@@ -6,7 +6,7 @@
     compiled code with a real explicit token store: operand slots and
     presence stamps live in preallocated per-context frames recycled
     through a free list, and the schedule is an event-driven ready
-    wheel, so idle PEs and empty cycles cost nothing.
+    wheel, so empty cycles cost nothing.
 
     The operator semantics are shared with the reference machines: the
     hot ALU/routing opcodes are specialised inline, everything with a
@@ -284,18 +284,13 @@ type result = {
   firings_by_kind : (string * int) list;
   throttled : int;  (** deliveries postponed by the frame-store bound *)
   spilled : int;
-  per_pe_firings : int array;
-  per_pe_busy : int array;
-  local_deliveries : int;
-  net_messages : int;
   diagnosis : Diagnosis.t;
 }
 
 exception Abort of Diagnosis.t
 
-let run_report ?(config = Config.default)
-    ?(multiproc : (Placement.t * int * int) option) ?(sanitize = true)
-    ?(on_fire : (int -> int -> Context.t -> pe:int -> unit) option)
+let run_report ?(config = Config.default) ?(sanitize = true)
+    ?(on_fire : (int -> int -> Context.t -> unit) option)
     ~(layout : Imp.Layout.t) (c : code) :
     (result, Diagnosis.t) Stdlib.result =
   let g = c.g in
@@ -308,28 +303,17 @@ let run_report ?(config = Config.default)
     | Some cert -> Some (Permission.create g cert)
     | None -> None
   in
-  (* topology: single-PE mode uses [config.pes]/[memory_ports]; the
-     multiprocessor mode partitions instructions by the placement and
-     charges [hop] extra cycles on every cross-PE token *)
-  let assign, pes, issue_width, hop, cap =
-    match multiproc with
-    | None -> (None, 1, 0, 0, config.Config.max_matching)
-    | Some (place, iw, hop) ->
-        (Some place.Placement.assign, place.Placement.pes, iw, hop, None)
-  in
-  let multi = multiproc <> None in
+  let cap = config.Config.max_matching in
   (* the frame bound as a plain int: max_int means unbounded *)
   let capk = match cap with Some k -> k | None -> max_int in
   let direct =
-    (not multi)
-    && config.Config.pes = None
+    config.Config.pes = None
     && config.Config.memory_ports = None
     && config.Config.policy = Config.Fifo
     &&
     let l = config.Config.latencies in
     l.Config.alu >= 1 && l.Config.memory >= 1 && l.Config.routing >= 1
   in
-  let pe_of v = match assign with None -> 0 | Some a -> a.(v) in
   (* Contexts are interned to dense ids at the one place they are
      minted — gateway firings — so the per-token path indexes flat
      arrays and never hashes or structurally compares a context list.
@@ -409,11 +393,11 @@ let run_report ?(config = Config.default)
     c.pool <- !free
   in
   (* the ready wheel: schedule offsets are bounded by the largest
-     operation latency plus the network hop plus the one-cycle throttle
-     retry, so a power-of-two wheel just above that can never wrap *)
+     operation latency plus the one-cycle throttle retry, so a
+     power-of-two wheel just above that can never wrap *)
   let wheel_size =
     let l = config.Config.latencies in
-    let m = max l.Config.alu (max l.Config.memory l.Config.routing) + hop + 2 in
+    let m = max l.Config.alu (max l.Config.memory l.Config.routing) + 2 in
     let rec pow2 w = if w >= m then w else pow2 (2 * w) in
     pow2 8
   in
@@ -423,19 +407,15 @@ let run_report ?(config = Config.default)
   in
   let pending = ref 0 in
   let peak_in_flight = ref 0 in
-  (* per-PE ready queues (FIFO), with LIFO absorption stacks *)
-  let ready : firing Queue.t array = Array.init pes (fun _ -> Queue.create ()) in
-  let lifo : firing Stack.t array = Array.init pes (fun _ -> Stack.create ()) in
+  (* the ready queue (FIFO), with a LIFO absorption stack *)
+  let ready : firing Queue.t = Queue.create () in
+  let lifo : firing Stack.t = Stack.create () in
   (* counters *)
   let firings = ref 0 in
   let memory_ops = ref 0 in
   let op_counts = Array.make (Array.length op_family) 0 in
   let dummy_deliveries = ref 0 in
   let value_deliveries = ref 0 in
-  let local_deliveries = ref 0 in
-  let net_messages = ref 0 in
-  let per_pe_firings = Array.make pes 0 in
-  let per_pe_busy = Array.make pes 0 in
   let peak_parallelism = ref 0 in
   let throttled = ref 0 in
   let throttled_this_cycle = ref 0 in
@@ -486,7 +466,7 @@ let run_report ?(config = Config.default)
                      b_ctx = ctx;
                      b_present = !present;
                      b_missing = !missing;
-                     b_pe = (if multi then Some (pe_of v) else None);
+                     b_pe = None;
                    }
                   :: acc)
           in
@@ -501,21 +481,6 @@ let run_report ?(config = Config.default)
       fold_frames (fun ctx f acc -> (ctx, f.f_occ) :: acc) []
       |> List.sort (fun (_, a) (_, b) -> compare b a)
     in
-    let waiting_by_pe =
-      if not multi then []
-      else begin
-        let per = Array.make pes 0 in
-        List.iter
-          (fun (b : Diagnosis.blocked) ->
-            match b.Diagnosis.b_pe with
-            | Some pe ->
-                per.(pe) <- per.(pe) + List.length b.Diagnosis.b_present
-            | None -> ())
-          blocked;
-        Array.to_list (Array.mapi (fun pe n -> (pe, n)) per)
-        |> List.filter (fun (_, n) -> n <> 0)
-      end
-    in
     {
       Diagnosis.verdict;
       cycles = !t;
@@ -523,7 +488,7 @@ let run_report ?(config = Config.default)
       blocked;
       deferred_reads = Firing.deferred_reads env;
       tokens_by_context;
-      waiting_by_pe;
+      waiting_by_pe = [];
       pressure =
         {
           Diagnosis.capacity = cap;
@@ -531,16 +496,7 @@ let run_report ?(config = Config.default)
           throttled = !throttled;
           spilled = !spilled;
         };
-      network =
-        (if multi then
-           Some
-             {
-               Diagnosis.net_messages = !net_messages;
-               net_backpressure = 0;
-               net_peak_queue = 0;
-               net_peak_in_flight = 0;
-             }
-         else None);
+      network = None;
       faults = [];
       sanitizer = List.rev !violations;
       permission =
@@ -559,33 +515,18 @@ let run_report ?(config = Config.default)
     bucket_push wheel.(at land mask) node port cid ctx v bag
   in
   (* deliver the value emitted at (node, port) to every destination of
-     that port; [src_pe] decides locality and the hop charge *)
-  let emit_port ~src_pe ~t_done node port cid ctx v bag =
+     that port *)
+  let emit_port ~t_done node port cid ctx v bag =
     let pb = c.port_base.!(node) + port in
     let base = c.dest_base.!(pb) in
     let stop = c.dest_base.!(pb + 1) in
     for j = base to stop - 1 do
       if c.dst_dummy.!(j) then incr dummy_deliveries
       else incr value_deliveries;
-      let at =
-        if multi then begin
-          let dpe = pe_of c.dst_node.!(j) in
-          if dpe = src_pe then begin
-            incr local_deliveries;
-            t_done
-          end
-          else begin
-            incr net_messages;
-            t_done + hop
-          end
-        end
-        else t_done
-      in
-      schedule at c.dst_node.!(j) c.dst_port.!(j) cid ctx v bag
+      schedule t_done c.dst_node.!(j) c.dst_port.!(j) cid ctx v bag
     done
   in
   (* --- waiting-matching in frames ---------------------------------- *)
-  let enqueue_fire node (fr : firing) = Queue.add fr ready.(pe_of node) in
   (* gather a completed rendezvous: ports [p0, p0+count) of [node],
      consumed (stamps cleared, occupancy released).  [extra_pad] appends
      the trailing pad slot that encodes a gateway's back-edge group. *)
@@ -649,16 +590,15 @@ let run_report ?(config = Config.default)
   (* one preallocated emit callback for the uncertified {!Firing.execute}
      fallback: the per-firing coordinates ride in refs, so a memory op
      allocates no closure *)
-  let cur_pe = ref 0 in
   let cur_t_done = ref 0 in
   let cur_cid = ref 0 in
   let cur_ctx = ref Context.toplevel in
   let emit_shared ~node ~port ~ctx ~meta:() v =
-    emit_port ~src_pe:!cur_pe ~t_done:!cur_t_done node port
+    emit_port ~t_done:!cur_t_done node port
       (cid_of !cur_cid !cur_ctx ctx) ctx v Permission.empty_bag
   in
   let ebuf : (int * int * Context.t * Imp.Value.t) list ref = ref [] in
-  let exec_cert pm t_done src_pe node fcid fctx inputs fbags =
+  let exec_cert pm t_done node fcid fctx inputs fbags =
     let held = fst (Permission.on_fire pm ~node ~ctx:fctx fbags) in
     ebuf := [];
     Firing.execute env
@@ -686,21 +626,7 @@ let run_report ?(config = Config.default)
         for j = base to stop - 1 do
           if c.dst_dummy.(j) then incr dummy_deliveries
           else incr value_deliveries;
-          let at =
-            if multi then begin
-              let dpe = pe_of c.dst_node.(j) in
-              if dpe = src_pe then begin
-                incr local_deliveries;
-                t_done
-              end
-              else begin
-                incr net_messages;
-                t_done + hop
-              end
-            end
-            else t_done
-          in
-          schedule at c.dst_node.(j) c.dst_port.(j) (cid_of fcid fctx ectx)
+          schedule t_done c.dst_node.(j) c.dst_port.(j) (cid_of fcid fctx ectx)
             ectx ev bags.(!k);
           incr k
         done)
@@ -759,46 +685,46 @@ let run_report ?(config = Config.default)
     let e = mem_ext.!(node) in
     mem_base.!(node) + (((i mod e) + e) mod e)
   in
-  let exec_fast t_done src_pe node cid ctx inputs =
+  let exec_fast t_done node cid ctx inputs =
     let nobag = Permission.empty_bag in
     let op = c.opcode.!(node) in
     if op = op_binop then
-      emit_port ~src_pe ~t_done node 0 cid ctx
+      emit_port ~t_done node 0 cid ctx
         (binop_fn.!(node) inputs.(0) inputs.(1))
         nobag
     else if op = op_const then
       match c.kinds.(node) with
-      | Dfg.Node.Const v -> emit_port ~src_pe ~t_done node 0 cid ctx v nobag
+      | Dfg.Node.Const v -> emit_port ~t_done node 0 cid ctx v nobag
       | _ -> assert false
     else if op = op_id || op = op_merge then
-      emit_port ~src_pe ~t_done node 0 cid ctx inputs.(0) nobag
+      emit_port ~t_done node 0 cid ctx inputs.(0) nobag
     else if op = op_switch then begin
       if Imp.Value.to_bool inputs.(1) then
-        emit_port ~src_pe ~t_done node 0 cid ctx inputs.(0) nobag
-      else emit_port ~src_pe ~t_done node 1 cid ctx inputs.(0) nobag
+        emit_port ~t_done node 0 cid ctx inputs.(0) nobag
+      else emit_port ~t_done node 1 cid ctx inputs.(0) nobag
     end
     else if op = op_synch then
-      emit_port ~src_pe ~t_done node 0 cid ctx dummy_value nobag
+      emit_port ~t_done node 0 cid ctx dummy_value nobag
     else if op = op_unop then
       match c.kinds.(node) with
       | Dfg.Node.Unop uop ->
-          emit_port ~src_pe ~t_done node 0 cid ctx
+          emit_port ~t_done node 0 cid ctx
             (Imp.Value.unop uop inputs.(0))
             nobag
       | _ -> assert false
     else if op = op_sink then ()
     else if op = op_load && mem_plain.!(node) then begin
       let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(1) else 0 in
-      emit_port ~src_pe ~t_done node 0 cid ctx
+      emit_port ~t_done node 0 cid ctx
         (Imp.Value.Int (Imp.Memory.read_addr env.Firing.memory (mem_addr node i)))
         nobag;
-      emit_port ~src_pe ~t_done node 1 cid ctx dummy_value nobag
+      emit_port ~t_done node 1 cid ctx dummy_value nobag
     end
     else if op = op_store && mem_plain.!(node) then begin
       let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(2) else 0 in
       Imp.Memory.write_addr env.Firing.memory (mem_addr node i)
         (Imp.Value.to_int inputs.(1));
-      emit_port ~src_pe ~t_done node 0 cid ctx dummy_value nobag
+      emit_port ~t_done node 0 cid ctx dummy_value nobag
     end
     else if op = op_loop_entry then begin
       let a = c.loop_ar.(node) in
@@ -807,14 +733,14 @@ let run_report ?(config = Config.default)
       in
       let cid' = intern ctx' in
       for i = 0 to a - 1 do
-        emit_port ~src_pe ~t_done node i cid' ctx' inputs.(i) nobag
+        emit_port ~t_done node i cid' ctx' inputs.(i) nobag
       done
     end
     else if op = op_loop_exit then begin
       let ctx' = Context.leave ctx in
       let cid' = intern ctx' in
       for i = 0 to Array.length inputs - 1 do
-        emit_port ~src_pe ~t_done node i cid' ctx' inputs.(i) nobag
+        emit_port ~t_done node i cid' ctx' inputs.(i) nobag
       done
     end
     else
@@ -822,7 +748,6 @@ let run_report ?(config = Config.default)
          wakeups, which emit from the reader's own ports) share the
          reference firing rule *)
       begin
-        cur_pe := src_pe;
         cur_t_done := t_done;
         cur_cid := cid;
         cur_ctx := ctx;
@@ -833,13 +758,12 @@ let run_report ?(config = Config.default)
   in
   (* per-node latency, resolved once against this run's config *)
   let lat = Array.init c.n (fun v -> Config.latency config c.kinds.(v)) in
-  let count_fire t pe node ctx group =
+  let count_fire t node ctx group =
     incr firings;
     let op = c.opcode.!(node) in
     op_counts.!(op) <- op_counts.!(op) + 1;
     if c.is_mem.!(node) then incr memory_ops;
-    per_pe_firings.!(pe) <- per_pe_firings.!(pe) + 1;
-    (match on_fire with Some cb -> cb t node ctx ~pe | None -> ());
+    (match on_fire with Some cb -> cb t node ctx | None -> ());
     match san with
     | Some s -> (
         match Sanitize.on_fire s ~node ~ctx ~group with
@@ -847,38 +771,38 @@ let run_report ?(config = Config.default)
         | None -> ())
     | None -> ()
   in
-  let exec t pe node cid ctx inputs bags =
-    count_fire t pe node ctx (Array.length inputs);
+  let exec t node cid ctx inputs bags =
+    count_fire t node ctx (Array.length inputs);
     let t_done = t + lat.!(node) in
     if t_done > !last_cycle then last_cycle := t_done;
     match perm with
-    | Some pm -> exec_cert pm t_done pe node cid ctx inputs bags
-    | None -> exec_fast t_done pe node cid ctx inputs
+    | Some pm -> exec_cert pm t_done node cid ctx inputs bags
+    | None -> exec_fast t_done node cid ctx inputs
   in
   (* monadic fast path: merges and single-input operators fire straight
      from the delivery; the routing opcodes skip the input array *)
-  let exec1 t pe node cid ctx v bag =
+  let exec1 t node cid ctx v bag =
     match perm with
     | Some _ ->
-        exec t pe node cid ctx [| v |] [ bag ]
+        exec t node cid ctx [| v |] [ bag ]
     | None ->
-        count_fire t pe node ctx 1;
+        count_fire t node ctx 1;
         let t_done = t + lat.!(node) in
         if t_done > !last_cycle then last_cycle := t_done;
         let op = c.opcode.!(node) in
         if op = op_id || op = op_merge then
-          emit_port ~src_pe:pe ~t_done node 0 cid ctx v Permission.empty_bag
+          emit_port ~t_done node 0 cid ctx v Permission.empty_bag
         else if op = op_unop then
           match c.kinds.(node) with
           | Dfg.Node.Unop uop ->
-              emit_port ~src_pe:pe ~t_done node 0 cid ctx
+              emit_port ~t_done node 0 cid ctx
                 (Imp.Value.unop uop v) Permission.empty_bag
           | _ -> assert false
         else if op = op_synch then
-          emit_port ~src_pe:pe ~t_done node 0 cid ctx dummy_value
+          emit_port ~t_done node 0 cid ctx dummy_value
             Permission.empty_bag
         else if op = op_sink then ()
-        else exec_fast t_done pe node cid ctx [| v |]
+        else exec_fast t_done node cid ctx [| v |]
   in
   (* direct mode: with one unbounded PE, no memory-port limit and FIFO
      scheduling, every enabled firing issues in the cycle it matched, so
@@ -886,9 +810,9 @@ let run_report ?(config = Config.default)
      delivery instead (all latencies >= 1, so emissions never land back
      in the bucket being drained) *)
   let fire t node cid ctx inputs bags =
-    if direct then exec t 0 node cid ctx inputs bags
+    if direct then exec t node cid ctx inputs bags
     else
-      enqueue_fire node
+      Queue.add
         {
           fr_node = node;
           fr_cid = cid;
@@ -896,6 +820,7 @@ let run_report ?(config = Config.default)
           fr_inputs = inputs;
           fr_bags = bags;
         }
+        ready
   in
   (* --- token delivery and waiting-matching -------------------------- *)
   let deliver t node port cid ctx v bag =
@@ -909,9 +834,9 @@ let run_report ?(config = Config.default)
       (match san with
       | Some s when op <> op_merge -> Sanitize.on_delivery s ~node ~port
       | _ -> ());
-      if direct then exec1 t 0 node cid ctx v bag
+      if direct then exec1 t node cid ctx v bag
       else
-        enqueue_fire node
+        Queue.add
           {
             fr_node = node;
             fr_cid = cid;
@@ -919,6 +844,7 @@ let run_report ?(config = Config.default)
             fr_inputs = [| v |];
             fr_bags = (match perm with None -> [] | Some _ -> [ bag ]);
           }
+          ready
     end
     else begin
       let existing = !frames.!(cid) in
@@ -1019,7 +945,7 @@ let run_report ?(config = Config.default)
   let boot_bags =
     match perm with Some p -> [ Permission.mint p ] | None -> []
   in
-  if direct then exec 0 0 c.start (intern Context.toplevel) Context.toplevel
+  if direct then exec 0 c.start (intern Context.toplevel) Context.toplevel
       [||] boot_bags
   else
     Queue.add
@@ -1030,40 +956,35 @@ let run_report ?(config = Config.default)
         fr_inputs = [||];
         fr_bags = boot_bags;
       }
-      ready.(pe_of c.start);
-  let absorb pe =
+      ready;
+  let absorb () =
     match config.Config.policy with
     | Config.Fifo -> ()
     | Config.Lifo ->
-        while not (Queue.is_empty ready.(pe)) do
-          Stack.push (Queue.pop ready.(pe)) lifo.(pe)
+        while not (Queue.is_empty ready) do
+          Stack.push (Queue.pop ready) lifo
         done
   in
-  let pop_next pe =
+  let pop_next () =
     match config.Config.policy with
-    | Config.Fifo -> Queue.pop ready.(pe)
-    | Config.Lifo -> Stack.pop lifo.(pe)
+    | Config.Fifo -> Queue.pop ready
+    | Config.Lifo -> Stack.pop lifo
   in
-  let ready_length pe =
-    Queue.length ready.(pe)
+  let ready_length () =
+    Queue.length ready
     +
     match config.Config.policy with
     | Config.Fifo -> 0
-    | Config.Lifo -> Stack.length lifo.(pe)
+    | Config.Lifo -> Stack.length lifo
   in
-  let any_ready () =
-    let rec go pe = pe < pes && (ready_length pe > 0 || go (pe + 1)) in
-    go 0
-  in
-  (* per-PE firing counts at cycle start: the deltas drive the busy and
-     peak-parallelism statistics for both the direct and queued modes *)
-  let prev_fired = Array.make pes 0 in
   try
     let finished = ref false in
     while not !finished do
       if !t > config.Config.max_cycles then
         abort (Diagnosis.Diverged config.Config.max_cycles);
-      Array.blit per_pe_firings 0 prev_fired 0 pes;
+      (* the firing count at cycle start: the delta is this cycle's
+         parallelism in both the direct and queued modes *)
+      let fired_before = !firings in
       (* 1. deliver the tokens scheduled for this cycle (in direct mode
          completed matches execute inline here) *)
       let b = wheel.(!t land mask) in
@@ -1080,34 +1001,28 @@ let run_report ?(config = Config.default)
         b.b_val.!(i) <- dummy_value;
         b.b_bag.!(i) <- Permission.empty_bag
       done;
-      (* 2. every PE issues enabled firings (in direct mode completed
-         matches already executed during delivery and the queue is
-         empty) *)
-      if not direct then
-      for pe = 0 to pes - 1 do
-        absorb pe;
+      (* 2. issue enabled firings (in direct mode completed matches
+         already executed during delivery and the queue is empty) *)
+      if not direct then begin
+        absorb ();
         let budget =
-          if multi then min issue_width (ready_length pe)
-          else
-            match config.Config.pes with
-            | None -> ready_length pe
-            | Some p -> min p (ready_length pe)
+          match config.Config.pes with
+          | None -> ready_length ()
+          | Some p -> min p (ready_length ())
         in
         let started = ref 0 in
         let mem_issued = ref 0 in
         let deferred_mem : firing list ref = ref [] in
         while !started < budget do
-          let f = pop_next pe in
+          let f = pop_next () in
           let port_free =
-            multi
-            ||
             match config.Config.memory_ports with
             | None -> true
             | Some k -> (not c.is_mem.(f.fr_node)) || !mem_issued < max 1 k
           in
           if port_free then begin
             if c.is_mem.(f.fr_node) then incr mem_issued;
-            exec !t pe f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_bags;
+            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_bags;
             progressed := true;
             incr started
           end
@@ -1117,23 +1032,18 @@ let run_report ?(config = Config.default)
             incr started
           end
         done;
-        List.iter (fun f -> Queue.add f ready.(pe)) (List.rev !deferred_mem)
-      done;
-      let fired_total = ref 0 in
-      for pe = 0 to pes - 1 do
-        let d = per_pe_firings.(pe) - prev_fired.(pe) in
-        if d > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1;
-        fired_total := !fired_total + d
-      done;
-      if !fired_total > !peak_parallelism then peak_parallelism := !fired_total;
+        List.iter (fun f -> Queue.add f ready) (List.rev !deferred_mem)
+      end;
+      let fired = !firings - fired_before in
+      if fired > !peak_parallelism then peak_parallelism := fired;
       (* 3. stagnation: every delivery throttled, nothing fired ->
          admit one over capacity next cycle *)
       if !throttled_this_cycle > 0 && not !progressed then spill := true;
       throttled_this_cycle := 0;
       progressed := false;
       (* 4. quiescence / event-driven skip to the next scheduled cycle *)
-      if (not (any_ready ())) && !pending = 0 then finished := true
-      else if any_ready () then incr t
+      if ready_length () = 0 && !pending = 0 then finished := true
+      else if ready_length () > 0 then incr t
       else begin
         (* nothing enabled: jump straight to the next delivery cycle *)
         let j = ref 1 in
@@ -1185,10 +1095,6 @@ let run_report ?(config = Config.default)
         firings_by_kind;
         throttled = !throttled;
         spilled = !spilled;
-        per_pe_firings;
-        per_pe_busy;
-        local_deliveries = !local_deliveries;
-        net_messages = !net_messages;
         diagnosis;
       }
   with Abort d ->

@@ -10,8 +10,12 @@
     {!run_report} executes the compiled code over a real explicit token
     store — operand slots and generation-stamped presence bits in
     preallocated per-context frames recycled through a free list — with
-    an event-driven ready wheel, so idle PEs and empty cycles cost
-    nothing.
+    an event-driven ready wheel, so empty cycles cost nothing.
+
+    It is a single-PE engine: it runs exactly the machine {!Interp}
+    runs, with the same timing, so the two report the same cycle count
+    and peak parallelism for the same graph and configuration.  The
+    multiprocessor has one model, {!Multiproc}.
 
     Why this is safe to use: the translated graphs are determinate, so
     the final store and the certificate verdict are independent of
@@ -22,8 +26,9 @@
 
     Observability is deliberately coarser than the reference engine's:
     no per-cycle parallelism/matching curves, no dynamic critical path,
-    and no fault injection (callers fall back to the reference engine
-    for those).  Firing counts, cycle counts, pressure statistics, the
+    and no fault injection (those stay with the reference engine, and
+    {!Interp.run_report} refuses a packed run that asks for faults).
+    Firing counts, cycle counts, pressure statistics, the
     sanitizer, and the fractional-permission certificate are all still
     live. *)
 
@@ -55,42 +60,27 @@ type result = {
   firings_by_kind : (string * int) list;
   throttled : int;  (** deliveries postponed by the frame-store bound *)
   spilled : int;  (** over-capacity admissions breaking stagnation *)
-  per_pe_firings : int array;
-  per_pe_busy : int array;
-  local_deliveries : int;
-  net_messages : int;
   diagnosis : Diagnosis.t;
 }
 
-(** [run_report ~layout code] executes compiled [code].
-
-    Single-PE mode (no [multiproc]): honours [config.pes],
-    [config.memory_ports], the scheduling policy, and interprets
-    [config.max_matching] as a bound on simultaneously live context
-    frames — at capacity, deliveries needing a new frame are throttled
-    to the next cycle (with the same stagnation-spill escape as the
-    reference engine) and reported as {!Diagnosis.pressure}, never a
-    crash.
-
-    Multiprocessor mode ([multiproc = Some (placement, issue_width,
-    hop)]): instructions are partitioned by the placement's assignment,
-    each PE issues at most [issue_width] firings per cycle, and a token
-    crossing PEs is charged [hop] extra cycles and counted in
-    [net_messages].  This is the idealised interconnect (no finite
-    queues or memory homes); the reference {!Multiproc} remains the
-    detailed model.
+(** [run_report ~layout code] executes compiled [code].  It honours
+    [config.pes], [config.memory_ports], the latencies and the
+    scheduling policy, and interprets [config.max_matching] as a bound
+    on simultaneously live context frames — at capacity, deliveries
+    needing a new frame are throttled to the next cycle (with the same
+    stagnation-spill escape as the reference engine) and reported as
+    {!Diagnosis.pressure}, never a crash.
 
     [sanitize] (default true) runs the token-conservation sanitizer.
-    [on_fire cycle node ctx ~pe] observes every firing.  The
-    permission certificate is checked whenever the graph carries one.
+    [on_fire cycle node ctx] observes every firing.  The permission
+    certificate is checked whenever the graph carries one.
 
     Returns [Error diagnosis] on collision, double write, or
     divergence, like the reference engine's report. *)
 val run_report :
   ?config:Config.t ->
-  ?multiproc:Placement.t * int * int ->
   ?sanitize:bool ->
-  ?on_fire:(int -> int -> Context.t -> pe:int -> unit) ->
+  ?on_fire:(int -> int -> Context.t -> unit) ->
   layout:Imp.Layout.t ->
   code ->
   (result, Diagnosis.t) Stdlib.result

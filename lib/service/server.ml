@@ -183,9 +183,9 @@ let fault_plan_of j =
               ~rate:(fnum ~default:0.01 j "fault-rate")
               ~classes ()))
 
-(* Fault injection and recovery run only on the reference machine: a
-   packed job that asks for them is refused, never run on another
-   engine than the one it names. *)
+(* Fault injection and the multiprocessor run only on the reference
+   machine: a packed job that asks for them is refused, never run on
+   another engine than the one it names. *)
 let refuse_packed (config : Machine.Config.t) what =
   if config.Machine.Config.engine = Machine.Config.Packed then
     bad "engine \"packed\" has no %s; use engine \"reference\"" what
@@ -223,8 +223,9 @@ let op_run id j =
           ]
 
 let op_simulate id j =
-  let c = compiled_of j in
   let config = config_of j in
+  refuse_packed config "multiprocessor model";
+  let c = compiled_of j in
   let pes = int ~default:4 j "pes" in
   if pes < 1 then bad "field \"pes\" must be at least 1 (got %d)" pes;
   let placement =
@@ -250,8 +251,6 @@ let op_simulate id j =
       in
       Some (Machine.Recovery.spec ~deaths ())
   in
-  if Option.is_some faults || Option.is_some recovery then
-    refuse_packed config "fault injection or recovery";
   match
     Machine.Multiproc.run ~config ~net ~placement ?faults ?recovery ~pes
       { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }

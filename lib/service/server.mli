@@ -16,14 +16,15 @@
       [fault-rate] / [fault-classes]) -> cycles/firings/store plus a
       reference-interpreter check.
     - ["simulate"]: compile then execute on the multiprocessor
-      ([engine], [pes], [placement], [net-latency], seeded [fault-seed] /
+      ([pes], [placement], [net-latency], seeded [fault-seed] /
       [fault-rate] / [fault-classes], [recover]) -> cycles, traffic,
       recovery accounting, store, reference check.
 
-    Faults and recovery need the reference engine: a ["run"] or
-    ["simulate"] job that asks for them with [engine] ["packed"] gets a
-    per-job error naming [engine] ["reference"]; no job runs on another
-    engine than the one it names.
+    The packed engine is single-PE and has no fault injection: a
+    ["simulate"] job whose [engine] is not ["reference"], and a ["run"]
+    job that asks for faults with [engine] ["packed"], get a per-job
+    error naming [engine] ["reference"]; no job runs on another engine
+    than the one it names.
     - ["selfcheck-combo"]: run the differential oracle's combo matrix
       (optionally one named [combo], optionally [broken]) on [source].
     - ["stats"]: the memoization cache counters.  Answered after the

@@ -382,9 +382,10 @@ let test_server_id_defaults () =
   | _ -> Alcotest.fail "expected two result lines"
 
 let test_server_packed_refuses_faults () =
-  (* faults and recovery are reference-engine features: a packed job
-     that asks for them is a per-job error, never a quiet run on the
-     reference machine; the same jobs on the reference engine run *)
+  (* faults and the multiprocessor are reference-engine features: a
+     packed run with faults, and any packed simulate, is a per-job
+     error, never a quiet run on the reference machine; the same jobs
+     on the reference engine run *)
   let job op engine extra =
     line
       ([
@@ -404,17 +405,20 @@ let test_server_packed_refuses_faults () =
            job "run" "packed" stall;
            job "simulate" "packed" recover;
            job "simulate" "packed" [ ("recover", J.Bool true) ];
+           job "simulate" "packed" [];
            job "run" "reference" stall;
            job "simulate" "reference" recover;
            job "run" "packed" [];
          ])
   in
-  for i = 0 to 2 do
+  for i = 0 to 3 do
     checkb (Printf.sprintf "packed job %d refused" i) true
       (contains out.(i) "\"ok\":false"
       && contains out.(i) {|use engine \"reference\"|})
   done;
-  for i = 3 to 5 do
+  checkb "plain packed simulate names the multiprocessor" true
+    (contains out.(3) "no multiprocessor model");
+  for i = 4 to 6 do
     checkb (Printf.sprintf "job %d runs" i) true
       (contains out.(i) "\"ok\":true"
       && contains out.(i) "\"reference\":\"ok\"")
@@ -443,6 +447,7 @@ let test_server_packed_refuses_faults () =
   let mesh = Sched.Topology.make Sched.Topology.Mesh ~pes:4 in
   raises "Interp.run_report ~faults" (fun () ->
       Machine.Interp.run_report ~config ~faults:(faults ()) prog);
+  raises "Multiproc.run" (fun () -> Machine.Multiproc.run ~config ~pes:2 prog);
   raises "Multiproc.run ~faults" (fun () ->
       Machine.Multiproc.run ~config ~faults:(faults ()) ~pes:2 prog);
   raises "Multiproc.run ~recovery" (fun () ->
