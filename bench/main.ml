@@ -13,7 +13,14 @@
    Run with:  dune exec bench/main.exe            (all experiments)
               dune exec bench/main.exe -- E7 E10  (a selection)
               dune exec bench/main.exe -- quick   (skip the timing runs)
+
+   The machine matrix (E20-E27) and its floors, declared in
+   bench_schema.ml:
+              dune exec bench/main.exe -- --json BENCH_machine.json
+              dune exec bench/main.exe -- --check BENCH_machine.json
 *)
+
+module S = Bench_schema
 
 let section id title =
   Fmt.pr "@.============================================================@.";
@@ -945,7 +952,7 @@ let scale_sweep ~reference (c : Dflow.Driver.compiled) =
           if pes = 1 then base := r.Machine.Multiproc.cycles;
           let cycles = r.Machine.Multiproc.cycles in
           {
-            Machine.Profile.sc_pes = pes;
+            S.sc_pes = pes;
             sc_net = net_name;
             sc_placement = Machine.Placement.policy_to_string placement;
             sc_steal = steal;
@@ -962,12 +969,6 @@ let scale_sweep ~reference (c : Dflow.Driver.compiled) =
           })
         scale_pe_counts)
     scale_configs
-
-(* CI floor: the full scaling stack must buy real throughput -- stencil
-   under schema2-opt at p=64 on the mesh (hier placement, stealing on)
-   must beat the p=16 uniform-wire baseline on firings per cycle. *)
-let scale_floor_hi = (64, "mesh", "hier", true)
-let scale_floor_lo = (16, "uniform", "hash", false)
 
 let bench_random_seeds = [ 11; 23; 47 ]
 
@@ -991,7 +992,7 @@ let find_programs_dir () =
    placement on the default network, each run differentially checked
    against the reference store.  [note] receives every cell for the
    cross-matrix summary scalars. *)
-let mp_sweep ~note ~reference (c : Dflow.Driver.compiled) =
+let mp_sweep ~reference (c : Dflow.Driver.compiled) =
   let prog =
     { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
   in
@@ -999,8 +1000,7 @@ let mp_sweep ~note ~reference (c : Dflow.Driver.compiled) =
     (fun placement ->
       List.map
         (fun pes ->
-          let cell =
-            match Machine.Multiproc.run ~placement ~pes prog with
+          match Machine.Multiproc.run ~placement ~pes prog with
             | Ok r ->
                 let det =
                   r.Machine.Multiproc.completed
@@ -1009,7 +1009,7 @@ let mp_sweep ~note ~reference (c : Dflow.Driver.compiled) =
                 in
                 let util = r.Machine.Multiproc.utilisation in
                 {
-                  Machine.Profile.mp_pes = pes;
+                  S.mp_pes = pes;
                   mp_placement = Machine.Placement.policy_to_string placement;
                   mp_cycles = r.Machine.Multiproc.cycles;
                   mp_net_messages = r.Machine.Multiproc.net_messages;
@@ -1024,7 +1024,7 @@ let mp_sweep ~note ~reference (c : Dflow.Driver.compiled) =
                 }
             | Error _ ->
                 {
-                  Machine.Profile.mp_pes = pes;
+                  S.mp_pes = pes;
                   mp_placement = Machine.Placement.policy_to_string placement;
                   mp_cycles = 0;
                   mp_net_messages = 0;
@@ -1032,10 +1032,7 @@ let mp_sweep ~note ~reference (c : Dflow.Driver.compiled) =
                   mp_backpressure = 0;
                   mp_avg_utilisation = 0.0;
                   mp_determinate = false;
-                }
-          in
-          note cell;
-          cell)
+                })
         mp_pe_counts)
     mp_placements
 
@@ -1049,14 +1046,10 @@ let recovery_intervals = [ 10; 25; 50; 100 ]
 let recovery_fault_seed = 7
 let recovery_schema = "schema2-opt"
 
-(* CI ceiling: the stencil kernel must survive one PE death plus link
-   faults at the default checkpoint cadence for under a quarter of the
-   fault-free makespan (measured: ~3%; the margin absorbs placement or
-   transport tuning, not a rollback livelock). *)
-let recovery_overhead_ceiling = 0.25
-let recovery_ceiling_interval = 25
+(* the checkpoint interval of E22's fault-rate sweep *)
+let recovery_default_interval = 25
 
-let recovery_sweep ~note ~reference (c : Dflow.Driver.compiled) =
+let recovery_sweep ~reference (c : Dflow.Driver.compiled) =
   let prog =
     { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
   in
@@ -1077,8 +1070,7 @@ let recovery_sweep ~note ~reference (c : Dflow.Driver.compiled) =
                ~window:60)
           ()
       in
-      let cell =
-        match Machine.Multiproc.run ~placement ~pes ~faults ~recovery prog with
+      match Machine.Multiproc.run ~placement ~pes ~faults ~recovery prog with
         | Ok r ->
             let recovered =
               r.Machine.Multiproc.completed
@@ -1091,7 +1083,7 @@ let recovery_sweep ~note ~reference (c : Dflow.Driver.compiled) =
               | None -> Machine.Recovery.metrics_create ()
             in
             {
-              Machine.Profile.rc_pes = pes;
+              S.rc_pes = pes;
               rc_placement = Machine.Placement.policy_to_string placement;
               rc_interval = interval;
               rc_cycles = r.Machine.Multiproc.cycles;
@@ -1113,7 +1105,7 @@ let recovery_sweep ~note ~reference (c : Dflow.Driver.compiled) =
             }
         | Error _ ->
             {
-              Machine.Profile.rc_pes = pes;
+              S.rc_pes = pes;
               rc_placement = Machine.Placement.policy_to_string placement;
               rc_interval = interval;
               rc_cycles = 0;
@@ -1126,10 +1118,7 @@ let recovery_sweep ~note ~reference (c : Dflow.Driver.compiled) =
               rc_replayed_firings = 0;
               rc_retransmits = 0;
               rc_recovered = false;
-            }
-      in
-      note cell;
-      cell)
+            })
     recovery_intervals
 
 (* The certificate-overhead sweep (E23): every certified cell runs
@@ -1137,13 +1126,11 @@ let recovery_sweep ~note ~reference (c : Dflow.Driver.compiled) =
    then stripped — and records the cycle ratio.  Certification is pure
    bookkeeping on token payloads, invisible to the scheduler, so the
    measured overhead is exactly 0.0; the cells keep that claim audited
-   instead of asserted, and the CI ceiling below catches any future
-   change that couples certification into timing. *)
+   instead of asserted, and the E23 floor catches any future change
+   that couples certification into timing. *)
 let certificate_pe_counts = [ 1; 4 ]
-let certificate_overhead_ceiling = 0.15
-let certificate_ceiling_pes = 4
 
-let certificate_sweep ~note (c : Dflow.Driver.compiled) =
+let certificate_sweep (c : Dflow.Driver.compiled) =
   let g = c.Dflow.Driver.graph in
   match g.Dfg.Graph.cert with
   | None -> None (* uncertified translation: nothing to measure *)
@@ -1178,21 +1165,16 @@ let certificate_sweep ~note (c : Dflow.Driver.compiled) =
               | Some ec -> ec
               | None -> (0, 0)
             in
-            let cell =
-              {
-                Machine.Profile.cc_pes = pes;
-                cc_elements = elements;
-                cc_checks = checks;
-                cc_cycles = cycles;
-                cc_stripped_cycles = stripped;
-                cc_overhead =
-                  (float_of_int cycles /. float_of_int (max 1 stripped)) -. 1.0;
-                cc_clean =
-                  completed && diag.Machine.Diagnosis.permission = [];
-              }
-            in
-            note cell;
-            cell)
+            {
+              S.cc_pes = pes;
+              cc_elements = elements;
+              cc_checks = checks;
+              cc_cycles = cycles;
+              cc_stripped_cycles = stripped;
+              cc_overhead =
+                (float_of_int cycles /. float_of_int (max 1 stripped)) -. 1.0;
+              cc_clean = completed && diag.Machine.Diagnosis.permission = [];
+            })
           certificate_pe_counts
       in
       Some cells
@@ -1203,26 +1185,19 @@ let certificate_sweep ~note (c : Dflow.Driver.compiled) =
    both engines), timed best-of-N wall clock.  The differential bar
    stays up: the packed run must reproduce the reference engine's final
    store and firing count bit for bit, or the cell fails validation.
-   The CI floor below holds the packed engine to >= 10x on the stencil
+   The E24 floor holds the packed engine to a speedup on the stencil
    kernel — the whole point of compiling the graph to flat arrays. *)
 let throughput_schema = "schema2-opt"
-let throughput_floor = 10.0
 let throughput_runs_reference = 40
 let throughput_runs_packed = 200
 
 (* The batch-service sweep (E25): the whole example-program oracle grid
    submitted as one batch of per-combo selfcheck jobs through the
    [df_compile serve] protocol, executed on a warm memoization cache at
-   jobs = 1 and jobs = [service_jobs_parallel].  The CI floors: the two
-   outputs must be byte-identical (the deterministic-pool guarantee),
-   every job must succeed, the warm-cache hit rate must stay above 1/2,
-   the multi-domain run must be at least 2x the serial one, and the
-   batch must sustain a conservative jobs/sec rate (set well below the
-   measured figure so only a real serialization regression trips it). *)
-let service_jobs_parallel = 4
-let service_speedup_floor = 2.0
-let service_hit_rate_floor = 0.5
-let service_jobs_per_sec_floor = 5.0
+   jobs = 1 and jobs = [S.serve_jobs].  The two outputs must be
+   byte-identical (the deterministic-pool guarantee) and every job must
+   succeed; the E25 floors hold the warm-cache hit rate, the multi-domain
+   speedup and the batch rate. *)
 
 (* The availability sweep (E27): a fixed batch of compile-and-run jobs
    pushed serially through the supervised shard pool at several chaos
@@ -1232,20 +1207,16 @@ let service_jobs_per_sec_floor = 5.0
    serial pass computing the expected reply bytes runs FIRST: it warms
    the memoization cache, which forked shards inherit, keeping per-job
    cost orders of magnitude under the deadline so the outcome counts
-   cannot depend on machine speed.  CI floors: at the committed
-   operating point (rate 0.05, 4 shards) availability stays >= 0.9 and
-   at least one shard restart is actually observed (the supervisor was
-   really exercised, not idling through a fault-free plan); at rate 0
-   every job succeeds; and at every rate each successful reply is
-   byte-identical to the serial path — one divergence fails the
-   document. *)
+   cannot depend on machine speed.  The E27 floors read the committed
+   operating point (rate 0.05, 4 shards), where at least one shard
+   restart must be observed so the supervisor was really exercised, and
+   the fault-free cell; at every rate each successful reply must be
+   byte-identical to the serial path. *)
 let availability_chaos_seed = 7
 let availability_shards = 4
 let availability_deadline_ms = 1000
 let availability_jobs = 160
 let availability_rates = [ 0.0; 0.05; 0.1 ]
-let availability_floor_rate = 0.05
-let availability_success_floor = 0.9
 
 (* distinct sources so memoization cannot collapse the batch to one
    compile, and an explicit id so the serial and sharded paths stamp
@@ -1310,7 +1281,7 @@ let availability_sweep () =
       let stats = Service.Supervisor.stats sup in
       Service.Supervisor.drain sup;
       {
-        Machine.Profile.av_chaos_rate = rate;
+        S.av_chaos_rate = rate;
         av_shards = availability_shards;
         av_deadline_ms = availability_deadline_ms;
         av_jobs = availability_jobs;
@@ -1323,53 +1294,6 @@ let availability_sweep () =
         av_success_rate = float_of_int !ok /. float_of_int availability_jobs;
       })
     availability_rates
-
-(* Shared by the JSON path and the standalone E27 printer, so the two
-   can never disagree about what counts as a failed sweep.  Raises
-   [Failure] on a floor violation. *)
-let availability_check (cells : Machine.Profile.availability_cell list) =
-  List.iter
-    (fun (c : Machine.Profile.availability_cell) ->
-      if c.Machine.Profile.av_divergences > 0 then
-        failwith
-          (Fmt.str
-             "E27: %d successful replies DIVERGED from the serial path at \
-              chaos rate %.2f"
-             c.Machine.Profile.av_divergences c.Machine.Profile.av_chaos_rate))
-    cells;
-  (match
-     List.find_opt
-       (fun (c : Machine.Profile.availability_cell) ->
-         c.Machine.Profile.av_chaos_rate = availability_floor_rate)
-       cells
-   with
-  | None -> failwith "E27: the committed operating-point cell is missing"
-  | Some c ->
-      if c.Machine.Profile.av_success_rate < availability_success_floor then
-        failwith
-          (Fmt.str
-             "E27: success rate %.3f below the floor %.2f at chaos rate %.2f \
-              with %d shards"
-             c.Machine.Profile.av_success_rate availability_success_floor
-             availability_floor_rate availability_shards);
-      if c.Machine.Profile.av_restarts <= 0 then
-        failwith
-          (Fmt.str
-             "E27: no shard restarts observed at chaos rate %.2f — the \
-              supervisor was never exercised"
-             availability_floor_rate));
-  match
-    List.find_opt
-      (fun (c : Machine.Profile.availability_cell) ->
-        c.Machine.Profile.av_chaos_rate = 0.0)
-      cells
-  with
-  | Some c when c.Machine.Profile.av_ok <> c.Machine.Profile.av_jobs ->
-      failwith
-        (Fmt.str "E27: %d of %d fault-free jobs failed"
-           (c.Machine.Profile.av_jobs - c.Machine.Profile.av_ok)
-           c.Machine.Profile.av_jobs)
-  | _ -> ()
 
 (* best-of-N: the minimum observed wall time is the least-noise estimate
    of the true cost (noise is strictly additive) *)
@@ -1384,7 +1308,7 @@ let time_best ~runs f =
   done;
   !best
 
-let throughput_sweep ~note (c : Dflow.Driver.compiled) =
+let throughput_sweep (c : Dflow.Driver.compiled) =
   let g = c.Dflow.Driver.graph in
   let layout = c.Dflow.Driver.layout in
   let saved = g.Dfg.Graph.cert in
@@ -1397,7 +1321,7 @@ let throughput_sweep ~note (c : Dflow.Driver.compiled) =
     | Error _ ->
         [
           {
-            Machine.Profile.tp_engine = "packed";
+            S.tp_engine = "packed";
             tp_firings = 0;
             tp_runs = 0;
             tp_seconds = 0.0;
@@ -1423,7 +1347,7 @@ let throughput_sweep ~note (c : Dflow.Driver.compiled) =
         in
         let cell engine firings secs speedup identical =
           {
-            Machine.Profile.tp_engine = engine;
+            S.tp_engine = engine;
             tp_firings = firings;
             tp_runs =
               (if engine = "packed" then throughput_runs_packed
@@ -1441,23 +1365,28 @@ let throughput_sweep ~note (c : Dflow.Driver.compiled) =
         ]
   in
   Dfg.Graph.set_cert g saved;
-  List.iter note cells;
   cells
 
 (* One cell: compile, run traced, check against the reference
-   interpreter.  Cells a schema cannot express are real results — the
-   record says why instead of vanishing from the matrix. *)
-let bench_cell ?mp_note ?recovery_note ?cert_note ?tp_note ~program:(pname, p)
-    ~schema:(sname, spec, transforms) () =
+   interpreter, and — for the example programs ([sweeps]) — run the
+   sweeps its schema carries.  Cells a schema cannot express are real
+   results — the record says why instead of vanishing from the matrix. *)
+let bench_cell ~sweeps ~program:(pname, p) ~schema:(sname, spec, transforms) =
+  let bare status =
+    {
+      S.program = pname;
+      schema = sname;
+      status;
+      metrics = None;
+      multiproc = None;
+      recovery = None;
+      certificate = None;
+      throughput = None;
+    }
+  in
   match compile ~transforms spec p with
-  | exception Cfg.Intervals.Irreducible _ ->
-      ( Machine.Profile.bench_record ~program:pname ~schema:sname
-          ~status:"irreducible" (),
-        None )
-  | exception Dflow.Driver.Aliasing_unsupported _ ->
-      ( Machine.Profile.bench_record ~program:pname ~schema:sname
-          ~status:"unsupported-aliasing" (),
-        None )
+  | exception Cfg.Intervals.Irreducible _ -> bare "irreducible"
+  | exception Dflow.Driver.Aliasing_unsupported _ -> bare "unsupported-aliasing"
   | c ->
       let tracer = Machine.Trace.create () in
       let r =
@@ -1467,52 +1396,150 @@ let bench_cell ?mp_note ?recovery_note ?cert_note ?tp_note ~program:(pname, p)
             layout = c.Dflow.Driver.layout;
           }
       in
-      if not r.Machine.Interp.completed then
-        ( Machine.Profile.bench_record ~program:pname ~schema:sname
-            ~status:"stalled" (),
-          None )
+      if not r.Machine.Interp.completed then bare "stalled"
       else
         let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
-        let ok = Imp.Memory.equal reference r.Machine.Interp.memory in
-        let stats = Dfg.Stats.of_graph c.Dflow.Driver.graph in
+        let sweep on f = if sweeps && on then Some (f ()) else None in
         let multiproc =
-          match mp_note with
-          | Some note when List.mem sname mp_schemas ->
-              Some (mp_sweep ~note ~reference c)
-          | _ -> None
+          sweep (List.mem sname mp_schemas) (fun () -> mp_sweep ~reference c)
         in
         let recovery =
-          match recovery_note with
-          | Some note when sname = recovery_schema ->
-              Some (recovery_sweep ~note ~reference c)
-          | _ -> None
+          sweep (sname = recovery_schema) (fun () -> recovery_sweep ~reference c)
         in
-        let certificate =
-          match cert_note with
-          | Some note -> certificate_sweep ~note c
-          | None -> None
-        in
+        let certificate = if sweeps then certificate_sweep c else None in
         let throughput =
-          match tp_note with
-          | Some note when sname = throughput_schema ->
-              Some (throughput_sweep ~note c)
-          | _ -> None
+          sweep (sname = throughput_schema) (fun () -> throughput_sweep c)
         in
-        ( Machine.Profile.bench_record ~program:pname ~schema:sname ~status:"ok"
-            ~stats ~result:r ~reference_ok:ok
-            ~max_overlap:(Machine.Trace.max_context_overlap tracer) ?multiproc
-            ?recovery ?certificate ?throughput (),
-          Some (ok, Machine.Interp.avg_parallelism r) )
+        {
+          (bare "ok") with
+          metrics =
+            Some
+              {
+                S.stats = Dfg.Stats.of_graph c.Dflow.Driver.graph;
+                result = r;
+                max_overlap = Machine.Trace.max_context_overlap tracer;
+                reference_ok =
+                  Imp.Memory.equal reference r.Machine.Interp.memory;
+              };
+          multiproc;
+          recovery;
+          certificate;
+          throughput;
+        }
 
-let bench_json ~out ~programs_dir () =
-  let dir =
-    match programs_dir with Some d -> Some d | None -> find_programs_dir ()
+(* The cross-matrix scalars of the multiprocessor sweep: the best p=1 /
+   p=8 cycle ratio of any (example, schema) cell, each side the better
+   placement, and the affinity / hash message ratio at p=4. *)
+let mp_summary (records : S.record list) =
+  let best cells pes =
+    List.fold_left
+      (fun acc (c : S.mp_cell) ->
+        if c.S.mp_pes = pes then min acc c.S.mp_cycles else acc)
+      max_int cells
   in
+  let sweeps = List.filter_map (fun r -> r.S.multiproc) records in
+  let speedup_p8 =
+    List.fold_left
+      (fun acc cells ->
+        let c1 = best cells 1 and c8 = best cells 8 in
+        if c8 > 0 && c8 < max_int && c1 < max_int then
+          max acc (float_of_int c1 /. float_of_int c8)
+        else acc)
+      0.0 sweeps
+  in
+  let cells = List.concat sweeps in
+  let messages placement =
+    List.fold_left
+      (fun acc (c : S.mp_cell) ->
+        if c.S.mp_pes = 4 && c.S.mp_placement = placement then
+          acc + c.S.mp_net_messages
+        else acc)
+      0 cells
+  in
+  {
+    S.speedup_p8;
+    cut_traffic_ratio =
+      float_of_int (messages "affinity")
+      /. float_of_int (max 1 (messages "hash"));
+    multiproc_determinate =
+      List.for_all (fun (c : S.mp_cell) -> c.S.mp_determinate) cells;
+  }
+
+(* The batch-service sweep (E25): one serve-protocol job per (example
+   program, oracle combo), the grid the `selfcheck` command walks —
+   first a warm pass to fill the memoization cache, then the identical
+   batch timed at jobs = 1 and jobs = [S.serve_jobs] on the warm cache.
+   Byte-equality of the two outputs is the determinism claim; the
+   counter delta across the timed runs is the warm hit rate. *)
+let service_sweep examples availability =
+  let batch =
+    List.concat_map
+      (fun (_, p) ->
+        let src = Imp.Pretty.program_to_string p in
+        List.map
+          (fun (c : Dflow.Oracle.combo) ->
+            Machine.Json.to_string
+              (Machine.Json.Assoc
+                 [
+                   ("op", Machine.Json.String "selfcheck-combo");
+                   ("source", Machine.Json.String src);
+                   ("combo", Machine.Json.String c.Dflow.Oracle.c_name);
+                 ]))
+          (Dflow.Oracle.combos_for p))
+      examples
+  in
+  let n = List.length batch in
+  let timed jobs =
+    let t0 = Unix.gettimeofday () in
+    let out = Serve.Server.run_batch ~jobs batch in
+    (out, Unix.gettimeofday () -. t0)
+  in
+  ignore (Serve.Server.run_batch ~jobs:S.serve_jobs batch);
+  let before = Dflow.Memo.stats () in
+  let out1, secs1 = timed 1 in
+  let outp, secsp = timed S.serve_jobs in
+  let delta = Service.Cache.diff ~after:(Dflow.Memo.stats ()) ~before in
+  (* a batch with failing jobs measures the wrong thing *)
+  List.iter
+    (fun line ->
+      if
+        Machine.Json.member "ok" (Machine.Json.of_string line)
+        <> Some (Machine.Json.Bool true)
+      then begin
+        Fmt.epr "bench: serve batch job failed: %s@." line;
+        exit 1
+      end)
+    out1;
+  let cell jobs secs =
+    {
+      S.sv_jobs = jobs;
+      sv_batch = n;
+      sv_seconds = secs;
+      sv_jobs_per_sec = float_of_int n /. secs;
+      sv_speedup = secs1 /. secs;
+    }
+  in
+  {
+    S.batch = n;
+    cache_hits = delta.Service.Cache.hits;
+    cache_misses = delta.Service.Cache.misses;
+    cache_evictions = delta.Service.Cache.evictions;
+    hit_rate = Service.Cache.hit_rate delta;
+    deterministic = out1 = outp;
+    timed = [ cell 1 secs1; cell S.serve_jobs secsp ];
+    chaos_seed = availability_chaos_seed;
+    availability;
+  }
+
+(* The whole BENCH document: every example program and the seeded
+   random programs under every matrix schema, the sweeps on the
+   examples, the service and availability sweeps, and the scaling
+   sweep. *)
+let matrix () =
   let examples =
-    match dir with
+    match find_programs_dir () with
     | None ->
-        Fmt.epr
-          "bench: cannot find examples/programs from %s (pass --programs DIR)@."
+        Fmt.epr "bench: cannot find examples/programs from %s@."
           (Sys.getcwd ());
         exit 2
     | Some d ->
@@ -1531,559 +1558,81 @@ let bench_json ~out ~programs_dir () =
           Workloads.Random_gen.structured (Random.State.make [| seed |]) ))
       bench_random_seeds
   in
-  let programs = examples @ randoms in
-  let example_names = List.map fst examples in
-  let divergences = ref [] in
-  let avg_par = Hashtbl.create 16 in
-  (* (program, schema, placement, pes) -> (cycles, net messages); the
-     feed for the summary scalars and the scalability floors *)
-  let mp_table = Hashtbl.create 64 in
-  let mp_diverged = ref false in
-  (* (program, checkpoint interval) -> recovery cell; the feed for the
-     E22 overhead ceiling *)
-  let recovery_table = Hashtbl.create 16 in
-  let recovery_failed = ref false in
-  (* (program, schema, pes) -> certificate cell; the feed for the E23
-     overhead ceiling *)
-  let cert_table = Hashtbl.create 64 in
-  let cert_failed = ref false in
-  (* program -> packed throughput cell; the feed for the E24 speedup
-     floor *)
-  let tp_table = Hashtbl.create 16 in
-  let tp_failed = ref false in
   let records =
     List.concat_map
       (fun ((pname, _) as program) ->
+        let sweeps = List.mem_assoc pname examples in
         List.map
-          (fun ((sname, _, _) as schema) ->
-            let mp_note =
-              if List.mem pname example_names then
-                Some
-                  (fun (c : Machine.Profile.mp_cell) ->
-                    if not c.Machine.Profile.mp_determinate then begin
-                      mp_diverged := true;
-                      Fmt.epr
-                        "bench: %s under %s DIVERGED on the multiprocessor \
-                         (%s, p=%d)@."
-                        pname sname c.Machine.Profile.mp_placement
-                        c.Machine.Profile.mp_pes
-                    end;
-                    Hashtbl.replace mp_table
-                      ( pname,
-                        sname,
-                        c.Machine.Profile.mp_placement,
-                        c.Machine.Profile.mp_pes )
-                      ( c.Machine.Profile.mp_cycles,
-                        c.Machine.Profile.mp_net_messages ))
-              else None
-            in
-            let recovery_note =
-              if List.mem pname example_names then
-                Some
-                  (fun (c : Machine.Profile.recovery_cell) ->
-                    if not c.Machine.Profile.rc_recovered then begin
-                      recovery_failed := true;
-                      Fmt.epr
-                        "bench: %s under %s FAILED to recover (checkpoint \
-                         interval %d)@."
-                        pname sname c.Machine.Profile.rc_interval
-                    end;
-                    Hashtbl.replace recovery_table
-                      (pname, c.Machine.Profile.rc_interval)
-                      c)
-              else None
-            in
-            let cert_note =
-              if List.mem pname example_names then
-                Some
-                  (fun (c : Machine.Profile.certificate_cell) ->
-                    if not c.Machine.Profile.cc_clean then begin
-                      cert_failed := true;
-                      Fmt.epr
-                        "bench: %s under %s certificate VIOLATED at p=%d@."
-                        pname sname c.Machine.Profile.cc_pes
-                    end;
-                    Hashtbl.replace cert_table
-                      (pname, sname, c.Machine.Profile.cc_pes)
-                      c)
-              else None
-            in
-            let tp_note =
-              if List.mem pname example_names then
-                Some
-                  (fun (c : Machine.Profile.throughput_cell) ->
-                    if not c.Machine.Profile.tp_identical then begin
-                      tp_failed := true;
-                      Fmt.epr
-                        "bench: %s under %s engine %s DIVERGED from the \
-                         reference engine@."
-                        pname sname c.Machine.Profile.tp_engine
-                    end;
-                    if c.Machine.Profile.tp_engine = "packed" then
-                      Hashtbl.replace tp_table pname c)
-              else None
-            in
-            let record, dyn =
-              bench_cell ?mp_note ?recovery_note ?cert_note ?tp_note ~program
-                ~schema ()
-            in
-            (match dyn with
-            | Some (ok, par) ->
-                if not ok then divergences := (pname, sname) :: !divergences;
-                Hashtbl.replace avg_par (pname, sname) par
-            | None -> ());
-            record)
+          (fun schema -> bench_cell ~sweeps ~program ~schema)
           bench_schemas)
-      programs
+      (examples @ randoms)
   in
-  (* summary scalars over the whole matrix *)
-  let best_cycles pname sname pes =
-    List.filter_map
-      (fun pl ->
-        let pl = Machine.Placement.policy_to_string pl in
-        Option.map fst (Hashtbl.find_opt mp_table (pname, sname, pl, pes)))
-      mp_placements
-    |> function
-    | [] -> None
-    | l -> Some (List.fold_left min max_int l)
-  in
-  let speedup_p8 =
-    List.fold_left
-      (fun acc pname ->
-        List.fold_left
-          (fun acc sname ->
-            match (best_cycles pname sname 1, best_cycles pname sname 8) with
-            | Some c1, Some c8 when c8 > 0 ->
-                max acc (float_of_int c1 /. float_of_int c8)
-            | _ -> acc)
-          acc mp_schemas)
-      0.0 example_names
-  in
-  let sum_messages placement =
-    let pl = Machine.Placement.policy_to_string placement in
-    Hashtbl.fold
-      (fun (_, _, p, pes) (_, msgs) acc ->
-        if p = pl && pes = 4 then acc + msgs else acc)
-      mp_table 0
-  in
-  let hash_msgs = sum_messages Machine.Placement.Hash in
-  let affinity_msgs = sum_messages Machine.Placement.Affinity in
-  let cut_traffic_ratio =
-    float_of_int affinity_msgs /. float_of_int (max 1 hash_msgs)
-  in
-  let summary =
-    [
-      ("speedup_p8", Machine.Json.Float speedup_p8);
-      ("cut_traffic_ratio", Machine.Json.Float cut_traffic_ratio);
-      ("multiproc_determinate", Machine.Json.Bool (not !mp_diverged));
-    ]
-  in
-  (* the batch-service sweep (E25): one serve-protocol job per
-     (example program, oracle combo), the grid the `selfcheck` command
-     walks — first a warm pass to fill the memoization cache, then the
-     identical batch timed at jobs = 1 and jobs = service_jobs_parallel
-     on the warm cache.  Byte-equality of the two outputs is the
-     determinism claim; the counter delta across the timed runs is the
-     warm hit rate. *)
   (* the availability sweep (E27) forks worker shards, and the OCaml 5
      runtime refuses Unix.fork once any domain has ever been spawned —
-     so it runs here, BEFORE the timed batches below bring up their
-     Pool domains *)
-  let availability_cells = availability_sweep () in
-  let service_batch =
-    List.concat_map
-      (fun (_, p) ->
-        let src = Imp.Pretty.program_to_string p in
-        List.map
-          (fun (c : Dflow.Oracle.combo) ->
-            Machine.Json.to_string
-              (Machine.Json.Assoc
-                 [
-                   ("op", Machine.Json.String "selfcheck-combo");
-                   ("source", Machine.Json.String src);
-                   ("combo", Machine.Json.String c.Dflow.Oracle.c_name);
-                 ]))
-          (Dflow.Oracle.combos_for p))
-      examples
-  in
-  let service_n = List.length service_batch in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  ignore
-    (Serve.Server.run_batch ~jobs:service_jobs_parallel service_batch);
-  let cache_before = Dflow.Memo.stats () in
-  let out1, secs1 =
-    timed (fun () -> Serve.Server.run_batch ~jobs:1 service_batch)
-  in
-  let outp, secsp =
-    timed (fun () ->
-        Serve.Server.run_batch ~jobs:service_jobs_parallel service_batch)
-  in
-  let cache_delta =
-    Service.Cache.diff ~after:(Dflow.Memo.stats ()) ~before:cache_before
-  in
-  let service_deterministic = out1 = outp in
-  let service_clean =
-    List.for_all
-      (fun line ->
-        match Machine.Json.member "ok" (Machine.Json.of_string line) with
-        | Some (Machine.Json.Bool true) -> true
-        | _ -> false)
-      out1
-  in
-  let service_hit_rate = Service.Cache.hit_rate cache_delta in
-  let service_speedup = secs1 /. secsp in
-  let service_cells =
-    List.map Machine.Profile.service_cell_json
-      [
-        {
-          Machine.Profile.sv_jobs = 1;
-          sv_batch = service_n;
-          sv_seconds = secs1;
-          sv_jobs_per_sec = float_of_int service_n /. secs1;
-          sv_speedup = 1.0;
-        };
-        {
-          Machine.Profile.sv_jobs = service_jobs_parallel;
-          sv_batch = service_n;
-          sv_seconds = secsp;
-          sv_jobs_per_sec = float_of_int service_n /. secsp;
-          sv_speedup = service_speedup;
-        };
-      ]
-  in
-  let service =
-    [
-      ("batch", Machine.Json.Int service_n);
-      ("cache_hits", Machine.Json.Int cache_delta.Service.Cache.hits);
-      ("cache_misses", Machine.Json.Int cache_delta.Service.Cache.misses);
-      ("cache_evictions", Machine.Json.Int cache_delta.Service.Cache.evictions);
-      ("hit_rate", Machine.Json.Float service_hit_rate);
-      ("deterministic", Machine.Json.Bool service_deterministic);
-      ("cells", Machine.Json.List service_cells);
-      ( "availability",
-        Machine.Json.Assoc
-          [
-            ("chaos_seed", Machine.Json.Int availability_chaos_seed);
-            ( "cells",
-              Machine.Json.List
-                (List.map Machine.Profile.availability_cell_json
-                   availability_cells) );
-          ] );
-    ]
-  in
-  (* the scaling sweep (E26): the scale program under the scale schema
-     across the extended PE axis, uniform-wire baseline vs the mesh +
-     hierarchical placement stack, stealing as its own curve *)
+     so it runs BEFORE the timed batches bring up their Pool domains *)
+  let availability = availability_sweep () in
+  let service = service_sweep examples availability in
   let scale_cells =
     let p = List.assoc scale_program examples in
     let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
     scale_sweep ~reference (compile s2op p)
   in
-  let scale_determinate =
-    List.for_all
-      (fun (c : Machine.Profile.scale_cell) -> c.Machine.Profile.sc_determinate)
-      scale_cells
+  {
+    S.summary = mp_summary records;
+    service;
+    scale = { S.scale_program; scale_schema; scale_cells };
+    records;
+  }
+
+(* [--json OUT] writes the matrix after it passes the schema and every
+   floor; [--check FILE] also checks FILE itself and compares the two on
+   every untimed field, and writes nothing.  Exit 1 on any failure. *)
+let bench_json mode =
+  let committed =
+    match mode with
+    | `Write _ -> None
+    | `Check file -> (
+        match read_file file with
+        | exception Sys_error msg ->
+            Fmt.epr "bench: %s@." msg;
+            exit 2
+        | text -> (
+            try Some (file, Machine.Json.of_string text)
+            with Machine.Json.Parse_error msg ->
+              Fmt.epr "bench: %s: %s@." file msg;
+              exit 1))
   in
-  let scale_fpc (pes, net, placement, steal) =
-    List.find_opt
-      (fun (c : Machine.Profile.scale_cell) ->
-        c.Machine.Profile.sc_pes = pes
-        && c.Machine.Profile.sc_net = net
-        && c.Machine.Profile.sc_placement = placement
-        && c.Machine.Profile.sc_steal = steal)
-      scale_cells
-    |> Option.map (fun (c : Machine.Profile.scale_cell) ->
-           c.Machine.Profile.sc_fpc)
-  in
-  let scale =
-    [
-      ("program", Machine.Json.String scale_program);
-      ("schema", Machine.Json.String scale_schema);
-      ( "max_pes",
-        Machine.Json.Int (List.fold_left max 1 scale_pe_counts) );
-      ( "fpc_floor_lo",
-        Machine.Json.Float
-          (Option.value ~default:0.0 (scale_fpc scale_floor_lo)) );
-      ( "fpc_floor_hi",
-        Machine.Json.Float
-          (Option.value ~default:0.0 (scale_fpc scale_floor_hi)) );
-      ("determinate", Machine.Json.Bool scale_determinate);
-      ( "cells",
-        Machine.Json.List
-          (List.map Machine.Profile.scale_cell_json scale_cells) );
-    ]
-  in
-  let text =
-    Machine.Json.to_string_pretty
-      (Machine.Profile.bench_file ~summary ~service ~scale ~records ())
+  let text = Machine.Json.to_string_pretty (S.encode S.document (matrix ())) in
+  let doc = Machine.Json.of_string text in
+  let results =
+    S.check ~cores:(Service.Pool.default_jobs ()) doc
+    @
+    match committed with
+    | None -> []
+    | Some (file, c) ->
+        (* the recording host's core count is unknown, so FILE is held
+           only to the floors that need no particular host *)
+        List.filter_map
+          (function
+            | Ok _ -> None | Error e -> Some (Error (file ^ ": " ^ e)))
+          (S.check ~cores:1 c)
+        @ List.map
+            (fun e -> Error (file ^ ": " ^ e))
+            (S.drift ~expected:c doc)
   in
   List.iter
-    (fun (pname, sname) ->
-      Fmt.epr "bench: %s under %s DIVERGED from the reference interpreter@."
-        pname sname)
-    !divergences;
-  (* self-check: re-parse the exact text we are about to write and
-     validate it against the shared schema (divergence is a validation
-     error too, so CI fails on either) *)
-  (match Machine.Profile.validate_bench (Machine.Json.of_string text) with
-  | Ok () -> ()
-  | Error msg ->
-      Fmt.epr "bench: generated document failed validation: %s@." msg;
-      exit 1);
-  (* the headline claim of the paper's Section 5: pipelined loop control
-     buys real parallelism over the single access token *)
-  (match
-     ( Hashtbl.find_opt avg_par ("stencil", "schema2-pipelined"),
-       Hashtbl.find_opt avg_par ("stencil", "schema1") )
-   with
-  | Some p2, Some p1 when p2 > p1 ->
-      Fmt.pr "stencil avg parallelism: schema2-pipelined %.2f > schema1 %.2f@."
-        p2 p1
-  | Some p2, Some p1 ->
-      Fmt.epr
-        "bench: expected schema2-pipelined to beat schema1 on stencil \
-         (%.2f vs %.2f)@."
-        p2 p1;
-      exit 1
-  | _ -> Fmt.epr "bench: warning: no stencil rows in this matrix@.");
-  (* the scalability floors of E21: optimized loop control must keep
-     scaling on the stencil where the single access token flattens, and
-     the affinity placement must not generate more cross-PE traffic than
-     the hash baseline *)
-  (match (best_cycles "stencil" "schema2-opt" 4, best_cycles "stencil" "schema2-opt" 1)
-   with
-  | Some c4, Some c1 when c4 < c1 ->
-      Fmt.pr "stencil schema2-opt: p=4 %d cycles < p=1 %d cycles (%.2fx)@." c4
-        c1
-        (float_of_int c1 /. float_of_int c4)
-  | Some c4, Some c1 ->
-      Fmt.epr
-        "bench: stencil under schema2-opt failed to speed up at p=4 \
-         (%d cycles vs %d at p=1)@."
-        c4 c1;
-      exit 1
-  | _ -> Fmt.epr "bench: warning: no stencil multiproc cells in this matrix@.");
-  if affinity_msgs > hash_msgs then begin
-    Fmt.epr
-      "bench: affinity placement produced MORE cross-PE traffic than hash \
-       at p=4 (%d vs %d messages)@."
-      affinity_msgs hash_msgs;
-    exit 1
-  end
-  else
-    Fmt.pr "cut traffic at p=4: affinity %d messages vs hash %d (ratio %.2f)@."
-      affinity_msgs hash_msgs cut_traffic_ratio;
-  if !mp_diverged then begin
-    Fmt.epr "bench: multiprocessor determinacy divergence (see above)@.";
-    exit 1
-  end;
-  (* the fault-tolerance floors of E22: every seeded faulty run must
-     have recovered the reference store, and the stencil's recovery
-     overhead at the default checkpoint cadence stays under the ceiling *)
-  if !recovery_failed then begin
-    Fmt.epr "bench: fault-tolerance sweep failed to recover (see above)@.";
-    exit 1
-  end;
-  (match
-     Hashtbl.find_opt recovery_table ("stencil", recovery_ceiling_interval)
-   with
-  | Some c ->
-      let ov = c.Machine.Profile.rc_overhead in
-      if ov > recovery_overhead_ceiling then begin
-        Fmt.epr
-          "bench: stencil recovery overhead %.2f exceeds the ceiling %.2f \
-           (checkpoint interval %d)@."
-          ov recovery_overhead_ceiling recovery_ceiling_interval;
-        exit 1
-      end
-      else
-        Fmt.pr
-          "stencil recovery overhead at interval %d: %.2f of the fault-free \
-           makespan (ceiling %.2f; %d death(s), %d rollback(s))@."
-          recovery_ceiling_interval ov recovery_overhead_ceiling
-          c.Machine.Profile.rc_deaths c.Machine.Profile.rc_rollbacks
-  | None -> Fmt.epr "bench: warning: no stencil recovery cells in this matrix@.");
-  (* the certificate floors of E23: every certified example run — at
-     p=1 and p=4, under every certified schema — must carry a clean
-     certificate, and attaching it must not cost cycles on the stencil
-     at p=4 (measured: exactly 0; the ceiling tolerates 15% so only a
-     real coupling of certification into scheduling trips it) *)
-  if !cert_failed then begin
-    Fmt.epr "bench: certificate sweep found standing violations (see above)@.";
-    exit 1
-  end;
-  (match
-     Hashtbl.find_opt cert_table
-       ("stencil", recovery_schema, certificate_ceiling_pes)
-   with
-  | Some c ->
-      let ov = c.Machine.Profile.cc_overhead in
-      if ov > certificate_overhead_ceiling then begin
-        Fmt.epr
-          "bench: stencil certificate overhead %.2f exceeds the ceiling %.2f \
-           at p=%d@."
-          ov certificate_overhead_ceiling certificate_ceiling_pes;
-        exit 1
-      end
-      else
-        Fmt.pr
-          "stencil certificate overhead at p=%d: %.2f (ceiling %.2f; %d \
-           cover elements, %d ownership checks)@."
-          certificate_ceiling_pes ov certificate_overhead_ceiling
-          c.Machine.Profile.cc_elements c.Machine.Profile.cc_checks
-  | None ->
-      Fmt.epr "bench: warning: no stencil certificate cells in this matrix@.");
-  (* the throughput floor of E24: the packed engine must be worth its
-     complexity — at least 10x the reference interpreter's wall clock on
-     the stencil kernel, with a bit-identical final store *)
-  if !tp_failed then begin
-    Fmt.epr "bench: engine throughput sweep diverged (see above)@.";
-    exit 1
-  end;
-  (match Hashtbl.find_opt tp_table "stencil" with
-  | Some c ->
-      let sp = c.Machine.Profile.tp_speedup in
-      if sp < throughput_floor then begin
-        Fmt.epr
-          "bench: packed engine only %.1fx the reference on stencil \
-           (floor %.1fx)@."
-          sp throughput_floor;
-        exit 1
-      end
-      else
-        Fmt.pr
-          "stencil packed throughput: %.2e firings/sec, %.1fx the reference \
-           engine (floor %.1fx)@."
-          c.Machine.Profile.tp_firings_per_sec sp throughput_floor
-  | None ->
-      Fmt.epr "bench: warning: no stencil throughput cells in this matrix@.");
-  (* the batch-service floors of E25: byte-identical output at any jobs
-     setting, every job a success, a warm cache that actually hits, a
-     real parallel speedup, and a sane absolute rate *)
-  if not service_deterministic then begin
-    Fmt.epr
-      "bench: serve batch output DIFFERS between --jobs 1 and --jobs %d@."
-      service_jobs_parallel;
-    exit 1
-  end;
-  if not service_clean then begin
-    Fmt.epr "bench: serve batch contains failing jobs (see the output)@.";
-    exit 1
-  end;
-  if service_hit_rate < service_hit_rate_floor then begin
-    Fmt.epr
-      "bench: warm-cache hit rate %.2f below the floor %.2f (%d hits, %d \
-       misses)@."
-      service_hit_rate service_hit_rate_floor cache_delta.Service.Cache.hits
-      cache_delta.Service.Cache.misses;
-    exit 1
-  end;
-  (* the speedup floor needs hardware to speed up on: with fewer cores
-     than the parallel cell uses, extra domains are pure overhead, so
-     the floor is only enforced where it is physically meaningful
-     (CI runners qualify; the measured figure is recorded either way) *)
-  let service_can_scale =
-    Service.Pool.default_jobs () >= service_jobs_parallel
-  in
-  if service_can_scale && service_speedup < service_speedup_floor then begin
-    Fmt.epr
-      "bench: serve batch at --jobs %d only %.2fx over --jobs 1 (floor \
-       %.1fx; %.3fs vs %.3fs for %d jobs)@."
-      service_jobs_parallel service_speedup service_speedup_floor secsp secs1
-      service_n;
-    exit 1
-  end;
-  if not service_can_scale then
-    Fmt.epr
-      "bench: warning: only %d core(s) available; serve speedup floor not \
-       enforced (measured %.2fx at --jobs %d)@."
-      (Service.Pool.default_jobs ())
-      service_speedup service_jobs_parallel;
-  let service_rate = float_of_int service_n /. min secs1 secsp in
-  if service_rate < service_jobs_per_sec_floor then begin
-    Fmt.epr
-      "bench: serve batch sustained only %.1f jobs/sec (floor %.1f)@."
-      service_rate service_jobs_per_sec_floor;
-    exit 1
-  end;
-  Fmt.pr
-    "serve batch: %d jobs, %.2fx at --jobs %d (floor %.1fx when >= %d \
-     cores), %.1f jobs/sec (floor %.1f), warm hit rate %.2f (floor %.2f), \
-     byte-identical output@."
-    service_n service_speedup service_jobs_parallel service_speedup_floor
-    service_jobs_parallel service_rate service_jobs_per_sec_floor
-    service_hit_rate service_hit_rate_floor;
-  (* the availability floors of E27: >= 0.9 success at the committed
-     operating point with restarts actually observed, a clean fault-free
-     cell, and zero divergences among successful replies *)
-  (try availability_check availability_cells
-   with Failure msg ->
-     Fmt.epr "bench: %s@." msg;
-     exit 1);
-  (match
-     List.find_opt
-       (fun (c : Machine.Profile.availability_cell) ->
-         c.Machine.Profile.av_chaos_rate = availability_floor_rate)
-       availability_cells
-   with
-  | Some c ->
-      Fmt.pr
-        "availability at chaos %.2f: %.3f (floor %.2f; %d ok, %d crash, %d \
-         deadline of %d jobs, %d restart(s), 0 divergences)@."
-        availability_floor_rate c.Machine.Profile.av_success_rate
-        availability_success_floor c.Machine.Profile.av_ok
-        c.Machine.Profile.av_shard_crash c.Machine.Profile.av_deadline
-        c.Machine.Profile.av_jobs c.Machine.Profile.av_restarts
-  | None -> ());
-  (* the scaling floors of E26: every topology/stealing cell must have
-     reproduced the reference store, and the full scaling stack must buy
-     real throughput over the baseline wire *)
-  if not scale_determinate then begin
-    Fmt.epr "bench: scaling sweep perturbed the store (see the cells)@.";
-    exit 1
-  end;
-  (let pes_hi, net_hi, pl_hi, _ = scale_floor_hi
-   and pes_lo, net_lo, pl_lo, _ = scale_floor_lo in
-   match (scale_fpc scale_floor_hi, scale_fpc scale_floor_lo) with
-   | Some hi, Some lo when hi > lo ->
-       Fmt.pr
-         "%s %s scaling: p=%d %s/%s+steal %.2f firings/cycle > p=%d %s/%s \
-          %.2f@."
-         scale_program scale_schema pes_hi net_hi pl_hi hi pes_lo net_lo pl_lo
-         lo
-   | Some hi, Some lo ->
-       Fmt.epr
-         "bench: %s at p=%d %s/%s+steal only %.2f firings/cycle, not above \
-          the p=%d %s/%s baseline %.2f@."
-         scale_program pes_hi net_hi pl_hi hi pes_lo net_lo pl_lo lo;
-       exit 1
-   | _ -> Fmt.epr "bench: warning: scaling floor cells missing@.");
-  let oc = open_out out in
-  output_string oc text;
-  close_out oc;
-  Fmt.pr
-    "wrote %s: %d records (%d programs x %d schemas; multiproc sweep on %d \
-     examples x %d schemas x p in {%s}; recovery sweep on %s at p=4 x \
-     intervals {%s}; certificate sweep on every certified example cell x \
-     p in {%s}; serve batch of %d combo jobs at jobs in {1,%d}; scaling \
-     sweep on %s x %d configs x p up to %d; availability sweep of %d jobs \
-     x chaos in {%s})@."
-    out (List.length records) (List.length programs)
-    (List.length bench_schemas) (List.length examples)
-    (List.length mp_schemas)
-    (String.concat "," (List.map string_of_int mp_pe_counts))
-    recovery_schema
-    (String.concat "," (List.map string_of_int recovery_intervals))
-    (String.concat "," (List.map string_of_int certificate_pe_counts))
-    service_n service_jobs_parallel scale_program
-    (List.length scale_configs)
-    (List.fold_left max 1 scale_pe_counts)
-    availability_jobs
-    (String.concat "," (List.map (Fmt.str "%.2f") availability_rates))
+    (function
+      | Ok msg -> Fmt.pr "%s@." msg | Error msg -> Fmt.epr "bench: %s@." msg)
+    results;
+  if List.exists Result.is_error results then exit 1;
+  match mode with
+  | `Check file ->
+      Fmt.pr "%s matches the regenerated matrix on every untimed field@." file
+  | `Write out ->
+      let oc = open_out out in
+      output_string oc text;
+      close_out oc;
+      Fmt.pr "wrote %s@." out
 
 (* ===================================================================== *)
 (* E21 -- multiprocessor scalability                                     *)
@@ -2191,30 +1740,28 @@ let e22 () =
       Fmt.pr "  %-10s %8s %9s %8s %6s %6s %6s %8s %8s %6s@." "interval"
         "cycles" "overhead" "ckpts" "death" "rollbk" "lost" "replayed"
         "retrans" "store";
-      let cells =
-        recovery_sweep ~note:(fun _ -> ()) ~reference c
-      in
+      let cells = recovery_sweep ~reference c in
       List.iter
-        (fun (cell : Machine.Profile.recovery_cell) ->
+        (fun (cell : S.recovery_cell) ->
           Fmt.pr "  %-10d %8d %8.1f%% %8d %6d %6d %6d %8d %8d %6s@."
-            cell.Machine.Profile.rc_interval cell.Machine.Profile.rc_cycles
-            (100.0 *. cell.Machine.Profile.rc_overhead)
-            cell.Machine.Profile.rc_checkpoints
-            cell.Machine.Profile.rc_deaths cell.Machine.Profile.rc_rollbacks
-            cell.Machine.Profile.rc_lost_cycles
-            cell.Machine.Profile.rc_replayed_firings
-            cell.Machine.Profile.rc_retransmits
-            (if cell.Machine.Profile.rc_recovered then "ok" else "WRONG"))
+            cell.S.rc_interval cell.S.rc_cycles
+            (100.0 *. cell.S.rc_overhead)
+            cell.S.rc_checkpoints
+            cell.S.rc_deaths cell.S.rc_rollbacks
+            cell.S.rc_lost_cycles
+            cell.S.rc_replayed_firings
+            cell.S.rc_retransmits
+            (if cell.S.rc_recovered then "ok" else "WRONG"))
         cells;
       (match cells with
       | first :: _ ->
           Fmt.pr "  fault-free baseline: %d cycles@."
-            first.Machine.Profile.rc_baseline_cycles
+            first.S.rc_baseline_cycles
       | [] -> ());
       if
         List.exists
-          (fun (c : Machine.Profile.recovery_cell) ->
-            not c.Machine.Profile.rc_recovered)
+          (fun (c : S.recovery_cell) ->
+            not c.S.rc_recovered)
           cells
       then failwith "E22: a faulty run failed to recover the reference store!";
       (* the other axis: fault rate at the default checkpoint cadence *)
@@ -2229,7 +1776,7 @@ let e22 () =
         (Machine.Multiproc.run_exn ~placement ~pes prog).Machine.Multiproc.cycles
       in
       Fmt.pr "@.  fault-rate sweep at checkpoint interval %d:@."
-        recovery_ceiling_interval;
+        recovery_default_interval;
       Fmt.pr "  %-10s %8s %9s %10s %8s %6s@." "rate" "cycles" "overhead"
         "wire-flts" "retrans" "store";
       List.iter
@@ -2240,7 +1787,7 @@ let e22 () =
                  ~seed:recovery_fault_seed ())
           in
           let recovery =
-            Machine.Recovery.spec ~interval:recovery_ceiling_interval
+            Machine.Recovery.spec ~interval:recovery_default_interval
               ~deaths:
                 (Machine.Recovery.seeded_deaths ~seed:recovery_fault_seed ~pes
                    ~window:60)
@@ -2310,51 +1857,26 @@ let e26 () =
           Fmt.pr "  %6s %8s %8s %9s %9s %9s %8s %7s %6s@." "pes" "cycles"
             "fir/cyc" "speedup" "messages" "hops" "avg-dist" "steals" "store";
           List.iter
-            (fun (c : Machine.Profile.scale_cell) ->
+            (fun (c : S.scale_cell) ->
               if
-                c.Machine.Profile.sc_net = net_name
-                && c.Machine.Profile.sc_placement
+                c.S.sc_net = net_name
+                && c.S.sc_placement
                    = Machine.Placement.policy_to_string placement
-                && c.Machine.Profile.sc_steal = steal
+                && c.S.sc_steal = steal
               then
                 Fmt.pr "  %6d %8d %8.2f %8.2fx %9d %9d %8.2f %7d %6s@."
-                  c.Machine.Profile.sc_pes c.Machine.Profile.sc_cycles
-                  c.Machine.Profile.sc_fpc c.Machine.Profile.sc_speedup
-                  c.Machine.Profile.sc_net_messages
-                  c.Machine.Profile.sc_net_hops
-                  (float_of_int c.Machine.Profile.sc_net_hops
-                  /. float_of_int (max 1 c.Machine.Profile.sc_net_messages))
-                  c.Machine.Profile.sc_steals
-                  (if c.Machine.Profile.sc_determinate then "ok" else "WRONG"))
+                  c.S.sc_pes c.S.sc_cycles
+                  c.S.sc_fpc c.S.sc_speedup
+                  c.S.sc_net_messages
+                  c.S.sc_net_hops
+                  (float_of_int c.S.sc_net_hops
+                  /. float_of_int (max 1 c.S.sc_net_messages))
+                  c.S.sc_steals
+                  (if c.S.sc_determinate then "ok" else "WRONG"))
             cells)
         scale_configs;
-      if
-        List.exists
-          (fun (c : Machine.Profile.scale_cell) ->
-            not c.Machine.Profile.sc_determinate)
-          cells
-      then failwith "E26: a scaled run perturbed the store!";
-      let fpc (pes, net, placement, steal) =
-        List.find_opt
-          (fun (c : Machine.Profile.scale_cell) ->
-            c.Machine.Profile.sc_pes = pes
-            && c.Machine.Profile.sc_net = net
-            && c.Machine.Profile.sc_placement = placement
-            && c.Machine.Profile.sc_steal = steal)
-          cells
-        |> Option.map (fun (c : Machine.Profile.scale_cell) ->
-               c.Machine.Profile.sc_fpc)
-      in
-      match (fpc scale_floor_hi, fpc scale_floor_lo) with
-      | Some hi, Some lo when hi > lo ->
-          Fmt.pr
-            "@.  floor: p=64 mesh/hier+steal %.2f firings/cycle > p=16 \
-             uniform/hash %.2f@."
-            hi lo
-      | Some hi, Some lo ->
-          failwith
-            (Fmt.str "E26: scaling floor failed (%.2f not above %.2f)" hi lo)
-      | _ -> failwith "E26: scaling floor cells missing"
+      if List.exists (fun (c : S.scale_cell) -> not c.S.sc_determinate) cells
+      then failwith "E26: a scaled run perturbed the store!"
 
 (* ===================================================================== *)
 (* E27 -- availability under chaos                                        *)
@@ -2373,29 +1895,14 @@ let e27 () =
   Fmt.pr "@.  %d jobs, %d shards, %dms deadline, chaos seed %d@."
     availability_jobs availability_shards availability_deadline_ms
     availability_chaos_seed;
-  Fmt.pr "  %6s %6s %6s %9s %7s %9s %9s %8s@." "chaos" "ok" "crash" "deadline"
-    "restart" "diverged" "success" "floor";
+  Fmt.pr "  %6s %6s %6s %9s %7s %9s %9s@." "chaos" "ok" "crash" "deadline"
+    "restart" "diverged" "success";
   List.iter
-    (fun (c : Machine.Profile.availability_cell) ->
-      Fmt.pr "  %6.2f %6d %6d %9d %7d %9d %8.3f %8s@."
-        c.Machine.Profile.av_chaos_rate c.Machine.Profile.av_ok
-        c.Machine.Profile.av_shard_crash c.Machine.Profile.av_deadline
-        c.Machine.Profile.av_restarts c.Machine.Profile.av_divergences
-        c.Machine.Profile.av_success_rate
-        (if c.Machine.Profile.av_chaos_rate = availability_floor_rate then
-           Fmt.str ">=%.2f" availability_success_floor
-         else "-"))
-    cells;
-  availability_check cells;
-  Fmt.pr
-    "@.  floor: %.3f success at chaos %.2f (>= %.2f), restarts observed, \
-     zero divergences@."
-    (List.find
-       (fun (c : Machine.Profile.availability_cell) ->
-         c.Machine.Profile.av_chaos_rate = availability_floor_rate)
-       cells)
-      .Machine.Profile.av_success_rate availability_floor_rate
-    availability_success_floor
+    (fun (c : S.availability_cell) ->
+      Fmt.pr "  %6.2f %6d %6d %9d %7d %9d %8.3f@." c.S.av_chaos_rate c.S.av_ok
+        c.S.av_shard_crash c.S.av_deadline c.S.av_restarts c.S.av_divergences
+        c.S.av_success_rate)
+    cells
 
 let experiments =
   [
@@ -2407,36 +1914,22 @@ let experiments =
   ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let rec split_opt key acc = function
-    | [] -> (None, List.rev acc)
-    | k :: v :: rest when k = key -> (Some v, List.rev_append acc rest)
-    | a :: rest -> split_opt key (a :: acc) rest
-  in
-  let json_out, args = split_opt "--json" [] args in
-  match json_out with
-  | Some out ->
-      let programs_dir, args = split_opt "--programs" [] args in
-      if args <> [] then begin
-        Fmt.epr "bench: unexpected arguments with --json: %a@."
-          Fmt.(list ~sep:sp string)
-          args;
-        exit 2
-      end;
-      bench_json ~out ~programs_dir ()
-  | None ->
-  if List.mem "--json" args then begin
-    Fmt.epr "bench: --json needs an output path (e.g. --json BENCH_machine.json)@.";
-    exit 2
-  end;
-  let quick = List.mem "quick" args in
-  let selected = List.filter (fun a -> a <> "quick") args in
-  let to_run =
-    if selected = [] then experiments
-    else List.filter (fun (id, _) -> List.mem id selected) experiments
-  in
-  List.iter (fun (_, f) -> f ()) to_run;
-  if (not quick) && selected = [] then bechamel_benches ();
-  Fmt.pr
-    "@.all experiments completed; every executed store was checked against \
-     the reference interpreter.@."
+  match Array.to_list Sys.argv |> List.tl with
+  | [ "--json"; out ] -> bench_json (`Write out)
+  | [ "--check"; file ] -> bench_json (`Check file)
+  | args when List.mem "--json" args || List.mem "--check" args ->
+      Fmt.epr "bench: usage: main.exe --json OUT | --check FILE | [quick] \
+               [E<n> ...]@.";
+      exit 2
+  | args ->
+      let quick = List.mem "quick" args in
+      let selected = List.filter (fun a -> a <> "quick") args in
+      let to_run =
+        if selected = [] then experiments
+        else List.filter (fun (id, _) -> List.mem id selected) experiments
+      in
+      List.iter (fun (_, f) -> f ()) to_run;
+      if (not quick) && selected = [] then bechamel_benches ();
+      Fmt.pr
+        "@.all experiments completed; every executed store was checked \
+         against the reference interpreter.@."

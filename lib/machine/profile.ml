@@ -12,8 +12,8 @@
     Exporters: {!chrome_trace} renders a recorded {!Trace.t} as Chrome
     [trace_event] JSON (open in [chrome://tracing] or Perfetto; one
     track per access-token variable, one per concurrent ALU lane), and
-    {!summary_json} emits the compact record the benchmark harness
-    aggregates into [BENCH_machine.json]. *)
+    {!summary_json} emits the compact record of
+    [df_compile profile --json]. *)
 
 type node_firings = {
   nf_node : int;
@@ -386,786 +386,3 @@ let pp ppf (p : t) =
     chain;
   if List.length chain > shown then
     Fmt.pf ppf "  ... (%d more)@." (List.length chain - shown)
-
-(* ---------------------------------------------------------------- *)
-(* benchmark records (shared by bench/main.ml and the tests)        *)
-
-let bench_schema_version = 8
-
-type mp_cell = {
-  mp_pes : int;
-  mp_placement : string;
-  mp_cycles : int;
-  mp_net_messages : int;
-  mp_cut_traffic : float;
-  mp_backpressure : int;
-  mp_avg_utilisation : float;
-  mp_determinate : bool;
-}
-
-let mp_cell_json (c : mp_cell) : Json.t =
-  Json.Assoc
-    [
-      ("pes", Json.Int c.mp_pes);
-      ("placement", Json.String c.mp_placement);
-      ("cycles", Json.Int c.mp_cycles);
-      ("net_messages", Json.Int c.mp_net_messages);
-      ("cut_traffic", Json.Float c.mp_cut_traffic);
-      ("backpressure", Json.Int c.mp_backpressure);
-      ("avg_utilisation", Json.Float c.mp_avg_utilisation);
-      ("determinate", Json.Bool c.mp_determinate);
-    ]
-
-type recovery_cell = {
-  rc_pes : int;
-  rc_placement : string;
-  rc_interval : int;
-  rc_cycles : int;
-  rc_baseline_cycles : int;
-  rc_overhead : float;
-  rc_deaths : int;
-  rc_rollbacks : int;
-  rc_checkpoints : int;
-  rc_lost_cycles : int;
-  rc_replayed_firings : int;
-  rc_retransmits : int;
-  rc_recovered : bool;
-}
-
-let recovery_cell_json (c : recovery_cell) : Json.t =
-  Json.Assoc
-    [
-      ("pes", Json.Int c.rc_pes);
-      ("placement", Json.String c.rc_placement);
-      ("checkpoint_interval", Json.Int c.rc_interval);
-      ("cycles", Json.Int c.rc_cycles);
-      ("baseline_cycles", Json.Int c.rc_baseline_cycles);
-      ("overhead", Json.Float c.rc_overhead);
-      ("deaths", Json.Int c.rc_deaths);
-      ("rollbacks", Json.Int c.rc_rollbacks);
-      ("checkpoints", Json.Int c.rc_checkpoints);
-      ("lost_cycles", Json.Int c.rc_lost_cycles);
-      ("replayed_firings", Json.Int c.rc_replayed_firings);
-      ("retransmits", Json.Int c.rc_retransmits);
-      ("recovered", Json.Bool c.rc_recovered);
-    ]
-
-type certificate_cell = {
-  cc_pes : int;
-  cc_elements : int;
-  cc_checks : int;
-  cc_cycles : int;
-  cc_stripped_cycles : int;
-  cc_overhead : float;
-  cc_clean : bool;
-}
-
-let certificate_cell_json (c : certificate_cell) : Json.t =
-  Json.Assoc
-    [
-      ("pes", Json.Int c.cc_pes);
-      ("elements", Json.Int c.cc_elements);
-      ("ownership_checks", Json.Int c.cc_checks);
-      ("cycles", Json.Int c.cc_cycles);
-      ("stripped_cycles", Json.Int c.cc_stripped_cycles);
-      ("overhead", Json.Float c.cc_overhead);
-      ("certified_clean", Json.Bool c.cc_clean);
-    ]
-
-type throughput_cell = {
-  tp_engine : string;
-  tp_firings : int;
-  tp_runs : int;
-  tp_seconds : float;
-  tp_firings_per_sec : float;
-  tp_speedup : float;
-  tp_identical : bool;
-}
-
-let throughput_cell_json (c : throughput_cell) : Json.t =
-  Json.Assoc
-    [
-      ("engine", Json.String c.tp_engine);
-      ("firings", Json.Int c.tp_firings);
-      ("runs", Json.Int c.tp_runs);
-      ("seconds_per_run", Json.Float c.tp_seconds);
-      ("firings_per_sec", Json.Float c.tp_firings_per_sec);
-      ("speedup", Json.Float c.tp_speedup);
-      ("identical_store", Json.Bool c.tp_identical);
-    ]
-
-let bench_record ~(program : string) ~(schema : string) ~(status : string)
-    ?(stats : Dfg.Stats.t option) ?(result : Interp.result option)
-    ?(reference_ok : bool option) ?(max_overlap : int option)
-    ?(multiproc : mp_cell list option)
-    ?(recovery : recovery_cell list option)
-    ?(certificate : certificate_cell list option)
-    ?(throughput : throughput_cell list option) () : Json.t =
-  let base =
-    [
-      ("program", Json.String program);
-      ("schema", Json.String schema);
-      ("status", Json.String status);
-    ]
-  in
-  let static =
-    match stats with
-    | None -> []
-    | Some st ->
-        [
-          ("nodes", Json.Int st.Dfg.Stats.nodes);
-          ("arcs", Json.Int st.Dfg.Stats.arcs);
-          ("switches", Json.Int st.Dfg.Stats.switches);
-          ("merges", Json.Int st.Dfg.Stats.merges);
-          ("critical_path_static", Json.Int st.Dfg.Stats.critical_path);
-        ]
-  in
-  let dynamic =
-    match result with
-    | None -> []
-    | Some r ->
-        [
-          ("cycles", Json.Int r.Interp.cycles);
-          ("firings", Json.Int r.Interp.firings);
-          ("memory_ops", Json.Int r.Interp.memory_ops);
-          ("avg_parallelism", Json.Float (Interp.avg_parallelism r));
-          ("peak_parallelism", Json.Int r.Interp.peak_parallelism);
-          ("peak_matching", Json.Int r.Interp.peak_matching);
-          ("critical_path_dynamic", Json.Int r.Interp.critical_path);
-          ("switch_firings", Json.Int
-             (try List.assoc "switch" r.Interp.firings_by_kind
-              with Not_found -> 0));
-        ]
-  in
-  let extra =
-    (match max_overlap with
-    | Some m -> [ ("max_context_overlap", Json.Int m) ]
-    | None -> [])
-    @ (match reference_ok with
-      | Some b -> [ ("reference_ok", Json.Bool b) ]
-      | None -> [])
-    @ (match multiproc with
-      | Some cells -> [ ("multiproc", Json.List (List.map mp_cell_json cells)) ]
-      | None -> [])
-    @ (match recovery with
-      | Some cells ->
-          [ ("recovery", Json.List (List.map recovery_cell_json cells)) ]
-      | None -> [])
-    @ (match certificate with
-      | Some cells ->
-          [ ("certificate", Json.List (List.map certificate_cell_json cells)) ]
-      | None -> [])
-    @
-    match throughput with
-    | Some cells ->
-        [ ("throughput", Json.List (List.map throughput_cell_json cells)) ]
-    | None -> []
-  in
-  Json.Assoc (base @ static @ dynamic @ extra)
-
-(* One timed point of the batch-service sweep: the oracle grid pushed
-   through [df_compile serve] at a given domain count. *)
-type service_cell = {
-  sv_jobs : int;
-  sv_batch : int;  (** jobs in the batch *)
-  sv_seconds : float;
-  sv_jobs_per_sec : float;
-  sv_speedup : float;  (** vs the [jobs = 1] cell (1.0 there) *)
-}
-
-let service_cell_json (c : service_cell) : Json.t =
-  Json.Assoc
-    [
-      ("jobs", Json.Int c.sv_jobs);
-      ("batch", Json.Int c.sv_batch);
-      ("seconds", Json.Float c.sv_seconds);
-      ("jobs_per_sec", Json.Float c.sv_jobs_per_sec);
-      ("speedup", Json.Float c.sv_speedup);
-    ]
-
-(* One point of the availability sweep (E27): a batch pushed through the
-   supervised shard service at one chaos rate.  Every field is a count
-   of deterministic outcomes (the chaos plan is a pure hash of the seed
-   and submission order), so the cells carry no timings and are
-   bit-stable across runs and machines. *)
-type availability_cell = {
-  av_chaos_rate : float;
-  av_shards : int;
-  av_deadline_ms : int;
-  av_jobs : int;
-  av_ok : int;
-  av_shard_crash : int;
-  av_deadline : int;
-  av_overloaded : int;
-  av_restarts : int;
-  av_divergences : int;
-      (** successful results that differ from the serial stdin path —
-          must be 0, enforced by validation *)
-  av_success_rate : float;
-}
-
-let availability_cell_json (c : availability_cell) : Json.t =
-  Json.Assoc
-    [
-      ("chaos_rate", Json.Float c.av_chaos_rate);
-      ("shards", Json.Int c.av_shards);
-      ("deadline_ms", Json.Int c.av_deadline_ms);
-      ("jobs", Json.Int c.av_jobs);
-      ("ok", Json.Int c.av_ok);
-      ("shard_crash", Json.Int c.av_shard_crash);
-      ("deadline", Json.Int c.av_deadline);
-      ("overloaded", Json.Int c.av_overloaded);
-      ("restarts", Json.Int c.av_restarts);
-      ("divergences", Json.Int c.av_divergences);
-      ("success_rate", Json.Float c.av_success_rate);
-    ]
-
-(* One point of the scaling sweep (E26): a topology x placement x
-   stealing configuration of one compiled program at one PE count. *)
-type scale_cell = {
-  sc_pes : int;
-  sc_net : string;  (** "uniform" | "mesh" | "torus" | "cube" *)
-  sc_placement : string;
-  sc_steal : bool;
-  sc_cycles : int;
-  sc_firings : int;
-  sc_fpc : float;  (** firings per cycle, the throughput figure *)
-  sc_speedup : float;  (** vs the p=1 cell of the same configuration *)
-  sc_net_messages : int;
-  sc_net_hops : int;  (** link traversals: messages weighted by distance *)
-  sc_steals : int;
-  sc_determinate : bool;
-}
-
-let scale_cell_json (c : scale_cell) : Json.t =
-  Json.Assoc
-    [
-      ("pes", Json.Int c.sc_pes);
-      ("net", Json.String c.sc_net);
-      ("placement", Json.String c.sc_placement);
-      ("steal", Json.Bool c.sc_steal);
-      ("cycles", Json.Int c.sc_cycles);
-      ("firings", Json.Int c.sc_firings);
-      ("firings_per_cycle", Json.Float c.sc_fpc);
-      ("speedup", Json.Float c.sc_speedup);
-      ("net_messages", Json.Int c.sc_net_messages);
-      ("net_hops", Json.Int c.sc_net_hops);
-      ("steals", Json.Int c.sc_steals);
-      ("determinate", Json.Bool c.sc_determinate);
-    ]
-
-let bench_file ?(summary : (string * Json.t) list option)
-    ?(service : (string * Json.t) list option)
-    ?(scale : (string * Json.t) list option) ~(records : Json.t list) () :
-    Json.t =
-  Json.Assoc
-    ([
-       ( "meta",
-         Json.Assoc
-           [
-             ("schema_version", Json.Int bench_schema_version);
-             ("generator", Json.String "bench/main.exe --json");
-             ("unit", Json.String "machine cycles");
-           ] );
-     ]
-    @ (match summary with
-      | Some s -> [ ("multiproc_summary", Json.Assoc s) ]
-      | None -> [])
-    @ (match service with
-      | Some s -> [ ("service", Json.Assoc s) ]
-      | None -> [])
-    @ (match scale with
-      | Some s -> [ ("scale", Json.Assoc s) ]
-      | None -> [])
-    @ [ ("records", Json.List records) ])
-
-(* Schema validation for the whole BENCH document: used by the harness
-   before writing (fail fast) and by the test layer on the committed
-   artifact. *)
-let validate_bench (j : Json.t) : (unit, string) result =
-  let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-  let req what o = match o with Some v -> Ok v | None -> Error what in
-  let* meta = req "missing meta" (Json.member "meta" j) in
-  let* version =
-    req "meta.schema_version not an int"
-      (Option.bind (Json.member "schema_version" meta) Json.to_int_opt)
-  in
-  let* () =
-    if version = bench_schema_version then Ok ()
-    else Error (Fmt.str "schema_version %d (expected %d)" version
-                  bench_schema_version)
-  in
-  let* records =
-    req "records not a list"
-      (Option.bind (Json.member "records" j) Json.to_list_opt)
-  in
-  let* () = if records = [] then Error "no records" else Ok () in
-  (* the multiproc summary scalars are optional (a matrix-less run emits
-     none) but when present they must be well-typed and the determinacy
-     bit must hold — a divergent matrix is a validation failure *)
-  let* () =
-    match Json.member "multiproc_summary" j with
-    | None -> Ok ()
-    | Some s ->
-        let* _ =
-          req "multiproc_summary.speedup_p8 not a number"
-            (Option.bind (Json.member "speedup_p8" s) Json.to_float_opt)
-        in
-        let* _ =
-          req "multiproc_summary.cut_traffic_ratio not a number"
-            (Option.bind (Json.member "cut_traffic_ratio" s) Json.to_float_opt)
-        in
-        let* det =
-          req "multiproc_summary.multiproc_determinate not a bool"
-            (Option.bind
-               (Json.member "multiproc_determinate" s)
-               Json.to_bool_opt)
-        in
-        if det then Ok ()
-        else Error "multiproc_summary: determinacy divergence in the matrix"
-  in
-  (* the batch-service section is optional (a matrix-less run emits
-     none) but when present the cells must be well-typed, the cache
-     counters consistent, and the byte-determinism bit must hold — a
-     batch whose output depends on the jobs setting is a validation
-     failure *)
-  let* () =
-    match Json.member "service" j with
-    | None -> Ok ()
-    | Some s ->
-        let int key = Option.bind (Json.member key s) Json.to_int_opt in
-        let need_nonneg key =
-          match int key with
-          | Some v when v >= 0 -> Ok ()
-          | Some _ -> Error (Fmt.str "service: negative %s" key)
-          | None -> Error (Fmt.str "service: missing int %s" key)
-        in
-        let* () = need_nonneg "cache_hits" in
-        let* () = need_nonneg "cache_misses" in
-        let* () = need_nonneg "cache_evictions" in
-        let* _ =
-          req "service: missing hit_rate"
-            (Option.bind (Json.member "hit_rate" s) Json.to_float_opt)
-        in
-        let* det =
-          req "service: missing deterministic"
-            (Option.bind (Json.member "deterministic" s) Json.to_bool_opt)
-        in
-        let* () =
-          if det then Ok ()
-          else Error "service: batch output depends on the jobs setting"
-        in
-        let* cells =
-          req "service: missing cells"
-            (Option.bind (Json.member "cells" s) Json.to_list_opt)
-        in
-        let* () = if cells = [] then Error "service: no cells" else Ok () in
-        let check_cell k c =
-          let where what = Fmt.str "service cell %d: %s" k what in
-          let int key = Option.bind (Json.member key c) Json.to_int_opt in
-          let flt key = Option.bind (Json.member key c) Json.to_float_opt in
-          let* jobs = req (where "missing jobs") (int "jobs") in
-          let* () = if jobs >= 1 then Ok () else Error (where "jobs < 1") in
-          let* batch = req (where "missing batch") (int "batch") in
-          let* () = if batch >= 1 then Ok () else Error (where "batch < 1") in
-          let* secs = req (where "missing seconds") (flt "seconds") in
-          let* () =
-            if secs > 0.0 then Ok ()
-            else Error (where "non-positive seconds")
-          in
-          let* rate = req (where "missing jobs_per_sec") (flt "jobs_per_sec") in
-          let* () =
-            if rate > 0.0 then Ok ()
-            else Error (where "non-positive jobs_per_sec")
-          in
-          let* sp = req (where "missing speedup") (flt "speedup") in
-          if sp > 0.0 then Ok () else Error (where "non-positive speedup")
-        in
-        let rec cells_ok k = function
-          | [] -> Ok ()
-          | c :: rest ->
-              let* () = check_cell k c in
-              cells_ok (k + 1) rest
-        in
-        let* () = cells_ok 0 cells in
-        (* the availability sweep (E27) is optional, but when present
-           the outcome counts must partition the batch and every
-           successful result must have matched the serial stdin path —
-           a divergence under chaos is a validation failure *)
-        (match Json.member "availability" s with
-        | None -> Ok ()
-        | Some a ->
-            let* av_cells =
-              req "availability: missing cells"
-                (Option.bind (Json.member "cells" a) Json.to_list_opt)
-            in
-            let* () =
-              if av_cells = [] then Error "availability: no cells" else Ok ()
-            in
-            let check_av k c =
-              let where what = Fmt.str "availability cell %d: %s" k what in
-              let int key = Option.bind (Json.member key c) Json.to_int_opt in
-              let flt key = Option.bind (Json.member key c) Json.to_float_opt in
-              let* rate = req (where "missing chaos_rate") (flt "chaos_rate") in
-              let* () =
-                if rate >= 0.0 && rate <= 1.0 then Ok ()
-                else Error (where "chaos_rate outside [0,1]")
-              in
-              let* shards = req (where "missing shards") (int "shards") in
-              let* () =
-                if shards >= 1 then Ok () else Error (where "shards < 1")
-              in
-              let* jobs = req (where "missing jobs") (int "jobs") in
-              let* () = if jobs >= 1 then Ok () else Error (where "jobs < 1") in
-              let* ok = req (where "missing ok") (int "ok") in
-              let* crash =
-                req (where "missing shard_crash") (int "shard_crash")
-              in
-              let* dead = req (where "missing deadline") (int "deadline") in
-              let* over = req (where "missing overloaded") (int "overloaded") in
-              let* () =
-                if ok + crash + dead + over = jobs then Ok ()
-                else Error (where "outcome counts do not partition the batch")
-              in
-              let* restarts = req (where "missing restarts") (int "restarts") in
-              let* () =
-                if restarts >= 0 then Ok ()
-                else Error (where "negative restarts")
-              in
-              let* rate' =
-                req (where "missing success_rate") (flt "success_rate")
-              in
-              let* () =
-                if Float.abs (rate' -. (float_of_int ok /. float_of_int jobs))
-                   < 1e-9
-                then Ok ()
-                else Error (where "success_rate inconsistent with ok/jobs")
-              in
-              let* div =
-                req (where "missing divergences") (int "divergences")
-              in
-              if div = 0 then Ok ()
-              else
-                Error (where "successful results diverged from the serial path")
-            in
-            let rec avs_ok k = function
-              | [] -> Ok ()
-              | c :: rest ->
-                  let* () = check_av k c in
-                  avs_ok (k + 1) rest
-            in
-            avs_ok 0 av_cells)
-  in
-  (* the scaling section is optional but when present every cell must be
-     well-typed and determinate — a topology or stealing configuration
-     that perturbed the store is a validation failure *)
-  let* () =
-    match Json.member "scale" j with
-    | None -> Ok ()
-    | Some s ->
-        let* _ =
-          req "scale: missing program"
-            (Option.bind (Json.member "program" s) Json.to_string_opt)
-        in
-        let* _ =
-          req "scale: missing schema"
-            (Option.bind (Json.member "schema" s) Json.to_string_opt)
-        in
-        let* cells =
-          req "scale: missing cells"
-            (Option.bind (Json.member "cells" s) Json.to_list_opt)
-        in
-        let* () = if cells = [] then Error "scale: no cells" else Ok () in
-        let check_cell k c =
-          let where what = Fmt.str "scale cell %d: %s" k what in
-          let int key = Option.bind (Json.member key c) Json.to_int_opt in
-          let* pes = req (where "missing pes") (int "pes") in
-          let* () = if pes >= 1 then Ok () else Error (where "pes < 1") in
-          let* _ =
-            req (where "missing net")
-              (Option.bind (Json.member "net" c) Json.to_string_opt)
-          in
-          let* _ =
-            req (where "missing placement")
-              (Option.bind (Json.member "placement" c) Json.to_string_opt)
-          in
-          let* cyc = req (where "missing cycles") (int "cycles") in
-          let* () =
-            if cyc >= 0 then Ok () else Error (where "negative cycles")
-          in
-          let* fpc =
-            req (where "missing firings_per_cycle")
-              (Option.bind (Json.member "firings_per_cycle" c)
-                 Json.to_float_opt)
-          in
-          let* () =
-            if fpc >= 0.0 then Ok ()
-            else Error (where "negative firings_per_cycle")
-          in
-          let* hops = req (where "missing net_hops") (int "net_hops") in
-          let* msgs = req (where "missing net_messages") (int "net_messages") in
-          let* () =
-            if hops >= msgs then Ok ()
-            else Error (where "fewer link hops than messages")
-          in
-          let* det =
-            req (where "missing determinate")
-              (Option.bind (Json.member "determinate" c) Json.to_bool_opt)
-          in
-          if det then Ok () else Error (where "determinacy divergence")
-        in
-        let rec cells_ok k = function
-          | [] -> Ok ()
-          | c :: rest ->
-              let* () = check_cell k c in
-              cells_ok (k + 1) rest
-        in
-        cells_ok 0 cells
-  in
-  let check_mp_cell i program k c =
-    let int key = Option.bind (Json.member key c) Json.to_int_opt in
-    let where what =
-      Fmt.str "record %d (%s): multiproc cell %d: %s" i program k what
-    in
-    let* pes = req (where "missing pes") (int "pes") in
-    let* () = if pes >= 1 then Ok () else Error (where "pes < 1") in
-    let* _ =
-      req (where "missing placement")
-        (Option.bind (Json.member "placement" c) Json.to_string_opt)
-    in
-    let* cyc = req (where "missing cycles") (int "cycles") in
-    let* () = if cyc >= 0 then Ok () else Error (where "negative cycles") in
-    let* det =
-      req (where "missing determinate")
-        (Option.bind (Json.member "determinate" c) Json.to_bool_opt)
-    in
-    if det then Ok () else Error (where "determinacy divergence")
-  in
-  (* recovery cells: well-typed cost accounting and a successful
-     recovery — a faulty run that failed to reproduce the reference
-     store is a validation failure, same bar as determinacy *)
-  let check_recovery_cell i program k c =
-    let where what =
-      Fmt.str "record %d (%s): recovery cell %d: %s" i program k what
-    in
-    let int key = Option.bind (Json.member key c) Json.to_int_opt in
-    let need_int key =
-      match int key with
-      | Some v when v >= 0 -> Ok ()
-      | Some _ -> Error (where ("negative " ^ key))
-      | None -> Error (where ("missing int " ^ key))
-    in
-    let* pes = req (where "missing pes") (int "pes") in
-    let* () = if pes >= 1 then Ok () else Error (where "pes < 1") in
-    let* _ =
-      req (where "missing placement")
-        (Option.bind (Json.member "placement" c) Json.to_string_opt)
-    in
-    let* iv = req (where "missing checkpoint_interval")
-        (int "checkpoint_interval") in
-    let* () =
-      if iv >= 1 then Ok () else Error (where "checkpoint_interval < 1")
-    in
-    let* () = need_int "cycles" in
-    let* () = need_int "baseline_cycles" in
-    let* _ =
-      req (where "missing overhead")
-        (Option.bind (Json.member "overhead" c) Json.to_float_opt)
-    in
-    let* () = need_int "deaths" in
-    let* () = need_int "rollbacks" in
-    let* () = need_int "checkpoints" in
-    let* () = need_int "lost_cycles" in
-    let* () = need_int "replayed_firings" in
-    let* () = need_int "retransmits" in
-    let* rec_ok =
-      req (where "missing recovered")
-        (Option.bind (Json.member "recovered" c) Json.to_bool_opt)
-    in
-    if rec_ok then Ok () else Error (where "recovery failed")
-  in
-  (* certificate cells: well-typed accounting and a clean certification
-     — a certified run with standing permission violations, or a
-     certificate that checked nothing on a run with memory traffic, is a
-     validation failure *)
-  let check_certificate_cell i program k c =
-    let where what =
-      Fmt.str "record %d (%s): certificate cell %d: %s" i program k what
-    in
-    let int key = Option.bind (Json.member key c) Json.to_int_opt in
-    let* pes = req (where "missing pes") (int "pes") in
-    let* () = if pes >= 1 then Ok () else Error (where "pes < 1") in
-    let* elems = req (where "missing elements") (int "elements") in
-    let* () = if elems >= 1 then Ok () else Error (where "elements < 1") in
-    let* checks = req (where "missing ownership_checks")
-        (int "ownership_checks") in
-    let* () =
-      if checks >= 0 then Ok () else Error (where "negative ownership_checks")
-    in
-    let* cyc = req (where "missing cycles") (int "cycles") in
-    let* () = if cyc >= 0 then Ok () else Error (where "negative cycles") in
-    let* stripped = req (where "missing stripped_cycles")
-        (int "stripped_cycles") in
-    let* () =
-      if stripped >= 0 then Ok ()
-      else Error (where "negative stripped_cycles")
-    in
-    let* _ =
-      req (where "missing overhead")
-        (Option.bind (Json.member "overhead" c) Json.to_float_opt)
-    in
-    let* clean =
-      req (where "missing certified_clean")
-        (Option.bind (Json.member "certified_clean" c) Json.to_bool_opt)
-    in
-    if clean then Ok () else Error (where "certificate violation")
-  in
-  (* throughput cells: wall-clock engine comparison — an engine whose
-     final store diverged from the reference, or a non-positive rate, is
-     a validation failure *)
-  let check_throughput_cell i program k c =
-    let where what =
-      Fmt.str "record %d (%s): throughput cell %d: %s" i program k what
-    in
-    let int key = Option.bind (Json.member key c) Json.to_int_opt in
-    let flt key = Option.bind (Json.member key c) Json.to_float_opt in
-    let* _ =
-      req (where "missing engine")
-        (Option.bind (Json.member "engine" c) Json.to_string_opt)
-    in
-    let* firings = req (where "missing firings") (int "firings") in
-    let* () = if firings >= 1 then Ok () else Error (where "firings < 1") in
-    let* runs = req (where "missing runs") (int "runs") in
-    let* () = if runs >= 1 then Ok () else Error (where "runs < 1") in
-    let* secs = req (where "missing seconds_per_run") (flt "seconds_per_run") in
-    let* () =
-      if secs > 0.0 then Ok ()
-      else Error (where "non-positive seconds_per_run")
-    in
-    let* rate = req (where "missing firings_per_sec") (flt "firings_per_sec") in
-    let* () =
-      if rate > 0.0 then Ok ()
-      else Error (where "non-positive firings_per_sec")
-    in
-    let* _ = req (where "missing speedup") (flt "speedup") in
-    let* same =
-      req (where "missing identical_store")
-        (Option.bind (Json.member "identical_store" c) Json.to_bool_opt)
-    in
-    if same then Ok () else Error (where "store divergence between engines")
-  in
-  let check_record i r =
-    let str k = Option.bind (Json.member k r) Json.to_string_opt in
-    let int k = Option.bind (Json.member k r) Json.to_int_opt in
-    let flt k = Option.bind (Json.member k r) Json.to_float_opt in
-    let bool k = Option.bind (Json.member k r) Json.to_bool_opt in
-    let* program = req (Fmt.str "record %d: missing program" i) (str "program") in
-    let* _ = req (Fmt.str "record %d: missing schema" i) (str "schema") in
-    let* status = req (Fmt.str "record %d: missing status" i) (str "status") in
-    if status <> "ok" then Ok ()
-    else begin
-      let need_int k =
-        match int k with
-        | Some v when v >= 0 -> Ok ()
-        | Some _ -> Error (Fmt.str "record %d (%s): negative %s" i program k)
-        | None -> Error (Fmt.str "record %d (%s): missing int %s" i program k)
-      in
-      let* () = need_int "nodes" in
-      let* () = need_int "arcs" in
-      let* () = need_int "switches" in
-      let* () = need_int "merges" in
-      let* () = need_int "cycles" in
-      let* () = need_int "firings" in
-      let* () = need_int "memory_ops" in
-      let* () = need_int "peak_parallelism" in
-      let* () = need_int "peak_matching" in
-      let* () = need_int "critical_path_dynamic" in
-      let* () = need_int "critical_path_static" in
-      let* () = need_int "max_context_overlap" in
-      let* _ =
-        req (Fmt.str "record %d (%s): missing avg_parallelism" i program)
-          (flt "avg_parallelism")
-      in
-      let* ref_ok =
-        req (Fmt.str "record %d (%s): missing reference_ok" i program)
-          (bool "reference_ok")
-      in
-      let* () =
-        if ref_ok then Ok ()
-        else Error (Fmt.str "record %d (%s): reference divergence" i program)
-      in
-      let* () =
-        match Json.member "multiproc" r with
-        | None -> Ok ()
-        | Some mp ->
-            let* cells =
-              req
-                (Fmt.str "record %d (%s): multiproc not a list" i program)
-                (Json.to_list_opt mp)
-            in
-            let rec cells_ok k = function
-              | [] -> Ok ()
-              | c :: rest ->
-                  let* () = check_mp_cell i program k c in
-                  cells_ok (k + 1) rest
-            in
-            cells_ok 0 cells
-      in
-      let* () =
-        match Json.member "recovery" r with
-        | None -> Ok ()
-        | Some rc ->
-            let* cells =
-              req
-                (Fmt.str "record %d (%s): recovery not a list" i program)
-                (Json.to_list_opt rc)
-            in
-            let rec cells_ok k = function
-              | [] -> Ok ()
-              | c :: rest ->
-                  let* () = check_recovery_cell i program k c in
-                  cells_ok (k + 1) rest
-            in
-            cells_ok 0 cells
-      in
-      let* () =
-        match Json.member "certificate" r with
-        | None -> Ok ()
-        | Some cc ->
-            let* cells =
-              req
-                (Fmt.str "record %d (%s): certificate not a list" i program)
-                (Json.to_list_opt cc)
-            in
-            let rec cells_ok k = function
-              | [] -> Ok ()
-              | c :: rest ->
-                  let* () = check_certificate_cell i program k c in
-                  cells_ok (k + 1) rest
-            in
-            cells_ok 0 cells
-      in
-      match Json.member "throughput" r with
-      | None -> Ok ()
-      | Some tp ->
-          let* cells =
-            req
-              (Fmt.str "record %d (%s): throughput not a list" i program)
-              (Json.to_list_opt tp)
-          in
-          let rec cells_ok k = function
-            | [] -> Ok ()
-            | c :: rest ->
-                let* () = check_throughput_cell i program k c in
-                cells_ok (k + 1) rest
-          in
-          cells_ok 0 cells
-    end
-  in
-  let rec go i = function
-    | [] -> Ok ()
-    | r :: rest ->
-        let* () = check_record i r in
-        go (i + 1) rest
-  in
-  go 0 records

@@ -1,7 +1,7 @@
 (** Machine observability: post-run profiles computed from the
     interpreter's [on_fire] hook (a recorded {!Trace.t}) and the
-    {!Interp.result}, plus exporters — Chrome [trace_event] JSON and the
-    compact summary records aggregated into [BENCH_machine.json]. *)
+    {!Interp.result}, plus exporters — Chrome [trace_event] JSON and a
+    compact JSON summary. *)
 
 type node_firings = {
   nf_node : int;
@@ -78,196 +78,3 @@ val resample : int array -> int -> int array
     operators, and the critical chain; says so explicitly when the
     recorder dropped events. *)
 val pp : Format.formatter -> t -> unit
-
-(** {1 Benchmark records}
-
-    The [BENCH_machine.json] vocabulary, shared by [bench/main.exe] and
-    the test layer so the schema cannot drift between writer and
-    checker. *)
-
-val bench_schema_version : int
-
-(** One point of the multiprocessor scalability matrix attached to a
-    (program, schema) record: cycle count and network traffic at a given
-    PE count and placement, plus whether the run reproduced the
-    reference store. *)
-type mp_cell = {
-  mp_pes : int;
-  mp_placement : string;  (** {!Placement.policy_to_string} *)
-  mp_cycles : int;
-  mp_net_messages : int;  (** tokens that crossed PEs *)
-  mp_cut_traffic : float;  (** cross-PE fraction of all deliveries *)
-  mp_backpressure : int;
-  mp_avg_utilisation : float;  (** mean per-PE busy fraction *)
-  mp_determinate : bool;  (** final store equals the reference *)
-}
-
-(** One point of the fault-tolerance sweep attached to a (program,
-    schema) record: a faulty multiprocessor run (seeded link faults plus
-    one PE fail-stop) under reliable transport and checkpoint/replay,
-    with its cost relative to the fault-free baseline at the same PE
-    count and placement. *)
-type recovery_cell = {
-  rc_pes : int;
-  rc_placement : string;  (** {!Placement.policy_to_string} *)
-  rc_interval : int;  (** checkpoint interval, cycles *)
-  rc_cycles : int;  (** faulty + recovered makespan *)
-  rc_baseline_cycles : int;  (** fault-free makespan, same cell *)
-  rc_overhead : float;  (** [cycles / baseline - 1] *)
-  rc_deaths : int;
-  rc_rollbacks : int;  (** restores (death- or sanitizer-driven) *)
-  rc_checkpoints : int;
-  rc_lost_cycles : int;  (** progress discarded by rollbacks *)
-  rc_replayed_firings : int;
-  rc_retransmits : int;  (** transport timeout-driven resends *)
-  rc_recovered : bool;
-      (** clean completion and the final store equals the reference *)
-}
-
-(** One point of the certificate-overhead sweep (E23): the same graph
-    executed with its fractional-permission certificate attached and
-    with it stripped, at the same PE count.  Certification is pure
-    bookkeeping on token payloads — it never changes scheduling — so
-    [cc_overhead] (cycles ratio, certified / stripped - 1) is exactly
-    [0.0]; the cell exists to keep that claim measured rather than
-    asserted. *)
-type certificate_cell = {
-  cc_pes : int;  (** 1 = the single-PE machine *)
-  cc_elements : int;  (** cover elements (tokens) tracked *)
-  cc_checks : int;  (** ownership assertions during the run *)
-  cc_cycles : int;  (** certified makespan *)
-  cc_stripped_cycles : int;  (** same graph, certificate removed *)
-  cc_overhead : float;  (** [cycles / stripped_cycles - 1] *)
-  cc_clean : bool;  (** run completed with zero standing violations *)
-}
-
-(** One point of the engine-throughput comparison (E24): the same
-    compiled graph executed end-to-end under an execution engine, timed
-    over [tp_runs] repetitions.  [tp_speedup] is relative to the
-    [reference] cell of the same record (so the reference cell carries
-    [1.0]); [tp_identical] asserts the engine reproduced the reference
-    engine's final store bit for bit. *)
-type throughput_cell = {
-  tp_engine : string;  (** {!Config.engine_to_string} *)
-  tp_firings : int;  (** firings per run (identical across engines) *)
-  tp_runs : int;  (** timed repetitions *)
-  tp_seconds : float;  (** best-of wall-clock seconds per run *)
-  tp_firings_per_sec : float;  (** [tp_firings / tp_seconds] *)
-  tp_speedup : float;  (** reference seconds / this engine's seconds *)
-  tp_identical : bool;  (** final store equals the reference engine's *)
-}
-
-(** One matrix cell.  [status] is ["ok"], ["unsupported-aliasing"] or
-    ["irreducible"]; static and dynamic metrics accompany ["ok"] cells,
-    [multiproc] carries the scalability sweep when one was run,
-    [recovery] the fault-tolerance sweep, [certificate] the
-    certificate-overhead sweep, and [throughput] the engine
-    wall-clock comparison. *)
-val bench_record :
-  program:string ->
-  schema:string ->
-  status:string ->
-  ?stats:Dfg.Stats.t ->
-  ?result:Interp.result ->
-  ?reference_ok:bool ->
-  ?max_overlap:int ->
-  ?multiproc:mp_cell list ->
-  ?recovery:recovery_cell list ->
-  ?certificate:certificate_cell list ->
-  ?throughput:throughput_cell list ->
-  unit ->
-  Json.t
-
-(** One timed point of the batch-service sweep (E25): the oracle's
-    (program × combo) grid submitted as one batch to
-    [df_compile serve] at a given domain count.  [sv_speedup] is
-    relative to the [sv_jobs = 1] cell of the same section (so that
-    cell carries [1.0]). *)
-type service_cell = {
-  sv_jobs : int;  (** worker domains *)
-  sv_batch : int;  (** jobs in the batch *)
-  sv_seconds : float;  (** best-of wall-clock seconds for the batch *)
-  sv_jobs_per_sec : float;  (** [sv_batch / sv_seconds] *)
-  sv_speedup : float;  (** jobs=1 seconds / this cell's seconds *)
-}
-
-val service_cell_json : service_cell -> Json.t
-
-(** One point of the availability sweep (E27): a batch of jobs pushed
-    through the supervised socket service at a given chaos rate, with
-    per-outcome counts.  No timings — every field is a deterministic
-    function of the chaos plan, so the cell is byte-stable across
-    machines.  [av_divergences] counts successful results whose bytes
-    differ from the serial stdin path; {!validate_bench} requires it to
-    be zero. *)
-type availability_cell = {
-  av_chaos_rate : float;  (** injected fault probability, [0, 1] *)
-  av_shards : int;  (** worker subprocesses *)
-  av_deadline_ms : int;  (** per-job deadline (0 = off) *)
-  av_jobs : int;  (** batch size *)
-  av_ok : int;
-  av_shard_crash : int;
-  av_deadline : int;
-  av_overloaded : int;
-  av_restarts : int;  (** shard respawns observed during the batch *)
-  av_divergences : int;  (** successes differing from the serial path *)
-  av_success_rate : float;  (** [av_ok / av_jobs] *)
-}
-
-val availability_cell_json : availability_cell -> Json.t
-
-(** One point of the scaling sweep (E26): a topology x placement x
-    stealing configuration of one compiled program at one PE count.
-    [sc_net_hops] counts link traversals — each message weighted by its
-    routing distance — so [sc_net_hops / sc_net_messages] is the mean
-    communication distance of the configuration. *)
-type scale_cell = {
-  sc_pes : int;
-  sc_net : string;  (** "uniform" | "mesh" | "torus" | "cube" *)
-  sc_placement : string;
-  sc_steal : bool;
-  sc_cycles : int;
-  sc_firings : int;
-  sc_fpc : float;  (** firings per cycle, the throughput figure *)
-  sc_speedup : float;  (** vs the p=1 cell of the same configuration *)
-  sc_net_messages : int;
-  sc_net_hops : int;
-  sc_steals : int;
-  sc_determinate : bool;
-}
-
-val scale_cell_json : scale_cell -> Json.t
-
-(** The whole document: meta header, optional [multiproc_summary]
-    scalars (e.g. [speedup_p8], [cut_traffic_ratio],
-    [multiproc_determinate]), optional [service] section (cache
-    counters, [deterministic] byte-stability bit, the timed
-    {!service_cell}s under ["cells"], and an optional ["availability"]
-    block holding {!availability_cell}s from the E27 chaos sweep),
-    optional [scale] section (the
-    E26 topology sweep: program, schema, and {!scale_cell}s under
-    ["cells"]) and the records. *)
-val bench_file :
-  ?summary:(string * Json.t) list ->
-  ?service:(string * Json.t) list ->
-  ?scale:(string * Json.t) list ->
-  records:Json.t list ->
-  unit ->
-  Json.t
-
-(** Structural validation of a BENCH document: meta version, required
-    fields per ["ok"] record, [reference_ok = true] everywhere, every
-    multiproc cell [determinate], every recovery cell [recovered] with
-    well-typed cost accounting, every certificate cell
-    [certified_clean] with well-typed overhead accounting, every
-    throughput cell with a positive rate and [identical_store], when
-    the summary block is present — well-typed scalars with
-    [multiproc_determinate = true] — and when the [service] section is
-    present: well-typed cache counters and cells with
-    [deterministic = true] (byte-identical batch output at every jobs
-    setting) plus, if an ["availability"] block is attached, cells whose
-    outcome counts partition the batch and carry zero divergences, and
-    when the [scale] section is present: well-typed cells
-    each [determinate] with at least one link hop per message.  Any
-    divergence is a validation error. *)
-val validate_bench : Json.t -> (unit, string) result

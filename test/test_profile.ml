@@ -1,7 +1,8 @@
 (* Unit tests of the observability layer: the Json module, the Trace
    recorder (including the truncation reporting), the Profile builder
    with its dynamic critical path, the Chrome trace exporter, and the
-   BENCH record schema shared between bench/main.exe and CI. *)
+   BENCH schema of bench/main.exe held against the committed
+   BENCH_machine.json. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -265,155 +266,255 @@ let test_chrome_trace () =
       checkb "named" true (J.member "name" e <> None))
     xs
 
-(* --- BENCH record schema --------------------------------------------- *)
+(* --- BENCH schema, on the committed artifact ------------------------- *)
 
-let good_bench_doc () =
-  let graph, tracer, r =
-    traced_run (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) sum_src
-  in
-  let record =
-    Machine.Profile.bench_record ~program:"sum" ~schema:"schema2-pipelined"
-      ~status:"ok"
-      ~stats:(Dfg.Stats.of_graph graph)
-      ~result:r ~reference_ok:true
-      ~max_overlap:(Machine.Trace.max_context_overlap tracer) ()
-  in
-  Machine.Profile.bench_file ~records:[ record ] ()
+module S = Bench_schema
+
+let committed =
+  lazy
+    (let path =
+       List.find Sys.file_exists
+         [ "../BENCH_machine.json"; "BENCH_machine.json" ]
+     in
+     let ic = open_in_bin path in
+     let text = really_input_string ic (in_channel_length ic) in
+     close_in ic;
+     J.of_string text)
+
+let errors ?(cores = 1) doc =
+  List.filter_map
+    (function Ok _ -> None | Error e -> Some e)
+    (S.check ~cores doc)
+
+(* [update q f doc]: [doc] with [f] applied to every value [q] selects *)
+let rec update q f (j : J.t) =
+  match (q, j) with
+  | [], _ -> f j
+  | S.Field k :: rest, J.Assoc kvs ->
+      J.Assoc
+        (List.map
+           (fun (k', v) -> (k', if k' = k then update rest f v else v))
+           kvs)
+  | S.Select sel :: rest, J.List l ->
+      J.List
+        (List.map (fun c -> if S.matches sel c then update rest f c else c) l)
+  | _ -> j
+
+let set q v = update q (fun _ -> v)
+
+(* [drop q sel]: the list at [q] without its elements matching [sel] *)
+let drop q sel =
+  update q (function
+    | J.List l -> J.List (List.filter (fun c -> not (S.matches sel c)) l)
+    | j -> j)
+
+let opt = S.stencil "schema2-opt"
+let at4 = [ ("pes", J.Int 4) ]
+let affinity4 = [ ("pes", J.Int 4); ("placement", J.String "affinity") ]
+let interval25 = [ ("checkpoint_interval", J.Int 25) ]
+let packed = [ ("engine", J.String "packed") ]
+let scale_cells = [ S.Field "scale"; S.Field "cells" ]
+let serve_cells = [ S.Field "service"; S.Field "cells" ]
+
+let expect_error what needle doc =
+  let errs = errors doc in
+  if not (List.exists (fun e -> contains e needle) errs) then
+    Alcotest.failf "%s: no error naming %S among [%s]" what needle
+      (String.concat "; " errs)
 
 let test_bench_validate_ok () =
-  let doc = good_bench_doc () in
-  (match Machine.Profile.validate_bench doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "well-formed document rejected: %s" e);
-  (* validation must hold on the printed text, not just the tree *)
-  match
-    Machine.Profile.validate_bench (J.of_string (J.to_string_pretty doc))
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "reparsed document rejected: %s" e
+  let doc = Lazy.force committed in
+  (match errors doc with
+  | [] -> ()
+  | errs ->
+      Alcotest.failf "committed document rejected: %s"
+        (String.concat "; " errs));
+  checki "every floor evaluated" (List.length S.floors)
+    (List.length (S.check ~cores:1 doc));
+  checkb "no drift against itself" true (S.drift ~expected:doc doc = [])
 
 let test_bench_validate_rejects () =
-  let expect_error what doc =
-    match Machine.Profile.validate_bench doc with
-    | Ok () -> Alcotest.failf "%s: accepted" what
-    | Error _ -> ()
-  in
-  expect_error "no meta" (J.Assoc [ ("records", J.List []) ]);
-  expect_error "wrong version"
-    (J.Assoc
+  let doc = Lazy.force committed in
+  (* each floor, pushed across its threshold *)
+  List.iter
+    (fun (floor, q, v) -> expect_error floor (floor ^ " ") (set q v doc))
+    [
+      ( "E20",
+        S.stencil "schema2-pipelined" @ [ S.Field "avg_parallelism" ],
+        J.Float 0.5 );
+      ("E21", opt @ S.sweep "multiproc" at4 "cycles", J.Int 9999);
+      ( "E21",
+        S.Field "records" :: S.Select []
+        :: S.sweep "multiproc" affinity4 "net_messages",
+        J.Int 100_000 );
+      ("E22", opt @ S.sweep "recovery" interval25 "overhead", J.Float 0.3);
+      ("E23", opt @ S.sweep "certificate" at4 "overhead", J.Float 0.2);
+      ("E24", opt @ S.sweep "throughput" packed "speedup", J.Float 9.9);
+      ("E25", [ S.Field "service"; S.Field "hit_rate" ], J.Float 0.4);
+      ( "E25",
+        serve_cells @ [ S.Select []; S.Field "jobs_per_sec" ],
+        J.Float 4.0 );
+      ( "E26",
+        scale_cells @ [ S.Select S.scale_hi; S.Field "firings_per_cycle" ],
+        J.Float 0.6 );
+      ("E27", S.chaos 0.05 "success_rate", J.Float 0.85);
+      ("E27", S.chaos 0.05 "restarts", J.Int 0);
+      ("E27", S.chaos 0.0 "ok", J.Int 159);
+    ];
+  (* each invariant, made false; the error names the field's path *)
+  List.iter
+    (fun (path, q, v) -> expect_error path (path ^ ":") (set q v doc))
+    [
+      ( "records[program=stencil,schema=schema2-opt].reference_ok",
+        opt @ [ S.Field "reference_ok" ],
+        J.Bool false );
+      ( "multiproc[pes=4,placement=affinity].determinate",
+        opt @ S.sweep "multiproc" affinity4 "determinate",
+        J.Bool false );
+      ( "multiproc_summary.multiproc_determinate",
+        [ S.Field "multiproc_summary"; S.Field "multiproc_determinate" ],
+        J.Bool false );
+      ( "recovery[checkpoint_interval=25].recovered",
+        opt @ S.sweep "recovery" interval25 "recovered",
+        J.Bool false );
+      ( "certificate[pes=4].certified_clean",
+        opt @ S.sweep "certificate" at4 "certified_clean",
+        J.Bool false );
+      ( "throughput[engine=packed].identical_store",
+        opt @ S.sweep "throughput" packed "identical_store",
+        J.Bool false );
+      ( "service.deterministic",
+        [ S.Field "service"; S.Field "deterministic" ],
+        J.Bool false );
+      ( "availability.cells[chaos_rate=0.05].divergences",
+        S.chaos 0.05 "divergences",
+        J.Int 1 );
+      ( "scale.cells[pes=64,net=mesh,placement=hier,steal=true].determinate",
+        scale_cells @ [ S.Select S.scale_hi; S.Field "determinate" ],
+        J.Bool false );
+      ( "scale.determinate",
+        [ S.Field "scale"; S.Field "determinate" ],
+        J.Bool false );
+    ];
+  (* structure: version, types, undeclared fields, related counts *)
+  expect_error "version" "meta.schema_version: 7"
+    (set [ S.Field "meta"; S.Field "schema_version" ] (J.Int 7) doc);
+  expect_error "type" "records[program=sum,schema=schema1].cycles: many"
+    (set
        [
-         ("meta", J.Assoc [ ("schema_version", J.Int 999) ]);
-         ("records", J.List [ J.Assoc [] ]);
-       ]);
-  expect_error "empty records"
-    (J.Assoc
-       [
-         ( "meta",
-           J.Assoc
-             [ ("schema_version", J.Int Machine.Profile.bench_schema_version) ]
-         );
-         ("records", J.List []);
-       ]);
-  (* an "ok" record must carry its metrics *)
-  expect_error "bare ok record"
-    (Machine.Profile.bench_file
-       ~records:
-         [
-           Machine.Profile.bench_record ~program:"p" ~schema:"s" ~status:"ok"
-             ();
-         ]
-       ());
-  (* a reference divergence is a validation failure, not a data point *)
-  let graph, tracer, r =
-    traced_run (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) sum_src
+         S.Field "records";
+         S.Select
+           [ ("program", J.String "sum"); ("schema", J.String "schema1") ];
+         S.Field "cycles";
+       ]
+       (J.String "many") doc);
+  expect_error "undeclared" "service.colour: undeclared field"
+    (update [ S.Field "service" ]
+       (function
+         | J.Assoc kvs -> J.Assoc (kvs @ [ ("colour", J.String "red") ])
+         | j -> j)
+       doc);
+  expect_error "partition" "outcome counts partition the batch"
+    (set (S.chaos 0.1 "ok") (J.Int 140) doc);
+  expect_error "hops" "at least one link hop per message"
+    (set (scale_cells @ [ S.Select S.scale_hi; S.Field "net_hops" ]) (J.Int 0)
+       doc)
+
+let test_bench_missing_cells () =
+  let doc = Lazy.force committed in
+  let missing what floor doc = expect_error what (floor ^ ": no cell at") doc in
+  missing "E20 record"
+    "E20 pipelined loop control is more parallel than Schema 1"
+    (drop [ S.Field "records" ]
+       [ ("program", J.String "stencil"); ("schema", J.String "schema1") ]
+       doc);
+  missing "E24 cell" "E24 packed engine speedup over the reference interpreter"
+    (drop (opt @ [ S.Field "throughput" ]) packed doc);
+  missing "E26 cell" "E26 the scaling stack beats the uniform-wire baseline"
+    (drop scale_cells S.scale_lo doc);
+  missing "E27 cell" "E27 availability at the committed chaos rate"
+    (drop
+       [ S.Field "service"; S.Field "availability"; S.Field "cells" ]
+       [ ("chaos_rate", J.Float 0.05) ]
+       doc)
+
+(* The E25 speedup floor judges only a document from a host with as many
+   cores as the parallel cell has domains; the committed cell was
+   recorded on fewer. *)
+let test_bench_speedup_needs_cores () =
+  let doc = Lazy.force committed in
+  let cores = S.serve_jobs in
+  let speedup =
+    serve_cells @ [ S.Select [ ("jobs", J.Int cores) ]; S.Field "speedup" ]
   in
-  expect_error "diverged record"
-    (Machine.Profile.bench_file
-       ~records:
-         [
-           Machine.Profile.bench_record ~program:"sum" ~schema:"s" ~status:"ok"
-             ~stats:(Dfg.Stats.of_graph graph)
-             ~result:r ~reference_ok:false
-             ~max_overlap:(Machine.Trace.max_context_overlap tracer) ();
-         ]
-       ());
-  (* recovery cells: failed recovery is a validation failure, a
-     successful one with well-typed cost accounting passes *)
-  let rc recovered =
-    {
-      Machine.Profile.rc_pes = 4;
-      rc_placement = "affinity";
-      rc_interval = 25;
-      rc_cycles = 130;
-      rc_baseline_cycles = 100;
-      rc_overhead = 0.3;
-      rc_deaths = 1;
-      rc_rollbacks = 1;
-      rc_checkpoints = 4;
-      rc_lost_cycles = 13;
-      rc_replayed_firings = 40;
-      rc_retransmits = 2;
-      rc_recovered = recovered;
-    }
+  checkb "not judged on one core" true (errors ~cores:1 doc = []);
+  checkb "committed cell below the floor" true
+    (List.exists (fun e -> contains e "E25 serve speedup") (errors ~cores doc));
+  checkb "a real speedup passes" true
+    (errors ~cores (set speedup (J.Float 2.5) doc) = [])
+
+(* One scalar of every field of the committed document, perturbed: the
+   drift comparison must flag all of them except the six timed fields.
+   Drift judges a field by its declaration, so one instance per field
+   path stands for all. *)
+let test_bench_drift () =
+  let doc = Lazy.force committed in
+  let timed =
+    [
+      "records.throughput.firings_per_sec";
+      "records.throughput.seconds_per_run";
+      "records.throughput.speedup";
+      "service.cells.jobs_per_sec";
+      "service.cells.seconds";
+      "service.cells.speedup";
+    ]
   in
-  let with_recovery cell =
-    Machine.Profile.bench_file
-      ~records:
-        [
-          Machine.Profile.bench_record ~program:"sum" ~schema:"s" ~status:"ok"
-            ~stats:(Dfg.Stats.of_graph graph)
-            ~result:r ~reference_ok:true
-            ~max_overlap:(Machine.Trace.max_context_overlap tracer)
-            ~recovery:[ cell ] ();
-        ]
-      ()
+  let replace i x l = List.mapi (fun i' y -> if i' = i then x else y) l in
+  (* (field path without indices, [j] with one scalar under it changed) *)
+  let rec leaves path (j : J.t) =
+    match j with
+    | J.Assoc kvs ->
+        List.concat
+          (List.mapi
+             (fun i (k, v) ->
+               let path = if path = "" then k else path ^ "." ^ k in
+               List.map
+                 (fun (p, v') -> (p, J.Assoc (replace i (k, v') kvs)))
+                 (leaves path v))
+             kvs)
+    | J.List l ->
+        List.concat
+          (List.mapi
+             (fun i v ->
+               List.map (fun (p, v') -> (p, J.List (replace i v' l)))
+                 (leaves path v))
+             l)
+    | J.Int n -> [ (path, J.Int (n + 1)) ]
+    | J.Float x -> [ (path, J.Float (x +. 1.0)) ]
+    | J.Bool b -> [ (path, J.Bool (not b)) ]
+    | J.String s -> [ (path, J.String (s ^ "x")) ]
+    | J.Null -> []
   in
-  expect_error "failed recovery cell" (with_recovery (rc false));
-  (match Machine.Profile.validate_bench (with_recovery (rc true)) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "good recovery cell rejected: %s" e);
-  (* certificate cells: a standing violation is a validation failure, a
-     clean cell with well-typed overhead accounting passes *)
-  let cc clean =
-    {
-      Machine.Profile.cc_pes = 4;
-      cc_elements = 3;
-      cc_checks = 120;
-      cc_cycles = 100;
-      cc_stripped_cycles = 100;
-      cc_overhead = 0.0;
-      cc_clean = clean;
-    }
-  in
-  let with_certificate cell =
-    Machine.Profile.bench_file
-      ~records:
-        [
-          Machine.Profile.bench_record ~program:"sum" ~schema:"s" ~status:"ok"
-            ~stats:(Dfg.Stats.of_graph graph)
-            ~result:r ~reference_ok:true
-            ~max_overlap:(Machine.Trace.max_context_overlap tracer)
-            ~certificate:[ cell ] ();
-        ]
-      ()
-  in
-  expect_error "violated certificate cell" (with_certificate (cc false));
-  (match Machine.Profile.validate_bench (with_certificate (cc true)) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "clean certificate cell rejected: %s" e);
-  (* non-ok cells need no metrics: they explain themselves *)
+  let tested = Hashtbl.create 64 and ignored = ref [] in
+  List.iter
+    (fun (path, changed) ->
+      if not (Hashtbl.mem tested path) then begin
+        Hashtbl.add tested path ();
+        if S.drift ~expected:doc changed = [] then ignored := path :: !ignored
+      end)
+    (leaves "" doc);
+  Alcotest.(check (list string))
+    "ignored fields" timed (List.sort compare !ignored);
   match
-    Machine.Profile.validate_bench
-      (Machine.Profile.bench_file
-         ~records:
-           [
-             Machine.Profile.bench_record ~program:"p" ~schema:"s"
-               ~status:"irreducible" ();
-           ]
-         ())
+    S.drift ~expected:doc (set (opt @ [ S.Field "cycles" ]) (J.Int 1661) doc)
   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "irreducible cell rejected: %s" e
+  | [ e ] ->
+      checks "names the path"
+        "records[program=stencil,schema=schema2-opt].cycles: 1660 committed, \
+         1661 now"
+        e
+  | errs ->
+      Alcotest.failf "expected one drift, got [%s]" (String.concat "; " errs)
 
 let () =
   Alcotest.run "profile"
@@ -449,5 +550,11 @@ let () =
             test_bench_validate_ok;
           Alcotest.test_case "rejects malformed documents" `Quick
             test_bench_validate_rejects;
+          Alcotest.test_case "names a missing floor cell" `Quick
+            test_bench_missing_cells;
+          Alcotest.test_case "speedup floor needs the cores" `Quick
+            test_bench_speedup_needs_cores;
+          Alcotest.test_case "drift skips exactly the timed fields" `Quick
+            test_bench_drift;
         ] );
     ]
