@@ -1134,9 +1134,9 @@ let certificate_sweep (c : Dflow.Driver.compiled) =
   let g = c.Dflow.Driver.graph in
   match g.Dfg.Graph.cert with
   | None -> None (* uncertified translation: nothing to measure *)
-  | Some saved ->
-      let prog = { Machine.Interp.graph = g; layout = c.Dflow.Driver.layout } in
-      let run_at pes =
+  | Some _ ->
+      let run_at ?(g = g) pes =
+        let prog = { Machine.Interp.graph = g; layout = c.Dflow.Driver.layout } in
         if pes = 1 then
           let r = Machine.Interp.run prog in
           ( r.Machine.Interp.cycles,
@@ -1157,9 +1157,7 @@ let certificate_sweep (c : Dflow.Driver.compiled) =
         List.map
           (fun pes ->
             let cycles, completed, diag = run_at pes in
-            Dfg.Graph.set_cert g None;
-            let stripped, _, _ = run_at pes in
-            Dfg.Graph.set_cert g (Some saved);
+            let stripped, _, _ = run_at ~g:{ g with Dfg.Graph.cert = None } pes in
             let elements, checks =
               match diag.Machine.Diagnosis.certified with
               | Some ec -> ec
@@ -1309,10 +1307,8 @@ let time_best ~runs f =
   !best
 
 let throughput_sweep (c : Dflow.Driver.compiled) =
-  let g = c.Dflow.Driver.graph in
+  let g = { c.Dflow.Driver.graph with Dfg.Graph.cert = None } in
   let layout = c.Dflow.Driver.layout in
-  let saved = g.Dfg.Graph.cert in
-  Dfg.Graph.set_cert g None;
   let prog = { Machine.Interp.graph = g; layout } in
   let rref = Machine.Interp.run_exn prog in
   let code = Machine.Packed.compile_graph g in
@@ -1364,7 +1360,6 @@ let throughput_sweep (c : Dflow.Driver.compiled) =
             identical;
         ]
   in
-  Dfg.Graph.set_cert g saved;
   cells
 
 (* One cell: compile, run traced, check against the reference

@@ -5,195 +5,92 @@
      run      compile a program and execute it on the dataflow machine
      dot      emit DOT renderings of the CFG / loopified CFG / DFG / PDG
      analyze  print the analyses: loops, alias classes, switch placement
-     compare  execute every schema and tabulate the metrics *)
+     compare  execute every schema and tabulate the metrics
+
+   The job subcommands (run, profile, simulate, emit, dot, compare) are
+   Serve.Job's jobs behind flags, as the serve ops are. *)
 
 open Cmdliner
 
-(* --- shared argument parsing ---------------------------------------- *)
+module Job = Serve.Job
 
-let read_program path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  Imp.Parser.program_of_string src
+(* --- failures: exit 2 for a refused option, 1 for a failed job ------- *)
 
-(* schema names are shared with the serve protocol's "schema" field *)
-let spec_of_string = Serve.Server.spec_of_string
+let usage_error fmt =
+  Fmt.kstr
+    (fun m ->
+      Fmt.epr "df_compile: %s@." m;
+      exit 2)
+    fmt
 
-let schema_conv : Dflow.Driver.spec Arg.conv =
-  let parse s = match spec_of_string s with Ok v -> `Ok v | Error e -> `Error e in
-  ( (fun s -> parse s),
-    fun ppf spec -> Fmt.string ppf (Dflow.Driver.spec_to_string spec) )
+(* A refused option is a usage error; anything else a job raises (a
+   program that does not parse, typecheck or translate) exits 1 with the
+   message serve returns for it. *)
+let guard f =
+  try f () with
+  | Job.Invalid m -> usage_error "%s" m
+  | e ->
+      Fmt.epr "df_compile: %s@." (Job.message e);
+      exit 1
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"IMP source file")
 
-let schema_arg =
-  Arg.(
-    value
-    & opt schema_conv (Dflow.Driver.Schema2_opt Dflow.Engine.Barrier)
-    & info [ "s"; "schema" ] ~docv:"SCHEMA"
-        ~doc:
-          "Translation schema: 1, 2, 2p, 2opt, 2optp, 3, 3s, 3c, fig8 \
-           (schema 2 without loop control), or 3bad (schema 3 with \
-           truncated access sets).")
-
-let transforms_arg =
-  Arg.(
-    value & opt (list string) []
-    & info [ "t"; "transforms" ] ~docv:"LIST"
-        ~doc:
-          "Section 6 transformations: any of value, reads, arrays, \
-           istructures (comma separated).")
-
-let transforms_of_list l =
+(* The named job options as cmdliner flags, read from the job
+   declarations; the term is the lookup the job decoder reads. *)
+let job_flags keys : (string -> Job.value option) Term.t =
   List.fold_left
-    (fun acc s ->
-      match s with
-      | "value" -> { acc with Dflow.Driver.value_passing = true }
-      | "reads" -> { acc with Dflow.Driver.parallel_reads = true }
-      | "arrays" -> { acc with Dflow.Driver.array_parallel = true }
-      | "istructures" -> { acc with Dflow.Driver.istructure = true }
-      | other -> Fmt.failwith "unknown transform %S" other)
-    Dflow.Driver.no_transforms l
+    (fun acc key ->
+      let d = Job.decl key in
+      let names = d.Job.short @ [ d.Job.name ] in
+      let arg =
+        if d.Job.docv = "" then
+          Term.map (fun b -> if b then Some "true" else None)
+            Arg.(value & flag & info names ~doc:d.Job.doc)
+        else Arg.(value & opt (some string) None & info names ~docv:d.Job.docv ~doc:d.Job.doc)
+      in
+      Term.(
+        const (fun acc v k ->
+            if k = key then Option.map (fun s -> Job.Text s) v else acc k)
+        $ acc $ arg))
+    (Term.const (fun _ -> None))
+    keys
 
-let pes_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "p"; "pes" ] ~docv:"N"
-        ~doc:"Number of processing elements (default: unbounded).")
+(* FILE plus the named options, decoded into a job of [op]. *)
+let job_term ?(file = file_arg) op names =
+  Term.(
+    const (fun file lookup ->
+        guard (fun () -> Job.decode op ~source:(read_file file) lookup))
+    $ file $ job_flags names)
 
-let mem_latency_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "mem-latency" ] ~docv:"CYCLES"
-        ~doc:"Split-phase memory latency in cycles.")
-
-let optimize_arg =
-  Arg.(
-    value & flag
-    & info [ "O"; "optimize" ]
-        ~doc:
-          "Run the graph-level optimizer (constant folding, CSE, dead-node            elimination) and the Id-splicing simplifier on the dataflow            graph.")
-
-let maybe_optimize opt g = if opt then Dfg.Opt.run (Dfg.Simplify.run g) else g
-
-let config_of pes mem_latency =
-  {
-    Machine.Config.default with
-    Machine.Config.pes;
-    latencies = { Machine.Config.default_latencies with memory = mem_latency };
-  }
-
-let no_certify_arg =
-  Arg.(
-    value & flag
-    & info [ "no-certify" ]
-        ~doc:
-          "Strip the fractional-permission certificate before executing: \
-           no per-run translation validation, no certificate line in the \
-           output, and certificate violations cannot fail the run.")
+let trace_out_arg doc =
+  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH" ~doc)
 
 let certificate_line (d : Machine.Diagnosis.t) =
-  match d.Machine.Diagnosis.certified with
-  | None -> "none (uncertified translation)"
-  | Some (elements, checks) ->
-      if d.Machine.Diagnosis.permission = [] then
-        Fmt.str "ok (%d element%s, %d ownership checks)" elements
-          (if elements = 1 then "" else "s")
-        checks
-      else
-        Fmt.str "VIOLATED (%d standing violation%s)"
-          (List.length d.Machine.Diagnosis.permission)
-          (if List.length d.Machine.Diagnosis.permission = 1 then "" else "s")
+  let count n what = Fmt.str "%d %s%s" n what (if n = 1 then "" else "s") in
+  match (d.Machine.Diagnosis.certified, d.Machine.Diagnosis.permission) with
+  | None, _ -> "none (uncertified translation)"
+  | Some (elements, checks), [] ->
+      Fmt.str "ok (%s, %d ownership checks)" (count elements "element") checks
+  | Some _, vs ->
+      Fmt.str "VIOLATED (%s)" (count (List.length vs) "standing violation")
+
+(* A hard machine failure (collision, double write, divergence). *)
+let or_exit what = function
+  | Ok r -> r
+  | Error d ->
+      Fmt.epr "%s failed:@.%a@." what Machine.Diagnosis.pp d;
+      exit 1
 
 (* --- run ------------------------------------------------------------- *)
 
-let fault_seed_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:
-          "Inject a deterministic fault plan derived from SEED at the \
-           machine's delivery and memory-issue boundaries; the diagnosis \
-           reports every injection.")
-
-let fault_rate_arg =
-  Arg.(
-    value & opt float 0.01
-    & info [ "fault-rate" ] ~docv:"P"
-        ~doc:"Per-event fault injection probability (with --fault-seed).")
-
-let fault_classes_arg =
-  Arg.(
-    value & opt string "all"
-    & info [ "fault-classes" ] ~docv:"LIST"
-        ~doc:
-          "Fault classes to draw from: any of drop, dup, flip, delay, \
-           stall, reorder, or all (comma separated).")
-
-let engine_arg =
-  Arg.(
-    value & opt string "reference"
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution core: $(b,reference) (event-driven interpreter) or \
-           $(b,packed) (compiled flat-array engine with an explicit token \
-           store).  Both produce bit-identical final stores and the same \
-           cycle counts; only the wall-clock time differs.")
-
-(** @raise on an unknown name: prints the valid engines and exits 2. *)
-let engine_of_flag (s : string) : Machine.Config.engine =
-  try Machine.Config.engine_of_string s
-  with Failure msg ->
-    Fmt.epr "df_compile: %s@." msg;
-    exit 2
-
-let run_cmd file schema transforms pes mem_latency verbose trace optimize
-    fault_seed fault_rate fault_classes no_certify engine =
-  let engine = engine_of_flag engine in
-  (* fault injection runs only on the reference machine: with --engine
-     packed it is a usage error (exit 2), never a silent switch of
-     engine *)
-  if engine = Machine.Config.Packed && fault_seed <> None then begin
-    Fmt.epr
-      "df_compile: --engine packed has no fault injection: --fault-seed \
-       needs --engine reference@.";
-    exit 2
-  end;
-  let p = read_program file in
-  let transforms = transforms_of_list transforms in
-  let compiled = Dflow.Driver.compile ~transforms schema p in
-  let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
-  Dfg.Check.check graph;
-  if no_certify then Dfg.Graph.set_cert graph None;
-  let config = { (config_of pes mem_latency) with Machine.Config.engine } in
+let run_cmd job verbose trace =
   let tracer = Machine.Trace.create () in
   let on_fire = if trace then Some (Machine.Trace.on_fire tracer) else None in
-  let faults =
-    Option.map
-      (fun seed ->
-        let classes =
-          try Machine.Fault.classes_of_string fault_classes
-          with Failure msg ->
-            Fmt.epr "df_compile: %s@." msg;
-            exit 2
-        in
-        Machine.Fault.make
-          (Machine.Fault.spec ~seed ~rate:fault_rate ~classes ()))
-      fault_seed
-  in
-  let result =
-    match
-      Machine.Interp.run_report ~config ?faults ?on_fire
-        { Machine.Interp.graph = graph; layout = compiled.Dflow.Driver.layout }
-    with
-    | Ok r -> r
-    | Error d ->
-        Fmt.epr "execution failed:@.%a@." Machine.Diagnosis.pp d;
-        exit 1
-  in
+  let compiled, result = guard (fun () -> Job.run ?on_fire job) in
+  let result = or_exit "execution" result in
   if not (Machine.Diagnosis.is_clean result.Machine.Interp.diagnosis) then
     Fmt.pr "== diagnosis ==@.%a@." Machine.Diagnosis.pp
       result.Machine.Interp.diagnosis;
@@ -203,7 +100,7 @@ let run_cmd file schema transforms pes mem_latency verbose trace optimize
   end;
   Fmt.pr "== final store ==@.%a@." Imp.Memory.pp result.Machine.Interp.memory;
   Fmt.pr "== execution ==@.";
-  Fmt.pr "schema           %s@." (Dflow.Driver.spec_to_string schema);
+  Fmt.pr "schema           %s@." (Dflow.Driver.spec_to_string job.Job.schema);
   Fmt.pr "cycles           %d@." result.Machine.Interp.cycles;
   Fmt.pr "operations       %d@." result.Machine.Interp.firings;
   Fmt.pr "memory ops       %d@." result.Machine.Interp.memory_ops;
@@ -224,51 +121,40 @@ let run_cmd file schema transforms pes mem_latency verbose trace optimize
       (Machine.Trace.max_context_overlap tracer)
   end;
   if verbose then begin
-    Fmt.pr "== static graph ==@.%a@." Dfg.Stats.pp (Dfg.Stats.of_graph graph);
-    let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
-    if Imp.Memory.equal reference result.Machine.Interp.memory then
+    Fmt.pr "== static graph ==@.%a@." Dfg.Stats.pp
+      (Dfg.Stats.of_graph compiled.Dflow.Driver.graph);
+    if Job.reference job result.Machine.Interp.memory = "ok" then
       Fmt.pr "reference check  ok@."
     else Fmt.pr "reference check  MISMATCH@."
   end
 
 let run_term =
   Term.(
-    const run_cmd $ file_arg $ schema_arg $ transforms_arg $ pes_arg
-    $ mem_latency_arg
+    const run_cmd
+    $ job_term Job.Run
+        [
+          "schema"; "transforms"; "pes"; "mem-latency"; "optimize";
+          "fault-seed"; "fault-rate"; "fault-classes"; "no-certify"; "engine";
+        ]
     $ Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print graph statistics and check against the reference interpreter.")
-    $ Arg.(value & flag & info [ "trace" ] ~doc:"Print an execution timeline and per-context firing counts.")
-    $ optimize_arg $ fault_seed_arg $ fault_rate_arg $ fault_classes_arg
-    $ no_certify_arg $ engine_arg)
+    $ Arg.(value & flag & info [ "trace" ] ~doc:"Print an execution timeline and per-context firing counts."))
 
 (* --- profile: critical path, curves, Chrome trace -------------------- *)
 
-let profile_cmd file schema transforms pes mem_latency optimize trace_out
-    summary_json limit =
-  let p = read_program file in
-  let transforms = transforms_of_list transforms in
-  let compiled = Dflow.Driver.compile ~transforms schema p in
-  let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
-  Dfg.Check.check graph;
-  let config = config_of pes mem_latency in
+let profile_cmd file job trace_out summary_json limit =
   let tracer = Machine.Trace.create ~limit () in
-  let result =
-    match
-      Machine.Interp.run_report ~config
-        ~on_fire:(Machine.Trace.on_fire tracer)
-        { Machine.Interp.graph = graph; layout = compiled.Dflow.Driver.layout }
-    with
-    | Ok r -> r
-    | Error d ->
-        Fmt.epr "execution failed:@.%a@." Machine.Diagnosis.pp d;
-        exit 1
+  let compiled, result =
+    guard (fun () -> Job.run ~on_fire:(Machine.Trace.on_fire tracer) job)
   in
+  let result = or_exit "execution" result in
+  let graph = compiled.Dflow.Driver.graph in
   let profile = Machine.Profile.make ~graph ~trace:tracer result in
   let out =
     match trace_out with
     | Some path -> path
     | None -> Filename.remove_extension (Filename.basename file) ^ ".trace.json"
   in
-  let chrome = Machine.Profile.chrome_trace ~config ~graph tracer in
+  let chrome = Machine.Profile.chrome_trace ~config:(Job.config job) ~graph tracer in
   let oc = open_out out in
   output_string oc (Machine.Json.to_string chrome);
   output_char oc '\n';
@@ -276,27 +162,25 @@ let profile_cmd file schema transforms pes mem_latency optimize trace_out
   if summary_json then
     Fmt.pr "%s" (Machine.Json.to_string_pretty (Machine.Profile.summary_json profile))
   else begin
-    Fmt.pr "== profile (%s, %s) ==@." file (Dflow.Driver.spec_to_string schema);
+    Fmt.pr "== profile (%s, %s) ==@." file
+      (Dflow.Driver.spec_to_string job.Job.schema);
     Fmt.pr "%a" Machine.Profile.pp profile
   end;
   Fmt.epr "chrome trace written to %s (load it in chrome://tracing or \
            ui.perfetto.dev)@." out;
-  let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
-  if not (Imp.Memory.equal reference result.Machine.Interp.memory) then begin
+  if not (Job.reference job result.Machine.Interp.memory = "ok") then begin
     Fmt.epr "profile run DIVERGED from the reference interpreter@.";
     exit 1
   end
 
 let profile_term =
   Term.(
-    const profile_cmd $ file_arg $ schema_arg $ transforms_arg $ pes_arg
-    $ mem_latency_arg $ optimize_arg
-    $ Arg.(
-        value & opt (some string) None
-        & info [ "trace-out" ] ~docv:"PATH"
-            ~doc:
-              "Where to write the Chrome trace_event JSON (default: \
-               <FILE>.trace.json in the current directory).")
+    const profile_cmd $ file_arg
+    $ job_term Job.Run
+        [ "schema"; "transforms"; "pes"; "mem-latency"; "optimize" ]
+    $ trace_out_arg
+        "Where to write the Chrome trace_event JSON (default: \
+         <FILE>.trace.json in the current directory)."
     $ Arg.(
         value & flag
         & info [ "json" ]
@@ -310,100 +194,25 @@ let profile_term =
 
 (* --- simulate: the multiprocessor machine ----------------------------- *)
 
-let placement_conv : Machine.Placement.policy Arg.conv =
-  ( (fun s ->
-      match Machine.Placement.policy_of_string s with
-      | Ok p -> `Ok p
-      | Error e -> `Error e),
-    fun ppf p -> Fmt.string ppf (Machine.Placement.policy_to_string p) )
-
-let simulate_cmd file schema transforms optimize mp_pes placement net_kind
-    steal net_latency net_bandwidth net_queue modules mem_latency trace_out
-    fault_seed fault_rate fault_classes recover no_certify =
-  (* usage errors first, same contract as --engine / --jobs: exit 2 with
-     a message naming the flag and the valid values *)
-  if mp_pes < 1 then begin
-    Fmt.epr "df_compile: --pes must be at least 1 (got %d)@." mp_pes;
-    exit 2
-  end;
-  let topo_kind =
-    match Sched.Topology.kind_of_string net_kind with
-    | Ok k -> k
-    | Error msg ->
-        Fmt.epr "df_compile: %s@." msg;
-        exit 2
-  in
-  let p = read_program file in
-  let transforms = transforms_of_list transforms in
-  let compiled = Dflow.Driver.compile ~transforms schema p in
-  let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
-  Dfg.Check.check graph;
-  if no_certify then Dfg.Graph.set_cert graph None;
-  let config = config_of None mem_latency in
-  let faults =
-    Option.map
-      (fun seed ->
-        let classes =
-          try Machine.Fault.classes_of_string fault_classes
-          with Failure msg ->
-            Fmt.epr "df_compile: %s@." msg;
-            exit 2
-        in
-        Machine.Fault.make
-          (Machine.Fault.spec ~seed ~rate:fault_rate ~classes ()))
-      fault_seed
-  in
-  let recovery =
-    if not recover then None
-    else
-      let deaths =
-        match fault_seed with
-        | Some seed ->
-            Machine.Recovery.seeded_deaths ~seed ~pes:mp_pes ~window:60
-        | None -> []
-      in
-      Some (Machine.Recovery.spec ~deaths ())
-  in
-  let net =
-    {
-      Machine.Network.latency = net_latency;
-      bandwidth = net_bandwidth;
-      queue_capacity = net_queue;
-      modules;
-    }
-  in
+let simulate_cmd job trace_out =
   let events = ref [] in
   let on_fire cycle node ctx ~pe =
     if trace_out <> None then
       events := (cycle, node.Dfg.Node.id, ctx, pe) :: !events
   in
-  let topo =
-    match topo_kind with
-    | Sched.Topology.Uniform -> None
-    | k -> Some (Sched.Topology.make k ~pes:mp_pes)
-  in
-  let steal_spec = if steal then Some Sched.Steal.default else None in
-  let tree = compiled.Dflow.Driver.ltree in
-  let r =
-    match
-      Machine.Multiproc.run ~config ~net ~placement ~tree ?topo
-        ?steal:steal_spec ~on_fire ?faults ?recovery ~pes:mp_pes
-        { Machine.Interp.graph; layout = compiled.Dflow.Driver.layout }
-    with
-    | Ok r -> r
-    | Error d ->
-        Fmt.epr "simulation failed:@.%a@." Machine.Diagnosis.pp d;
-        exit 1
-  in
+  let compiled, r = guard (fun () -> Job.simulate ~on_fire job) in
+  let r = or_exit "simulation" r in
   if not r.Machine.Multiproc.completed then begin
     Fmt.epr "simulation did not complete:@.%a@." Machine.Diagnosis.pp
       r.Machine.Multiproc.diagnosis;
     exit 1
   end;
+  let graph = compiled.Dflow.Driver.graph in
+  let pes = Job.sim_pes job and topo = Job.topology job in
   Fmt.pr "== final store ==@.%a@." Imp.Memory.pp r.Machine.Multiproc.memory;
-  Fmt.pr "== multiprocessor (%d PEs, %s placement) ==@." mp_pes
-    (Machine.Placement.policy_to_string placement);
-  Fmt.pr "schema           %s@." (Dflow.Driver.spec_to_string schema);
+  Fmt.pr "== multiprocessor (%d PEs, %s placement) ==@." pes
+    (Machine.Placement.policy_to_string job.Job.placement);
+  Fmt.pr "schema           %s@." (Dflow.Driver.spec_to_string job.Job.schema);
   Fmt.pr "cycles           %d@." r.Machine.Multiproc.cycles;
   Fmt.pr "operations       %d@." r.Machine.Multiproc.firings;
   Fmt.pr "memory ops       %d (%d local, %d remote)@."
@@ -411,17 +220,18 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
     r.Machine.Multiproc.mem_remote;
   Fmt.pr "placement        %a@." Machine.Placement.pp_stats
     r.Machine.Multiproc.placement_stats;
-  (match placement with
+  (match job.Job.placement with
   | Machine.Placement.Hier ->
       Fmt.pr "hierarchy        %a@." Sched.Hplace.pp_stats
-        (Machine.Placement.hier_stats ~tree ?topo ~pes:mp_pes graph)
+        (Machine.Placement.hier_stats ~tree:compiled.Dflow.Driver.ltree ?topo
+           ~pes graph)
   | _ -> ());
   (match topo with
   | Some tp ->
       Fmt.pr "topology         %s, %d link hops crossed@."
         (Sched.Topology.describe tp) r.Machine.Multiproc.net_hops
   | None -> ());
-  if steal then
+  if job.Job.steal then
     Fmt.pr "stealing         %d ready firings moved@."
       r.Machine.Multiproc.steals;
   Fmt.pr "network          %d messages (%d local deliveries), cut traffic \
@@ -432,28 +242,26 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
     r.Machine.Multiproc.backpressure r.Machine.Multiproc.peak_queue;
   Fmt.pr "certificate      %s@."
     (certificate_line r.Machine.Multiproc.diagnosis);
-  (match (r.Machine.Multiproc.transport, r.Machine.Multiproc.recovery) with
-  | None, None -> ()
-  | transport, recovery ->
-      Fmt.pr "== fault tolerance ==@.";
-      (match transport with
-      | None -> ()
-      | Some st ->
-          Fmt.pr
-            "transport        %d sends, %d retransmits, %d dup drops, %d \
-             wire faults, %d losses@."
-            st.Machine.Network.r_sends st.Machine.Network.r_retransmits
-            st.Machine.Network.r_dups_dropped st.Machine.Network.r_wire_faults
-            st.Machine.Network.r_losses);
-      (match recovery with
-      | None -> ()
-      | Some m ->
-          Fmt.pr
-            "recovery         recovered: %d death(s), %d rollback(s), %d \
-             checkpoint(s), %d lost cycles, %d replayed firings@."
-            m.Machine.Recovery.m_deaths m.Machine.Recovery.m_rollbacks
-            m.Machine.Recovery.m_checkpoints m.Machine.Recovery.m_lost_cycles
-            m.Machine.Recovery.m_replayed_firings));
+  if r.Machine.Multiproc.transport <> None || r.Machine.Multiproc.recovery <> None
+  then Fmt.pr "== fault tolerance ==@.";
+  Option.iter
+    (fun st ->
+      Fmt.pr
+        "transport        %d sends, %d retransmits, %d dup drops, %d wire \
+         faults, %d losses@."
+        st.Machine.Network.r_sends st.Machine.Network.r_retransmits
+        st.Machine.Network.r_dups_dropped st.Machine.Network.r_wire_faults
+        st.Machine.Network.r_losses)
+    r.Machine.Multiproc.transport;
+  Option.iter
+    (fun m ->
+      Fmt.pr
+        "recovery         recovered: %d death(s), %d rollback(s), %d \
+         checkpoint(s), %d lost cycles, %d replayed firings@."
+        m.Machine.Recovery.m_deaths m.Machine.Recovery.m_rollbacks
+        m.Machine.Recovery.m_checkpoints m.Machine.Recovery.m_lost_cycles
+        m.Machine.Recovery.m_replayed_firings)
+    r.Machine.Multiproc.recovery;
   Array.iteri
     (fun pe u ->
       Fmt.pr "pe %-2d            %5d firings, %4.1f%% busy@." pe
@@ -464,7 +272,8 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
   | None -> ()
   | Some out ->
       let chrome =
-        Machine.Profile.chrome_trace_pes ~config ~graph (List.rev !events)
+        Machine.Profile.chrome_trace_pes ~config:(Job.config job) ~graph
+          (List.rev !events)
       in
       let oc = open_out out in
       output_string oc (Machine.Json.to_string chrome);
@@ -472,8 +281,7 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
       close_out oc;
       Fmt.epr "chrome trace written to %s (one track per PE; load it in \
                chrome://tracing or ui.perfetto.dev)@." out);
-  let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
-  if Imp.Memory.equal reference r.Machine.Multiproc.memory then
+  if Job.reference job r.Machine.Multiproc.memory = "ok" then
     Fmt.pr "reference check  ok@."
   else begin
     Fmt.epr "reference check  MISMATCH@.";
@@ -498,121 +306,67 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
 
 let simulate_term =
   Term.(
-    const simulate_cmd $ file_arg $ schema_arg $ transforms_arg $ optimize_arg
-    $ Arg.(
-        value & opt int 4
-        & info [ "p"; "pes" ] ~docv:"N"
-            ~doc:"Number of processing elements.")
-    $ Arg.(
-        value
-        & opt placement_conv Machine.Placement.Affinity
-        & info [ "placement" ] ~docv:"POLICY"
-            ~doc:
-              "Node-to-PE placement: hash, rr, affinity, or hier \
-               (loop-region sub-grids refined by affinity clusters).")
-    $ Arg.(
-        value & opt string "uniform"
-        & info [ "net" ] ~docv:"TOPOLOGY"
-            ~doc:
-              "Interconnect topology: $(b,uniform) (single hop, the \
-               default), $(b,mesh), $(b,torus) or $(b,cube); messages pay \
-               the pipelined cost net-latency + hops - 1 under \
-               dimension-ordered routing.")
-    $ Arg.(
-        value & flag
-        & info [ "steal" ]
-            ~doc:
-              "Work stealing of ready firings with affinity hysteresis \
-               (deterministic; the final store is unchanged).")
-    $ Arg.(
-        value & opt int Machine.Network.default.Machine.Network.latency
-        & info [ "net-latency" ] ~docv:"CYCLES"
-            ~doc:
-              "Interconnect injection latency in cycles (each extra hop \
-               adds one cycle).")
-    $ Arg.(
-        value & opt int Machine.Network.default.Machine.Network.bandwidth
-        & info [ "net-bandwidth" ] ~docv:"MSGS"
-            ~doc:"Messages each PE may inject per cycle.")
-    $ Arg.(
-        value
-        & opt (some int) Machine.Network.default.Machine.Network.queue_capacity
-        & info [ "net-queue" ] ~docv:"N"
-            ~doc:
-              "Injection queue capacity per PE (enqueues beyond it count \
-               as backpressure).")
-    $ Arg.(
-        value & opt (some int) None
-        & info [ "modules" ] ~docv:"N"
-            ~doc:"Interleaved memory modules (default: one per PE).")
-    $ mem_latency_arg
-    $ Arg.(
-        value & opt (some string) None
-        & info [ "trace-out" ] ~docv:"PATH"
-            ~doc:
-              "Write a Chrome trace_event JSON with one track per PE.")
-    $ fault_seed_arg $ fault_rate_arg $ fault_classes_arg
-    $ Arg.(
-        value & flag
-        & info [ "recover" ]
-            ~doc:
-              "Enable checkpoint/replay recovery: epoch snapshots, plus — \
-               with --fault-seed — one seeded PE fail-stop whose nodes are \
-               remapped over the survivors and replayed.")
-    $ no_certify_arg)
+    const simulate_cmd
+    $ job_term Job.Simulate
+        [
+          "schema"; "transforms"; "optimize"; "pes"; "placement"; "net";
+          "steal"; "net-latency"; "net-bandwidth"; "net-queue"; "modules";
+          "mem-latency"; "fault-seed"; "fault-rate"; "fault-classes";
+          "recover"; "no-certify";
+        ]
+    $ trace_out_arg "Write a Chrome trace_event JSON with one track per PE.")
 
 (* --- dot ------------------------------------------------------------- *)
 
-let dot_cmd file schema transforms stage =
-  let p = read_program file in
-  match stage with
-  | "cfg" -> Fmt.pr "%s" (Cfg.Dot.to_string (Cfg.Builder.of_program p))
-  | "loopified" ->
-      let lp = Cfg.Loopify.transform (Cfg.Builder.of_program p) in
-      Fmt.pr "%s" (Cfg.Dot.to_string lp.Cfg.Loopify.graph)
-  | "pdg" -> Fmt.pr "%s" (Ssa.Pdg.to_dot (Ssa.Pdg.build (Cfg.Builder.of_program p)))
-  | "dfg" ->
-      let transforms = transforms_of_list transforms in
-      let compiled = Dflow.Driver.compile ~transforms schema p in
-      Fmt.pr "%s" (Dfg.Dot.to_string compiled.Dflow.Driver.graph)
-  | other -> Fmt.failwith "unknown stage %S (cfg|loopified|dfg|pdg)" other
+let dot_cmd job stage =
+  guard (fun () ->
+      let cfg () = Cfg.Builder.of_program (Job.program job) in
+      match stage with
+      | "cfg" -> Fmt.pr "%s" (Cfg.Dot.to_string (cfg ()))
+      | "loopified" ->
+          let lp = Cfg.Loopify.transform (cfg ()) in
+          Fmt.pr "%s" (Cfg.Dot.to_string lp.Cfg.Loopify.graph)
+      | "pdg" -> Fmt.pr "%s" (Ssa.Pdg.to_dot (Ssa.Pdg.build (cfg ())))
+      | "dfg" ->
+          Fmt.pr "%s" (Dfg.Dot.to_string (Job.compile job).Dflow.Driver.graph)
+      | other ->
+          usage_error "--stage: unknown stage %S (valid: cfg, loopified, dfg, pdg)"
+            other)
 
 let dot_term =
   Term.(
-    const dot_cmd $ file_arg $ schema_arg $ transforms_arg
+    const dot_cmd
+    $ job_term Job.Compile [ "schema"; "transforms" ]
     $ Arg.(
         value & opt string "dfg"
         & info [ "stage" ] ~docv:"STAGE" ~doc:"cfg, loopified, dfg or pdg."))
 
 (* --- emit / exec: the textual dataflow IR ----------------------------- *)
 
-let emit_cmd file schema transforms optimize =
-  let p = read_program file in
-  let transforms = transforms_of_list transforms in
-  let compiled = Dflow.Driver.compile ~transforms schema p in
-  let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
-  Dfg.Check.check graph;
-  print_string (Dfg.Text.print graph)
+let emit_cmd job =
+  guard (fun () ->
+      print_string (Dfg.Text.print (Job.compile job).Dflow.Driver.graph))
 
 let emit_term =
-  Term.(const emit_cmd $ file_arg $ schema_arg $ transforms_arg $ optimize_arg)
+  Term.(
+    const emit_cmd
+    $ job_term Job.Compile [ "schema"; "transforms"; "optimize" ])
 
-let exec_cmd graph_file program_file pes mem_latency =
+let exec_cmd graph_file job =
   (* the graph comes from the textual IR; the source program supplies
      the memory layout (and the reference semantics to check against) *)
   let g = Dfg.Text.read graph_file in
   Dfg.Check.check g;
-  let p = read_program program_file in
-  let layout = Imp.Layout.of_program p in
-  let config = config_of pes mem_latency in
-  let r = Machine.Interp.run_exn ~config { Machine.Interp.graph = g; layout } in
+  let layout = guard (fun () -> Imp.Layout.of_program (Job.program job)) in
+  let r =
+    Machine.Interp.run_exn ~config:(Job.config job)
+      { Machine.Interp.graph = g; layout }
+  in
   Fmt.pr "== final store ==@.%a@." Imp.Memory.pp r.Machine.Interp.memory;
   Fmt.pr "cycles %d, operations %d@." r.Machine.Interp.cycles
     r.Machine.Interp.firings;
-  let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
   Fmt.pr "reference check: %s@."
-    (if Imp.Memory.equal reference r.Machine.Interp.memory then "ok"
-     else "MISMATCH")
+    (if Job.reference job r.Machine.Interp.memory = "ok" then "ok" else "MISMATCH")
 
 let exec_term =
   Term.(
@@ -620,10 +374,11 @@ let exec_term =
     $ Arg.(
         required & pos 0 (some file) None
         & info [] ~docv:"GRAPH" ~doc:"Textual dataflow graph (.dfg)")
-    $ Arg.(
-        required & pos 1 (some file) None
-        & info [] ~docv:"PROGRAM" ~doc:"IMP source supplying the memory layout")
-    $ pes_arg $ mem_latency_arg)
+    $ job_term Job.Run [ "pes"; "mem-latency" ]
+        ~file:
+          Arg.(
+            required & pos 1 (some file) None
+            & info [] ~docv:"PROGRAM" ~doc:"IMP source supplying the memory layout"))
 
 let check_cmd graph_file =
   let g = Dfg.Text.read graph_file in
@@ -640,7 +395,7 @@ let check_term =
 (* --- analyze --------------------------------------------------------- *)
 
 let analyze_cmd file =
-  let p = read_program file in
+  let p = guard (fun () -> Dflow.Memo.parse_source (read_file file)) in
   let g = Cfg.Builder.of_program p in
   let vars = Imp.Ast.program_vars p in
   Fmt.pr "== control-flow graph ==@.%a@." Cfg.Core.pp g;
@@ -712,59 +467,49 @@ let analyze_term = Term.(const analyze_cmd $ file_arg)
 
 (* --- compare --------------------------------------------------------- *)
 
-let compare_cmd file pes mem_latency =
-  let p = read_program file in
-  let config = config_of pes mem_latency in
-  let aliasing = Analysis.Alias.has_aliasing (Analysis.Alias.of_program p) in
+let compare_cmd job =
+  let aliasing =
+    guard (fun () ->
+        Analysis.Alias.has_aliasing (Analysis.Alias.of_program (Job.program job)))
+  in
   let specs =
-    if aliasing then
-      Dflow.Driver.
-        [
-          (Schema1, no_transforms);
-          (Schema3 (Singleton, Dflow.Engine.Barrier), no_transforms);
-          (Schema3 (Classes, Dflow.Engine.Barrier), no_transforms);
-          (Schema3 (Components, Dflow.Engine.Barrier), no_transforms);
-        ]
-    else
-      Dflow.Driver.
-        [
-          (Schema1, no_transforms);
-          (Schema2 Dflow.Engine.Barrier, no_transforms);
-          (Schema2 Dflow.Engine.Pipelined, no_transforms);
-          (Schema2_opt Dflow.Engine.Barrier, no_transforms);
-          (Schema2_opt Dflow.Engine.Pipelined, no_transforms);
-          (Schema2_opt Dflow.Engine.Pipelined, all_transforms);
-        ]
+    let open Dflow.Driver in
+    let plain s = (s, no_transforms) and b = Dflow.Engine.Barrier in
+    let p = Dflow.Engine.Pipelined in
+    plain Schema1
+    ::
+    (if aliasing then
+       List.map (fun c -> plain (Schema3 (c, b))) [ Singleton; Classes; Components ]
+     else
+       [
+         plain (Schema2 b); plain (Schema2 p); plain (Schema2_opt b);
+         plain (Schema2_opt p); (Schema2_opt p, all_transforms);
+       ])
   in
   Fmt.pr "%-28s %8s %8s %8s %9s %8s@." "schema" "cycles" "ops" "mem-ops"
     "avg-par" "switches";
   List.iter
-    (fun (spec, transforms) ->
-      match Dflow.Driver.compile ~transforms spec p with
-      | compiled ->
-          let r =
-            Machine.Interp.run_exn ~config
-              {
-                Machine.Interp.graph = compiled.Dflow.Driver.graph;
-                layout = compiled.Dflow.Driver.layout;
-              }
-          in
+    (fun (schema, transforms) ->
+      match guard (fun () -> Job.run { job with Job.schema; transforms }) with
+      | compiled, Ok r when r.Machine.Interp.completed ->
           let st = Dfg.Stats.of_graph compiled.Dflow.Driver.graph in
           let name =
-            Dflow.Driver.spec_to_string spec
+            Dflow.Driver.spec_to_string schema
             ^ if transforms = Dflow.Driver.no_transforms then "" else "+sec6"
           in
           Fmt.pr "%-28s %8d %8d %8d %9.2f %8d@." name r.Machine.Interp.cycles
             r.Machine.Interp.firings r.Machine.Interp.memory_ops
             (Machine.Interp.avg_parallelism r)
             st.Dfg.Stats.switches
+      | _, (Ok { Machine.Interp.diagnosis = d; _ } | Error d) ->
+          or_exit "execution" (Error d)
       | exception Cfg.Intervals.Irreducible _ ->
           Fmt.pr "%-28s %s@."
-            (Dflow.Driver.spec_to_string spec)
+            (Dflow.Driver.spec_to_string schema)
             "(irreducible: unsupported)")
     specs
 
-let compare_term = Term.(const compare_cmd $ file_arg $ pes_arg $ mem_latency_arg)
+let compare_term = Term.(const compare_cmd $ job_term Job.Run [ "pes"; "mem-latency" ])
 
 (* --- selfcheck: the differential schema oracle ----------------------- *)
 
@@ -779,8 +524,7 @@ let jobs_arg =
            recommended domain count).  Results are emitted in submission \
            order and are byte-identical at every N.")
 
-(** Mirrors [engine_of_flag]: an out-of-range value prints a usage
-    message and exits 2. *)
+(** An out-of-range value prints a usage message and exits 2. *)
 let jobs_of_flag (jobs : int option) : int =
   match jobs with
   | None -> Service.Pool.default_jobs ()
@@ -856,12 +600,16 @@ let chaos_rate_arg =
     & info [ "chaos-rate" ] ~docv:"P"
         ~doc:"Fraction of jobs faulted under --chaos-seed (within [0,1]).")
 
-let usage_error fmt =
-  Fmt.kstr
-    (fun m ->
-      Fmt.epr "df_compile: %s@." m;
-      exit 2)
-    fmt
+(* --socket PATH or --tcp PORT, at most one of them. *)
+let endpoint_of socket tcp =
+  match (socket, tcp) with
+  | Some _, Some _ -> usage_error "--socket and --tcp are mutually exclusive"
+  | Some path, None -> Some (Serve.Socket.Unix_path path)
+  | None, Some port ->
+      if port < 1 || port > 65535 then
+        usage_error "--tcp port must be within [1, 65535] (got %d)" port;
+      Some (Serve.Socket.Tcp port)
+  | None, None -> None
 
 let serve_cmd jobs socket tcp shards deadline_ms max_queue max_line_bytes
     chaos_seed chaos_rate =
@@ -874,17 +622,7 @@ let serve_cmd jobs socket tcp shards deadline_ms max_queue max_line_bytes
     usage_error "--max-line-bytes must be at least 1 (got %d)" max_line_bytes;
   if chaos_rate < 0.0 || chaos_rate > 1.0 then
     usage_error "--chaos-rate must be within [0, 1] (got %g)" chaos_rate;
-  let endpoint =
-    match (socket, tcp) with
-    | Some _, Some _ -> usage_error "--socket and --tcp are mutually exclusive"
-    | Some path, None -> Some (Serve.Socket.Unix_path path)
-    | None, Some port ->
-        if port < 1 || port > 65535 then
-          usage_error "--tcp port must be within [1, 65535] (got %d)" port;
-        Some (Serve.Socket.Tcp port)
-    | None, None -> None
-  in
-  match endpoint with
+  match endpoint_of socket tcp with
   | None ->
       if chaos_seed <> None then
         usage_error "--chaos-seed requires socket mode (--socket or --tcp)";
@@ -940,22 +678,16 @@ let client_cmd socket tcp retries backoff_ms =
   if retries < 0 then usage_error "--retries must be >= 0 (got %d)" retries;
   if backoff_ms < 1 then
     usage_error "--backoff-ms must be at least 1 (got %d)" backoff_ms;
-  let endpoint =
-    match (socket, tcp) with
-    | Some _, Some _ -> usage_error "--socket and --tcp are mutually exclusive"
-    | Some path, None -> Serve.Socket.Unix_path path
-    | None, Some port ->
-        if port < 1 || port > 65535 then
-          usage_error "--tcp port must be within [1, 65535] (got %d)" port;
-        Serve.Socket.Tcp port
-    | None, None -> usage_error "client needs --socket PATH or --tcp PORT"
-  in
-  exit (Serve.Socket.client ~retries ~backoff_ms endpoint stdin stdout)
+  match endpoint_of socket tcp with
+  | None -> usage_error "client needs --socket PATH or --tcp PORT"
+  | Some endpoint ->
+      exit (Serve.Socket.client ~retries ~backoff_ms endpoint stdin stdout)
 
 let client_term =
   Term.(const client_cmd $ socket_arg $ tcp_arg $ retries_arg $ backoff_ms_arg)
 
 let selfcheck_cmd seed count broken certify_only jobs =
+  if count < 1 then usage_error "--count must be at least 1 (got %d)" count;
   (* certificate-only validation exercises the aliasing side too: the
      bad-cover variant is a no-op on alias-free programs, so the
      generator must be allowed to produce aliased ones *)
@@ -994,13 +726,7 @@ let selfcheck_cmd seed count broken certify_only jobs =
         (fun d -> d.Dflow.Oracle.dv_combo)
         report.Dflow.Oracle.r_broken_caught
     in
-    let has prefix =
-      List.exists
-        (fun n ->
-          String.length n >= String.length prefix
-          && String.sub n 0 (String.length prefix) = prefix)
-        caught
-    in
+    let has prefix = List.exists (String.starts_with ~prefix) caught in
     List.iter
       (fun variant ->
         if not (has variant) then begin

@@ -139,8 +139,7 @@ let make_cert (tokens : Token_map.t) (g : Dfg.Graph.t) : Dfg.Graph.cert =
    copy access tokens outside the circulation discipline the certificate
    accounts for. *)
 let certify (tokens : Token_map.t) (c : compiled) : compiled =
-  Dfg.Graph.set_cert c.graph (Some (make_cert tokens c.graph));
-  c
+  { c with graph = { c.graph with Dfg.Graph.cert = Some (make_cert tokens c.graph) } }
 
 (** [front ?split_irreducible p] runs the schema-independent stages:
     typecheck, layout, CFG construction (optionally node-split until

@@ -19,13 +19,9 @@
     edits deliberately produce distinct keys; see {!Service.Hash}).
     Exceptions ([Irreducible], [Aliasing_unsupported], typecheck
     errors, reference out-of-fuel) are cached and re-raised, so callers
-    observe exactly the uncached behaviour.
-
-    Shared results are {b read-only by contract}: execution never
-    mutates a graph, and the only mutator in the tree
-    ([Dfg.Graph.set_cert], used by [--no-certify] and the bench
-    strip/restore sweeps) must not be applied to a graph obtained here
-    unless the caller restores it before anyone else can look. *)
+    observe exactly the uncached behaviour.  Graphs are immutable, so
+    a shared result needs no care: stripping the certificate
+    ([--no-certify], the bench sweeps) makes a copy. *)
 
 val front : ?split_irreducible:bool -> Imp.Ast.program -> Driver.front
 (** Memoized {!Driver.front}. *)

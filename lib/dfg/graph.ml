@@ -37,7 +37,7 @@ type t = {
   ins : arc list array array;  (** [ins.(n).(p)] = arcs entering port p of n *)
   start : int;
   stop : int;
-  mutable cert : cert option;
+  cert : cert option;
       (** certificate metadata, attached after {!Builder.finish} by the
           driver; [None] = this run cannot be certified *)
 }
@@ -187,9 +187,6 @@ module Builder = struct
     unique !ends "end";
     { nodes; arcs; outs; ins; start = !start; stop = !stop; cert = None }
 end
-
-(** [set_cert g c] attaches certificate metadata (driver-side). *)
-let set_cert (g : t) (c : cert option) : unit = g.cert <- c
 
 (** [remap_cert c remap n] — the certificate after a rebuild pass that
     renumbered nodes: [remap.(old)] is the new id or [-1] if dropped

@@ -36,7 +36,7 @@ type t = {
   ins : arc list array array;  (** [ins.(n).(p)] — arcs entering port p *)
   start : int;
   stop : int;
-  mutable cert : cert option;
+  cert : cert option;
       (** attached after {!Builder.finish} by the driver; [None] = the
           run cannot be certified *)
 }
@@ -73,9 +73,6 @@ module Builder : sig
 end
 
 val iter_nodes : t -> (Node.t -> unit) -> unit
-
-(** [set_cert g c] attaches certificate metadata (driver-side). *)
-val set_cert : t -> cert option -> unit
 
 (** [remap_cert c remap n] — the certificate after a rebuild pass:
     [remap.(old)] is the new node id ([-1] if dropped), [n] the new node

@@ -242,9 +242,11 @@ let run (g : Graph.t) : Graph.t =
     let out = Graph.Builder.finish b in
     (* permission labels live on structural arcs, which this pass never
        rewrites; the certificate only needs its node ids renumbered *)
-    Option.iter
-      (fun c ->
-        Graph.set_cert out (Some (Graph.remap_cert c remap (Graph.num_nodes out))))
-      g.Graph.cert;
-    out
+    {
+      out with
+      Graph.cert =
+        Option.map
+          (fun c -> Graph.remap_cert c remap (Graph.num_nodes out))
+          g.Graph.cert;
+    }
   end

@@ -71,9 +71,11 @@ let run (g : Graph.t) : Graph.t =
         end)
       g.Graph.arcs;
     let out = Graph.Builder.finish b in
-    Option.iter
-      (fun c ->
-        Graph.set_cert out (Some (Graph.remap_cert c remap (Graph.num_nodes out))))
-      g.Graph.cert;
-    out
+    {
+      out with
+      Graph.cert =
+        Option.map
+          (fun c -> Graph.remap_cert c remap (Graph.num_nodes out))
+          g.Graph.cert;
+    }
   end

@@ -44,6 +44,9 @@ let pp_violation ppf v = Fmt.string ppf (violation_to_string v)
 
 type t = {
   graph : Dfg.Graph.t;
+  mutable recurrent : bool array option;
+      (** nodes on a gateway-free cycle, which re-fire in one context;
+          found at the first repeated (node, context) *)
   entry_gates : (int, int) Hashtbl.t;  (** loop id -> Loop_entry node count *)
   exit_gates : (int, int) Hashtbl.t;  (** loop id -> Loop_exit node count *)
   mutable fired : (int * Context.t, unit) Hashtbl.t;
@@ -59,6 +62,25 @@ type t = {
 
 let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
+(* The nodes on a cycle: in a strongly connected component of two or
+   more nodes, or with an arc to themselves. *)
+let on_cycles (g : Dfg.Graph.t) : bool array =
+  let gsucc =
+    Array.map
+      (Array.fold_left
+         (List.fold_left (fun acc a -> a.Dfg.Graph.dst.Dfg.Graph.node :: acc))
+         [])
+      g.Dfg.Graph.outs
+  in
+  let cyclic = Array.mapi (fun v succs -> List.mem v succs) gsucc in
+  List.iter
+    (function
+      | _ :: _ :: _ as comp -> List.iter (fun v -> cyclic.(v) <- true) comp
+      | _ -> ())
+    (Cfg.Intervals.sccs
+       { Cfg.Intervals.nn = Array.length gsucc; gsucc; gpred = [||]; entry = 0 });
+  cyclic
+
 let create (graph : Dfg.Graph.t) : t =
   let n = Dfg.Graph.num_nodes graph in
   let entry_gates = Hashtbl.create 4 and exit_gates = Hashtbl.create 4 in
@@ -69,6 +91,7 @@ let create (graph : Dfg.Graph.t) : t =
       | _ -> ());
   {
     graph;
+    recurrent = None;
     entry_gates;
     exit_gates;
     fired = Hashtbl.create 256;
@@ -87,6 +110,21 @@ let on_delivery (t : t) ~node ~port =
       t.switch_in.(node) <- t.switch_in.(node) + 1
   | _ -> ()
 
+(* A translation gates either every loop (Schemas 2 and 3, whose
+   iterations get contexts of their own) or none (Schema 1's single
+   circulating token, fig8).  Only a gateway-free graph has cycles whose
+   nodes re-fire in one context, and it finds them once, at its first
+   repeated firing; a graph with gateways never pays. *)
+let recurrent (t : t) node =
+  Hashtbl.length t.entry_gates = 0
+  &&
+  match t.recurrent with
+  | Some r -> r.(node)
+  | None ->
+      let r = on_cycles t.graph in
+      t.recurrent <- Some r;
+      r.(node)
+
 let on_fire (t : t) ~node ~ctx ~group : violation option =
   t.fires <- t.fires + 1;
   (match Dfg.Graph.kind t.graph node with
@@ -103,7 +141,8 @@ let on_fire (t : t) ~node ~ctx ~group : violation option =
   | _ -> ());
   let key = (node, ctx) in
   if Hashtbl.mem t.fired key then
-    Some (Double_fire { df_node = node; df_ctx = ctx })
+    if recurrent t node then None
+    else Some (Double_fire { df_node = node; df_ctx = ctx })
   else begin
     Hashtbl.replace t.fired key ();
     None

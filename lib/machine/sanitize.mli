@@ -7,7 +7,9 @@
     - each (node, context) pair fires at most once — the single-token-
       per-arc discipline seen from the firing side (a loop gateway's
       initial fire happens at the {e parent} context and each back-edge
-      fire at a distinct body context, so the rule has no exceptions);
+      fire at a distinct body context).  A graph without loop gateways
+      (Schema 1's single circulating token) re-fires its loop bodies in
+      one context, so there the rule skips the nodes on a cycle;
     - a switch fires exactly once per data token delivered to it;
     - every activation of a loop (one distinct initial-entry context)
       drives each of its entry gateways exactly once, and leaves through

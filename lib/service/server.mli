@@ -9,22 +9,9 @@
     result — the server never crashes on input.
 
     Operations ([op] field):
-    - ["compile"]: [source] (+ [schema], [transforms], [optimize]) ->
-      static graph statistics and certification status.
-    - ["run"]: compile then execute on the single-PE machine
-      ([engine], [pes], [mem-latency], seeded [fault-seed] /
-      [fault-rate] / [fault-classes]) -> cycles/firings/store plus a
-      reference-interpreter check.
-    - ["simulate"]: compile then execute on the multiprocessor
-      ([pes], [placement], [net-latency], seeded [fault-seed] /
-      [fault-rate] / [fault-classes], [recover]) -> cycles, traffic,
-      recovery accounting, store, reference check.
-
-    The packed engine is single-PE and has no fault injection: a
-    ["simulate"] job whose [engine] is not ["reference"], and a ["run"]
-    job that asks for faults with [engine] ["packed"], get a per-job
-    error naming [engine] ["reference"]; no job runs on another engine
-    than the one it names.
+    - ["compile"], ["run"], ["simulate"]: one {!Job} each, decoded,
+      validated, executed and rendered there; the job fields are the
+      CLI flags of the same names ({!Job.decl}).
     - ["selfcheck-combo"]: run the differential oracle's combo matrix
       (optionally one named [combo], optionally [broken]) on [source].
     - ["stats"]: the memoization cache counters.  Answered after the

@@ -240,6 +240,234 @@ let test_simulate_packed_conflict () =
   checkb "error names the reference engine" true
     (contains out "--engine reference")
 
+(* The job surface pinned byte for byte: one MD5 over the stdout and exit
+   code of a fixed grid that sets every run and simulate flag at least
+   once, on the five example programs.  Schema 1 and fig8 single-PE runs
+   stay out: their sanitizer block is not part of the job contract. *)
+let pin_grid =
+  [
+    "run -s 2optp -v";
+    "run -s 2 -t value,reads -O --trace";
+    "run -s 2p -p 2 --mem-latency 7 --engine packed";
+    "run -s 3 --no-certify -v";
+    "run -s 2optp --fault-seed 2 --fault-rate 0.05 --fault-classes stall,delay";
+    "run -s 3c --engine reference -t reads -p 3";
+    "simulate -s 2optp -p 4 --placement affinity";
+    "simulate -s 2opt --pes 16 --placement hier --net mesh --steal";
+    "simulate -s 2p -p 8 --placement hash --net torus --net-latency 3 \
+     --net-bandwidth 2 --net-queue 4 --modules 2 --mem-latency 6";
+    "simulate -s 3 -p 4 --placement rr --net cube --fault-seed 7 \
+     --fault-rate 0.02 --fault-classes drop,dup,delay,reorder --recover";
+    "simulate -s 2optp -p 4 --no-certify -t value -O --trace-out TRACE";
+    "emit -s 2optp -O";
+    "compare";
+    "profile -s 2p --json --trace-out TRACE";
+  ]
+
+let examples =
+  List.map
+    (Filename.concat "../examples/programs")
+    [ "bypass.imp"; "spaghetti.imp"; "stencil.imp"; "subroutine.imp"; "sum.imp" ]
+
+let test_pinned_grid () =
+  let trace = Filename.temp_file "dflow_pin" ".json" in
+  let out = Filename.temp_file "dflow_pin" ".txt" in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun file ->
+      List.iter
+        (fun cmd ->
+          let words =
+            List.map
+              (fun w -> if w = "TRACE" then trace else w)
+              (String.split_on_char ' ' cmd)
+          in
+          let args = String.concat " " (List.hd words :: file :: List.tl words) in
+          let code =
+            Sys.command (Fmt.str "%s %s > %s 2>/dev/null" binary args out)
+          in
+          let ic = open_in_bin out in
+          let s = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Buffer.add_string buf (Fmt.str "%s\n%d\n%s" cmd code s))
+        pin_grid)
+    examples;
+  Sys.remove out;
+  if Sys.file_exists trace then Sys.remove trace;
+  Alcotest.(check string)
+    "grid digest" "1053142fda276fcdf553ede76c28ea2c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Both doors, one behaviour: every row is refused by the CLI with exit
+   2 and by serve with a per-job error, with the one message the job
+   decoder raises before anything is compiled or run.  [None] marks an
+   option that only the CLI has. *)
+module J = Machine.Json
+
+let capture_split cmd =
+  let out = Filename.temp_file "dflow_out" ".txt" in
+  let err = Filename.temp_file "dflow_err" ".txt" in
+  let code = Sys.command (Fmt.str "%s > %s 2> %s" cmd out err) in
+  let read f =
+    let ic = open_in_bin f in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove f;
+    s
+  in
+  let o = read out in
+  (code, o, read err)
+
+let door_rows =
+  let s x = J.String x and i n = J.Int n in
+  [
+    ("run -t bogus", Some ("run", [ ("transforms", s "bogus") ]), "--transforms", "istructures, all");
+    ("run -s bogus", Some ("run", [ ("schema", s "bogus") ]), "--schema", "2optp, 3, 3s");
+    ("simulate --placement bogus", Some ("simulate", [ ("placement", s "bogus") ]), "--placement", "hash | rr | affinity | hier");
+    ("run --engine bogus", Some ("run", [ ("engine", s "bogus") ]), "--engine", "valid engines: reference, packed");
+    ("simulate --net bogus", Some ("simulate", [ ("net", s "bogus") ]), "--net", "uniform | mesh | torus | cube");
+    ("run --pes 0", Some ("run", [ ("pes", i 0) ]), "--pes", "at least 1");
+    ("profile --pes 0", Some ("run", [ ("pes", i 0) ]), "--pes", "at least 1");
+    ("compare --pes 0", Some ("run", [ ("pes", i 0) ]), "--pes", "at least 1");
+    ("simulate --pes 0", Some ("simulate", [ ("pes", i 0) ]), "--pes", "at least 1");
+    ("run --mem-latency 0", Some ("run", [ ("mem-latency", i 0) ]), "--mem-latency", "at least 1");
+    ("simulate --mem-latency=-1", Some ("simulate", [ ("mem-latency", i (-1)) ]), "--mem-latency", "at least 1");
+    ("run --fault-rate 5", Some ("run", [ ("fault-rate", i 5) ]), "--fault-rate", "within [0, 1]");
+    ("run --fault-rate=-1", Some ("run", [ ("fault-rate", i (-1)) ]), "--fault-rate", "within [0, 1]");
+    ("run --fault-classes bogus", Some ("run", [ ("fault-classes", s "bogus") ]), "--fault-classes", "valid classes");
+    ("simulate --net-bandwidth 0", Some ("simulate", [ ("net-bandwidth", i 0) ]), "--net-bandwidth", "at least 1");
+    ("simulate --modules 0", Some ("simulate", [ ("modules", i 0) ]), "--modules", "at least 1");
+    ("simulate --modules=-1", Some ("simulate", [ ("modules", i (-1)) ]), "--modules", "at least 1");
+    ( "run --engine packed --fault-seed 2",
+      Some ("run", [ ("engine", s "packed"); ("fault-seed", i 2) ]),
+      "--engine", "use --engine reference" );
+    ("dot --stage bogus", None, "--stage", "cfg, loopified, dfg, pdg");
+    ("selfcheck --count=-3", None, "--count", "at least 1");
+    ("serve --jobs=0", None, "--jobs", "at least 1");
+  ]
+
+let test_both_doors () =
+  let f = write_temp ".imp" sum_program in
+  List.iter
+    (fun (cli, json, flag, valid) ->
+      let sub, rest =
+        match String.index_opt cli ' ' with
+        | Some k -> (String.sub cli 0 k, String.sub cli k (String.length cli - k))
+        | None -> (cli, "")
+      in
+      let file = if sub = "selfcheck" || sub = "serve" then "" else f in
+      let code, out, err =
+        capture_split (Fmt.str "%s %s %s%s < /dev/null" binary sub file rest)
+      in
+      checki (cli ^ ": exit code") 2 code;
+      checkb (cli ^ ": nothing ran") true (out = "");
+      checkb (cli ^ ": names " ^ flag) true (contains err flag);
+      checkb (cli ^ ": states the valid values") true (contains err valid);
+      match json with
+      | None -> ()
+      | Some (op, fields) ->
+          let req =
+            J.Assoc ((("op", J.String op) :: ("source", J.String sum_program) :: fields))
+          in
+          let decoded =
+            match
+              Serve.Job.of_json
+                (if op = "run" then Serve.Job.Run else Serve.Job.Simulate)
+                req
+            with
+            | _ -> None
+            | exception Serve.Job.Invalid m -> Some m
+          in
+          checkb (cli ^ ": the decoder refuses it") true (decoded <> None);
+          let reply = J.of_string (List.hd (Serve.Server.run_batch ~jobs:1 [ J.to_string req ])) in
+          checkb (cli ^ ": serve per-job error") true
+            (J.member "ok" reply = Some (J.Bool false));
+          let msg = Option.bind (J.member "error" reply) J.to_string_opt in
+          checkb (cli ^ ": one message") true (msg = decoded);
+          checkb (cli ^ ": the CLI prints it") true
+            (err = Fmt.str "df_compile: %s\n" (Option.get msg)))
+    door_rows;
+  (* both doors accept the same transform words *)
+  let code, _, _ = capture_split (Fmt.str "%s run %s -t all" binary f) in
+  checki "run -t all" 0 code;
+  let reply =
+    Serve.Server.run_batch ~jobs:1
+      [ J.to_string (J.Assoc [ ("op", J.String "run"); ("source", J.String sum_program); ("transforms", J.String "all") ]) ]
+  in
+  checkb "serve transforms all" true (contains (List.hd reply) "\"ok\":true");
+  (* a FILE that does not parse or typecheck is a failed job, exit 1,
+     with serve's per-job error *)
+  List.iter
+    (fun src ->
+      let bad = write_temp ".imp" src in
+      let code, _, err = capture_split (Fmt.str "%s run %s" binary bad) in
+      checki (src ^ ": exit code") 1 code;
+      let reply =
+        J.of_string
+          (List.hd
+             (Serve.Server.run_batch ~jobs:1
+                [ J.to_string (J.Assoc [ ("op", J.String "run"); ("source", J.String src) ]) ]))
+      in
+      let msg = Option.bind (J.member "error" reply) J.to_string_opt in
+      checkb (src ^ ": serve's message") true
+        (Some err = Option.map (Fmt.str "df_compile: %s\n") msg))
+    [ "x := (1 +"; "x := true + 1" ]
+
+(* Every simulate option reaches the machine through both doors: one
+   serve job reports the cycles the CLI prints, and both check the
+   store against the reference interpreter. *)
+let test_simulate_parity () =
+  let stencil = "../examples/programs/stencil.imp" in
+  let source = In_channel.with_open_bin stencil In_channel.input_all in
+  let base = "-s 2optp --pes 16 --placement hier" in
+  List.iter
+    (fun (flags, fields, expect) ->
+      let code, out, _ =
+        capture_split (Fmt.str "%s simulate %s %s %s" binary stencil base flags)
+      in
+      checki (flags ^ ": exit code") 0 code;
+      let line =
+        List.find
+          (fun l -> String.length l > 7 && String.sub l 0 7 = "cycles ")
+          (String.split_on_char '\n' out)
+      in
+      let cli = int_of_string (String.trim (String.sub line 7 (String.length line - 7))) in
+      let reply =
+        J.of_string
+          (List.hd
+             (Serve.Server.run_batch ~jobs:1
+                [
+                  J.to_string
+                    (J.Assoc
+                       ([
+                          ("op", J.String "simulate");
+                          ("source", J.String source);
+                          ("schema", J.String "2optp");
+                          ("pes", J.Int 16);
+                          ("placement", J.String "hier");
+                        ]
+                       @ fields));
+                ]))
+      in
+      let served = Option.bind (J.member "cycles" reply) J.to_int_opt in
+      checkb (flags ^ ": same cycles") true (served = Some cli);
+      Option.iter (fun n -> checki (flags ^ ": cycles") n cli) expect;
+      checkb (flags ^ ": CLI store checked") true (contains out "reference check  ok");
+      checkb (flags ^ ": serve store checked") true
+        (J.member "reference" reply = Some (J.String "ok"));
+      checkb (flags ^ ": same certificate verdict") true
+        (contains out "certificate      none"
+        = (J.member "certificate" reply = Some (J.String "none"))))
+    [
+      ("--net mesh", [ ("net", J.String "mesh") ], None);
+      ("--steal", [ ("steal", J.Bool true) ], None);
+      ("--net-bandwidth 1", [ ("net-bandwidth", J.Int 1) ], None);
+      ("--net-queue 1 --net-bandwidth 1", [ ("net-queue", J.Int 1); ("net-bandwidth", J.Int 1) ], None);
+      ("--modules 2", [ ("modules", J.Int 2) ], None);
+      ("--no-certify", [ ("no-certify", J.Bool true) ], None);
+      ("--net mesh --steal", [ ("net", J.String "mesh"); ("steal", J.Bool true) ], Some 2685);
+    ]
+
 let () =
   if not (Sys.file_exists binary) then begin
     print_endline "df_compile binary not found; skipping CLI tests";
@@ -273,5 +501,9 @@ let () =
             test_simulate_bad_net;
           Alcotest.test_case "packed engine rejects multiproc flags" `Quick
             test_simulate_packed_conflict;
+          Alcotest.test_case "pinned job grid" `Quick test_pinned_grid;
+          Alcotest.test_case "both doors, one behaviour" `Quick test_both_doors;
+          Alcotest.test_case "simulate parity across doors" `Quick
+            test_simulate_parity;
         ] );
     ]

@@ -108,10 +108,12 @@ let test_certified_clean_run () =
 
 let test_uncertified_when_stripped () =
   let c = compile (Dflow.Driver.Schema2 Dflow.Engine.Barrier) sum_src in
-  Dfg.Graph.set_cert c.Dflow.Driver.graph None;
   let r =
     Machine.Interp.run
-      { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
+      {
+        Machine.Interp.graph = { c.Dflow.Driver.graph with Dfg.Graph.cert = None };
+        layout = c.Dflow.Driver.layout;
+      }
   in
   checkb "still completes" true r.Machine.Interp.completed;
   checkb "uncertified" true

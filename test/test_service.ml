@@ -414,7 +414,7 @@ let test_server_packed_refuses_faults () =
   for i = 0 to 3 do
     checkb (Printf.sprintf "packed job %d refused" i) true
       (contains out.(i) "\"ok\":false"
-      && contains out.(i) {|use engine \"reference\"|})
+      && contains out.(i) "use --engine reference")
   done;
   checkb "plain packed simulate names the multiprocessor" true
     (contains out.(3) "no multiprocessor model");
@@ -457,6 +457,106 @@ let test_server_packed_refuses_faults () =
       Machine.Multiproc.run ~config ~topo:mesh ~pes:4 prog);
   raises "Multiproc.run ~steal" (fun () ->
       Machine.Multiproc.run ~config ~steal:Sched.Steal.default ~pes:2 prog)
+
+(* The serve job surface pinned byte for byte: the replies to a fixed
+   set of compile, run and simulate jobs on the five example programs,
+   the JSON twins of test_cli's pinned grid. *)
+let read_example f =
+  let ic = open_in_bin (Filename.concat "../examples/programs" f) in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let pin_jobs =
+  let s x = J.String x and i n = J.Int n and b x = J.Bool x in
+  [
+    [ ("op", s "compile"); ("schema", s "2optp") ];
+    [
+      ("op", s "compile");
+      ("schema", s "2");
+      ("transforms", J.List [ s "value"; s "reads" ]);
+      ("optimize", b true);
+    ];
+    [ ("op", s "compile"); ("schema", s "2optp"); ("transforms", s "all") ];
+    [ ("op", s "run"); ("schema", s "2optp") ];
+    [
+      ("op", s "run");
+      ("schema", s "2p");
+      ("pes", i 2);
+      ("mem-latency", i 7);
+      ("engine", s "packed");
+    ];
+    [
+      ("op", s "run");
+      ("schema", s "3");
+      ("engine", s "reference");
+      ("fault-seed", i 2);
+      ("fault-rate", J.Float 0.05);
+      ("fault-classes", s "stall,delay");
+    ];
+    [
+      ("op", s "run");
+      ("schema", s "2opt");
+      ("transforms", J.List [ s "reads" ]);
+      ("optimize", b true);
+    ];
+    [ ("op", s "simulate"); ("schema", s "2optp"); ("pes", i 4) ];
+    [
+      ("op", s "simulate");
+      ("schema", s "2p");
+      ("pes", i 8);
+      ("placement", s "hash");
+      ("net-latency", i 3);
+      ("mem-latency", i 6);
+    ];
+    [
+      ("op", s "simulate");
+      ("schema", s "3");
+      ("placement", s "rr");
+      ("fault-seed", i 7);
+      ("fault-rate", J.Float 0.02);
+      ("fault-classes", s "drop,dup,delay,reorder");
+      ("recover", b true);
+    ];
+    [ ("op", s "simulate"); ("schema", s "2opt"); ("recover", b true) ];
+  ]
+
+let test_server_pinned () =
+  let lines =
+    List.concat_map
+      (fun f ->
+        let source = read_example f in
+        List.map (fun job -> line (("source", J.String source) :: job)) pin_jobs)
+      [ "bypass.imp"; "spaghetti.imp"; "stencil.imp"; "subroutine.imp"; "sum.imp" ]
+  in
+  let out = Serve.Server.run_batch ~jobs:1 lines in
+  checks "replies digest" "43d68e62b235e106f6a43c9e7590c831"
+    (Digest.to_hex (Digest.string (String.concat "\n" out)))
+
+(* A cached graph is shared by every later job with its key: a
+   no-certify job strips the certificate from a copy, so a certified job
+   of the same source after it is still certified. *)
+let test_server_no_certify_shares () =
+  let job extra =
+    line
+      ([
+         ("op", J.String "run");
+         ("source", J.String sum_source);
+         ("schema", J.String "2opt");
+       ]
+      @ extra)
+  in
+  Dflow.Memo.reset ();
+  match
+    Serve.Server.run_batch ~jobs:1
+      [ job [ ("no-certify", J.Bool true) ]; job [] ]
+  with
+  | [ stripped; certified ] ->
+      checkb "no-certify job uncertified" true
+        (contains stripped {|"certificate":"none"|});
+      checkb "later job still certified" true
+        (contains certified {|"certificate":"ok"|})
+  | _ -> Alcotest.fail "expected two result lines"
 
 let test_server_max_line_bytes () =
   let big =
@@ -604,6 +704,9 @@ let () =
           Alcotest.test_case "id defaulting" `Quick test_server_id_defaults;
           Alcotest.test_case "packed engine refuses faults" `Quick
             test_server_packed_refuses_faults;
+          Alcotest.test_case "pinned job replies" `Quick test_server_pinned;
+          Alcotest.test_case "no-certify leaves the cache certified" `Quick
+            test_server_no_certify_shares;
           Alcotest.test_case "--max-line-bytes per-job error" `Quick
             test_server_max_line_bytes;
           Alcotest.test_case "oversized stream recovers" `Quick
