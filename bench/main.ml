@@ -18,6 +18,8 @@
    bench_schema.ml:
               dune exec bench/main.exe -- --json BENCH_machine.json
               dune exec bench/main.exe -- --check BENCH_machine.json
+              dune exec bench/main.exe -- --check BENCH_machine.json \
+                --json fresh.json     (check, then keep the fresh matrix)
 *)
 
 module S = Bench_schema
@@ -32,12 +34,12 @@ let claim what = Fmt.pr "claim: %s@.@." what
 (* --- shared helpers -------------------------------------------------- *)
 
 (* All compilation in the harness routes through the content-addressed
-   cache: each (program, schema, transforms) pair is compiled exactly
-   once per process however many experiments mention it. *)
+   cache: each (program, schema, transforms) pair is compiled and
+   checked exactly once per process however many experiments mention
+   it. *)
 let compile ?transforms spec p = Dflow.Memo.compile ?transforms spec p
 
 let execute ?(config = Machine.Config.default) (c : Dflow.Driver.compiled) =
-  Dfg.Check.check c.Dflow.Driver.graph;
   Machine.Interp.run_exn ~config
     { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
 
@@ -1581,12 +1583,13 @@ let matrix () =
 
 (* [--json OUT] writes the matrix after it passes the schema and every
    floor; [--check FILE] also checks FILE itself and compares the two on
-   every untimed field, and writes nothing.  Exit 1 on any failure. *)
-let bench_json mode =
+   every untimed field.  With both, OUT is written once the check
+   passes.  Exit 1 on any failure. *)
+let bench_json ?check ?out () =
   let committed =
-    match mode with
-    | `Write _ -> None
-    | `Check file -> (
+    match check with
+    | None -> None
+    | Some file -> (
         match read_file file with
         | exception Sys_error msg ->
             Fmt.epr "bench: %s@." msg;
@@ -1620,14 +1623,16 @@ let bench_json mode =
       | Ok msg -> Fmt.pr "%s@." msg | Error msg -> Fmt.epr "bench: %s@." msg)
     results;
   if List.exists Result.is_error results then exit 1;
-  match mode with
-  | `Check file ->
-      Fmt.pr "%s matches the regenerated matrix on every untimed field@." file
-  | `Write out ->
+  Option.iter
+    (Fmt.pr "%s matches the regenerated matrix on every untimed field@.")
+    check;
+  Option.iter
+    (fun out ->
       let oc = open_out out in
       output_string oc text;
       close_out oc;
-      Fmt.pr "wrote %s@." out
+      Fmt.pr "wrote %s@." out)
+    out
 
 (* ===================================================================== *)
 (* E21 -- multiprocessor scalability                                     *)
@@ -1910,11 +1915,14 @@ let experiments =
 
 let () =
   match Array.to_list Sys.argv |> List.tl with
-  | [ "--json"; out ] -> bench_json (`Write out)
-  | [ "--check"; file ] -> bench_json (`Check file)
+  | [ "--json"; out ] -> bench_json ~out ()
+  | [ "--check"; file ] -> bench_json ~check:file ()
+  | [ "--check"; file; "--json"; out ] | [ "--json"; out; "--check"; file ] ->
+      bench_json ~check:file ~out ()
   | args when List.mem "--json" args || List.mem "--check" args ->
-      Fmt.epr "bench: usage: main.exe --json OUT | --check FILE | [quick] \
-               [E<n> ...]@.";
+      Fmt.epr
+        "bench: usage: main.exe --json OUT | --check FILE [--json OUT] | \
+         [quick] [E<n> ...]@.";
       exit 2
   | args ->
       let quick = List.mem "quick" args in

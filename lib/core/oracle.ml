@@ -228,104 +228,102 @@ let run_combo ?(machine = default_machine) ?(certify_only = false) (c : combo)
       match Memo.compile ~transforms:c.c_transforms c.c_spec p with
       | exception Cfg.Intervals.Irreducible m -> Skip ("irreducible: " ^ m)
       | exception Driver.Aliasing_unsupported m -> Skip ("aliasing: " ^ m)
+      | exception Dfg.Check.Invalid m -> Fail ("ill-formed graph: " ^ m)
       | exception exn -> Fail ("compile: " ^ Printexc.to_string exn)
       | compiled -> (
-          match Dfg.Check.check compiled.Driver.graph with
-          | exception Dfg.Check.Invalid m -> Fail ("ill-formed graph: " ^ m)
-          | () -> (
-              let prog =
-                {
-                  Machine.Interp.graph = compiled.Driver.graph;
-                  layout = compiled.Driver.layout;
-                }
-              in
-              let perm_fail (diag : Machine.Diagnosis.t) =
-                match diag.Machine.Diagnosis.permission with
-                | [] -> None
-                | v :: _ ->
+          let prog =
+            {
+              Machine.Interp.graph = compiled.Driver.graph;
+              layout = compiled.Driver.layout;
+            }
+          in
+          let perm_fail (diag : Machine.Diagnosis.t) =
+            match diag.Machine.Diagnosis.permission with
+            | [] -> None
+            | v :: _ ->
+                Some
+                  ("permission: "
+                  ^ Machine.Permission.violation_to_string v)
+          in
+          let finish (diag : Machine.Diagnosis.t)
+              (memory : Imp.Memory.t) =
+            if certify_only then
+              match perm_fail diag with Some m -> Fail m | None -> Agree
+            else if
+              diag.Machine.Diagnosis.verdict <> Machine.Diagnosis.Clean
+            then
+              Fail
+                (Machine.Diagnosis.verdict_to_string
+                   diag.Machine.Diagnosis.verdict)
+            else
+              match perm_fail diag with
+              | Some m -> Fail m
+              | None ->
+                  if not (Imp.Memory.equal reference memory) then
+                    Fail
+                      (Fmt.str
+                         "store mismatch@.reference:@.%a@.machine:@.%a"
+                         Imp.Memory.pp reference Imp.Memory.pp memory)
+                  else Agree
+          in
+          let hard_fail (d : Machine.Diagnosis.t) =
+            if certify_only then
+              match perm_fail d with Some m -> Fail m | None -> Agree
+            else
+              Fail
+                (Machine.Diagnosis.verdict_to_string
+                   d.Machine.Diagnosis.verdict)
+          in
+          match c.c_multiproc with
+          | None -> (
+              match Machine.Interp.run_report ~config:machine prog with
+              | exception exn ->
+                  Fail ("machine: " ^ Printexc.to_string exn)
+              | Error d -> hard_fail d
+              | Ok r ->
+                  finish r.Machine.Interp.diagnosis
+                    r.Machine.Interp.memory)
+          | Some (placement, pes, net) -> (
+              (* faulty points derive their whole fault schedule from
+                 the program text, so any divergence replays *)
+              let faults, recovery =
+                if not c.c_faulty then (None, None)
+                else
+                  let seed =
+                    1
+                    + (Hashtbl.hash (Imp.Pretty.program_to_string p)
+                      land 0xFFFF)
+                  in
+                  ( Some
+                      (Machine.Fault.make
+                         (Machine.Fault.spec ~seed ~rate:0.01
+                            ~classes:Machine.Fault.link_classes ())),
                     Some
-                      ("permission: "
-                      ^ Machine.Permission.violation_to_string v)
+                      (Machine.Recovery.spec
+                         ~deaths:
+                           (Machine.Recovery.seeded_deaths ~seed ~pes
+                              ~window:60)
+                         ()) )
               in
-              let finish (diag : Machine.Diagnosis.t)
-                  (memory : Imp.Memory.t) =
-                if certify_only then
-                  match perm_fail diag with Some m -> Fail m | None -> Agree
-                else if
-                  diag.Machine.Diagnosis.verdict <> Machine.Diagnosis.Clean
-                then
-                  Fail
-                    (Machine.Diagnosis.verdict_to_string
-                       diag.Machine.Diagnosis.verdict)
-                else
-                  match perm_fail diag with
-                  | Some m -> Fail m
-                  | None ->
-                      if not (Imp.Memory.equal reference memory) then
-                        Fail
-                          (Fmt.str
-                             "store mismatch@.reference:@.%a@.machine:@.%a"
-                             Imp.Memory.pp reference Imp.Memory.pp memory)
-                      else Agree
+              let topo =
+                Option.map
+                  (fun k -> Sched.Topology.make k ~pes)
+                  c.c_topo
               in
-              let hard_fail (d : Machine.Diagnosis.t) =
-                if certify_only then
-                  match perm_fail d with Some m -> Fail m | None -> Agree
-                else
-                  Fail
-                    (Machine.Diagnosis.verdict_to_string
-                       d.Machine.Diagnosis.verdict)
+              let steal =
+                if c.c_steal then Some Sched.Steal.default else None
               in
-              match c.c_multiproc with
-              | None -> (
-                  match Machine.Interp.run_report ~config:machine prog with
-                  | exception exn ->
-                      Fail ("machine: " ^ Printexc.to_string exn)
-                  | Error d -> hard_fail d
-                  | Ok r ->
-                      finish r.Machine.Interp.diagnosis
-                        r.Machine.Interp.memory)
-              | Some (placement, pes, net) -> (
-                  (* faulty points derive their whole fault schedule from
-                     the program text, so any divergence replays *)
-                  let faults, recovery =
-                    if not c.c_faulty then (None, None)
-                    else
-                      let seed =
-                        1
-                        + (Hashtbl.hash (Imp.Pretty.program_to_string p)
-                          land 0xFFFF)
-                      in
-                      ( Some
-                          (Machine.Fault.make
-                             (Machine.Fault.spec ~seed ~rate:0.01
-                                ~classes:Machine.Fault.link_classes ())),
-                        Some
-                          (Machine.Recovery.spec
-                             ~deaths:
-                               (Machine.Recovery.seeded_deaths ~seed ~pes
-                                  ~window:60)
-                             ()) )
-                  in
-                  let topo =
-                    Option.map
-                      (fun k -> Sched.Topology.make k ~pes)
-                      c.c_topo
-                  in
-                  let steal =
-                    if c.c_steal then Some Sched.Steal.default else None
-                  in
-                  match
-                    Machine.Multiproc.run ~config:machine ~net ~placement
-                      ~tree:compiled.Driver.ltree ?topo ?steal ?faults
-                      ?recovery ~pes prog
-                  with
-                  | exception exn ->
-                      Fail ("multiproc: " ^ Printexc.to_string exn)
-                  | Error d -> hard_fail d
-                  | Ok r ->
-                      finish r.Machine.Multiproc.diagnosis
-                        r.Machine.Multiproc.memory))))
+              match
+                Machine.Multiproc.run ~config:machine ~net ~placement
+                  ~tree:compiled.Driver.ltree ?topo ?steal ?faults
+                  ?recovery ~pes prog
+              with
+              | exception exn ->
+                  Fail ("multiproc: " ^ Printexc.to_string exn)
+              | Error d -> hard_fail d
+              | Ok r ->
+                  finish r.Machine.Multiproc.diagnosis
+                    r.Machine.Multiproc.memory)))
 
 let check_program ?machine ?certify_only ?include_broken
     (p : Imp.Ast.program) : (string * status) list =

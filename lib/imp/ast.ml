@@ -215,3 +215,7 @@ let rec stmt_size = function
   | If (e, a, b) -> 1 + expr_size e + stmt_size a + stmt_size b
   | While (e, a) -> 1 + expr_size e + stmt_size a
   | Cond_goto (e, _) -> 1 + expr_size e
+
+(** Structural size of a program: its body and every procedure body. *)
+let program_size (p : program) : int =
+  List.fold_left (fun n pr -> n + stmt_size pr.pbody) (stmt_size p.body) p.procs

@@ -116,13 +116,17 @@ let stats t =
 (* wire.  Every payload gets a per-channel sequence number; the       *)
 (* receiver acks each data frame and drops duplicates it has already  *)
 (* delivered; the sender retransmits on timeout with exponential      *)
-(* backoff up to a budget.  Wire faults (drop / duplicate / delay /   *)
-(* reorder / bit-flip) are applied per frame by the [fault] hook —    *)
-(* acks ride the same lossy wire and are just as faultable.           *)
+(* backoff up to a budget.  Every data frame carries the sender's     *)
+(* payload checksum; a frame that fails it is discarded unacked, so a *)
+(* bit flip costs a retransmit like a drop.  Wire faults (drop /      *)
+(* duplicate / delay / reorder / bit-flip) are applied per frame by   *)
+(* the [fault] hook — acks ride the same lossy wire and are just as   *)
+(* faultable.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 type 'msg frame =
-  | Data of { d_seq : int; d_src : int; d_payload : 'msg }
+  | Data of { d_seq : int; d_src : int; d_sum : int; d_payload : 'msg }
+      (** [d_sum]: the sender's {!checksum} of [d_payload] *)
   | Ack of { a_seq : int; a_src : int; a_dst : int }
       (** acknowledges data frame [(a_src, a_dst, a_seq)]; routed on the
           wire back to PE [a_src] *)
@@ -156,6 +160,14 @@ type 'msg rt = {
   mutable rt_losses : int;
 }
 
+(* The payload checksum: the machine's payloads are small records, all
+   of whose fields lie within [Hashtbl.hash]'s traversal bound. *)
+let checksum = Hashtbl.hash
+
+let data ~seq ~src payload =
+  Data
+    { d_seq = seq; d_src = src; d_sum = checksum payload; d_payload = payload }
+
 let rt_create ?(config = default) ?hops ?fault ?corrupt ?(budget = 16) ~pes ()
     =
   {
@@ -181,7 +193,7 @@ let rt_create ?(config = default) ?hops ?fault ?corrupt ?(budget = 16) ~pes ()
    frame (the retransmit timer recovers data; a lost ack just provokes a
    retransmit the receiver dedups); Duplicate injects twice; Delay and
    Reorder hold the frame back so later traffic overtakes it; Bit_flip
-   corrupts a data payload in a way sequence numbers cannot see. *)
+   corrupts a data payload after its checksum was taken. *)
 let put_on_wire rt ~now ~src ~dst frame =
   let go f = inject rt.rt_net ~src ~dst f in
   match rt.rt_fault with
@@ -221,7 +233,7 @@ let rt_send rt ~now ~src ~dst msg =
       q_tries = 1;
     };
   rt.rt_sends <- rt.rt_sends + 1;
-  put_on_wire rt ~now ~src ~dst (Data { d_seq = seq; d_src = src; d_payload = msg })
+  put_on_wire rt ~now ~src ~dst (data ~seq ~src msg)
 
 let rt_arrivals rt ~now =
   arrivals rt.rt_net ~now
@@ -230,7 +242,11 @@ let rt_arrivals rt ~now =
          | Ack { a_seq; a_src; a_dst } ->
              Hashtbl.remove rt.rt_unacked (a_src, a_dst, a_seq);
              None
-         | Data { d_seq; d_src; d_payload } ->
+         | Data { d_sum; d_payload; _ } when checksum d_payload <> d_sum ->
+             (* corrupted in flight: unacked, so the sender's timer
+                resends it *)
+             None
+         | Data { d_seq; d_src; d_payload; _ } ->
              (* always re-ack: the sender may be retransmitting because
                 our previous ack was lost *)
              rt.rt_acks <- rt.rt_acks + 1;
@@ -280,8 +296,7 @@ let rt_step rt ~now =
         p.q_rto <- min (p.q_rto * 2) (8 * rt.rt_rto0);
         p.q_deadline <- now + p.q_rto;
         rt.rt_retransmits <- rt.rt_retransmits + 1;
-        put_on_wire rt ~now ~src ~dst
-          (Data { d_seq = seq; d_src = src; d_payload = p.q_payload })
+        put_on_wire rt ~now ~src ~dst (data ~seq ~src p.q_payload)
       end)
     due;
   step rt.rt_net ~now

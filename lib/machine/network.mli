@@ -83,21 +83,21 @@ val stats : 'msg t -> stats
 (** {1 Reliable transport}
 
     Exactly-once delivery over an at-least-once wire.  Each payload
-    crossing a (src, dst) channel carries a per-channel sequence number;
-    the receiver acks every data frame and silently drops sequence
-    numbers it has already delivered; the sender retransmits unacked
-    frames on timeout (initial RTO [4*latency + 2]) with exponential
-    backoff, giving up after [budget] attempts — a genuine loss then
-    surfaces as a counted token loss and a diagnosable deadlock rather
-    than a livelock.
+    crossing a (src, dst) channel carries a per-channel sequence number
+    and the sender's checksum of the payload; the receiver discards a
+    data frame whose payload fails its checksum without acking it, acks
+    every other data frame and silently drops sequence numbers it has
+    already delivered; the sender retransmits unacked frames on timeout
+    (initial RTO [4*latency + 2]) with exponential backoff, giving up
+    after [budget] attempts — a genuine loss then surfaces as a counted
+    token loss and a diagnosable deadlock rather than a livelock.
 
     Wire faults are applied {e per frame} by the [fault] hook (one
     decision per frame put on the wire, acks included): drop loses the
     frame, duplicate injects it twice, delay/reorder hold it back so
     later traffic overtakes it, and a bit flip rewrites a data payload
-    through the [corrupt] callback — sequence numbers cannot see payload
-    corruption (there are no checksums), which is the
-    {!Sanitize} invariant checker's job. *)
+    through the [corrupt] callback after the checksum was taken — the
+    receiver discards it, so a flip costs a retransmit like a drop. *)
 
 type 'msg rt
 

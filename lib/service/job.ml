@@ -275,7 +275,6 @@ let compile j =
       j.schema j.source
   in
   let g = c.Dflow.Driver.graph in
-  Dfg.Check.check g;
   if j.certify then c
   else { c with Dflow.Driver.graph = { g with Dfg.Graph.cert = None } }
 
@@ -335,7 +334,7 @@ let simulate ?on_fire j =
       ?faults:(faults j) ?recovery ~pes (prog c) )
 
 let reference j m =
-  match Dflow.Memo.reference ~fuel:10_000_000 (program j) with
+  match Dflow.Memo.reference_source ~fuel:10_000_000 j.source with
   | r -> if Imp.Memory.equal r m then "ok" else "mismatch"
   | exception Imp.Eval.Out_of_fuel -> "out-of-fuel"
 

@@ -63,12 +63,23 @@ let op_selfcheck_combo id j =
 
 let stats_result id : J.t =
   let s = Dflow.Memo.stats () in
+  let level (name, (l : Service.Cache.stats)) =
+    ( name,
+      J.Assoc
+        [
+          ("entries", J.Int l.Service.Cache.size);
+          ("bytes", J.Int l.Service.Cache.bytes);
+          ("budget", J.Int l.Service.Cache.budget);
+          ("evictions", J.Int l.Service.Cache.evictions);
+        ] )
+  in
   ok_result id "stats"
     [
       ("hits", J.Int s.Service.Cache.hits);
       ("misses", J.Int s.Service.Cache.misses);
       ("evictions", J.Int s.Service.Cache.evictions);
       ("hit_rate", J.Float (Service.Cache.hit_rate s));
+      ("levels", J.Assoc (List.map level (Dflow.Memo.levels ())));
     ]
 
 (* --- dispatch --------------------------------------------------------- *)

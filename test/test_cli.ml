@@ -121,6 +121,28 @@ let test_simulate_with_recovery () =
   checki "unknown class exit code" 2 code;
   checkb "error lists valid classes" true (contains out "valid classes")
 
+(* A flipped payload fails the transport's checksum and is resent like
+   a drop, so --recover reaches the reference store with the default
+   fault classes (which include flips) and with flips alone. *)
+let test_recover_masks_flips () =
+  List.iter
+    (fun (classes, schema) ->
+      let code, out =
+        capture
+          (Fmt.str
+             "%s simulate ../examples/programs/stencil.imp -s %s -p 4 \
+              --placement hash --fault-seed 1 --recover --fault-classes %s"
+             binary schema classes)
+      in
+      let run = Fmt.str "classes %s, -s %s" classes schema in
+      checki (run ^ ": exit code") 0 code;
+      checkb (run ^ ": reference check ok") true
+        (contains out "reference check  ok"))
+    [
+      ("all", "2optp"); ("all", "3"); ("all", "1");
+      ("flip", "2optp"); ("flip", "3"); ("flip", "1");
+    ]
+
 let test_bad_input_fails () =
   let f = write_temp ".imp" "x := (1 +" in
   let code, _ = capture (Fmt.str "%s run %s" binary f) in
@@ -486,6 +508,8 @@ let () =
           Alcotest.test_case "emit / check / exec" `Quick test_emit_check_exec;
           Alcotest.test_case "simulate with faults and recovery" `Quick
             test_simulate_with_recovery;
+          Alcotest.test_case "--recover masks bit flips" `Quick
+            test_recover_masks_flips;
           Alcotest.test_case "bad input fails" `Quick test_bad_input_fails;
           Alcotest.test_case "fig8 on acyclic program" `Quick test_schema_fig8;
           Alcotest.test_case "serve smoke" `Quick test_serve_smoke;

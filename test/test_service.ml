@@ -45,7 +45,7 @@ let test_hash_raw_text () =
 (* --- Cache ----------------------------------------------------------- *)
 
 let test_cache_counters () =
-  let c = Service.Cache.create () in
+  let c = Service.Cache.create ~budget:1024 ~size:(fun _ -> 8) () in
   let runs = ref 0 in
   let get k =
     Service.Cache.find_or_compute c ~key:k (fun () ->
@@ -65,21 +65,95 @@ let test_cache_counters () =
     (Service.Cache.hit_rate s)
 
 let test_cache_eviction () =
-  let c = Service.Cache.create ~capacity:2 () in
+  (* a budget of two 10-byte entries *)
+  let c = Service.Cache.create ~budget:20 ~size:(fun _ -> 10) () in
   let get k = Service.Cache.find_or_compute c ~key:k (fun () -> k) in
   ignore (get "a");
   ignore (get "b");
   ignore (get "c");
-  (* capacity 2: "a" (least recently used) was dropped *)
+  (* "a" (least recently used) was dropped *)
   let s = Service.Cache.stats c in
   checki "one eviction" 1 s.Service.Cache.evictions;
   checki "size bounded" 2 s.Service.Cache.size;
+  checki "bytes bounded" 20 s.Service.Cache.bytes;
   ignore (get "a");
   let s = Service.Cache.stats c in
   checki "evicted key recomputes" 4 s.Service.Cache.misses
 
+(* values are their own sizes, so what is resident is visible in the
+   byte count *)
+let sized_cache budget = Service.Cache.create ~budget ~size:Fun.id ()
+let get_sized c k n = Service.Cache.find_or_compute c ~key:k (fun () -> n)
+
+let test_cache_evicts_to_fit () =
+  let c = sized_cache 70 in
+  ignore (get_sized c "a" 10);
+  ignore (get_sized c "b" 20);
+  ignore (get_sized c "c" 30);
+  ignore (get_sized c "a" 10);
+  (* 100 bytes with d: b, then c (least recently used first) go; a,
+     touched after c, stays *)
+  ignore (get_sized c "d" 40);
+  let s = Service.Cache.stats c in
+  checki "two evictions" 2 s.Service.Cache.evictions;
+  checki "resident bytes = a + d" 50 s.Service.Cache.bytes;
+  checki "two resident" 2 s.Service.Cache.size;
+  checki "budget reported" 70 s.Service.Cache.budget;
+  (* an entry over the whole budget is returned, then evicted *)
+  checki "oversized value returned" 80 (get_sized c "e" 80);
+  let s = Service.Cache.stats c in
+  checki "nothing resident after the oversized entry" 0 s.Service.Cache.bytes;
+  checki "oversized entry counted as evicted" 5 s.Service.Cache.evictions
+
+let test_cache_bytes_sum () =
+  (* no eviction: the resident bytes are exactly the sum of the sizes;
+     a hit charges nothing more *)
+  let c = sized_cache 1000 in
+  List.iter (fun (k, n) -> ignore (get_sized c k n)) [ ("a", 3); ("b", 5); ("c", 7) ];
+  ignore (get_sized c "b" 5);
+  let s = Service.Cache.stats c in
+  checki "bytes = 3 + 5 + 7" 15 s.Service.Cache.bytes;
+  checki "three resident" 3 s.Service.Cache.size;
+  Service.Cache.reset c;
+  checki "reset empties the bytes" 0 (Service.Cache.stats c).Service.Cache.bytes
+
+let test_cache_in_flight () =
+  (* an entry whose compute function is still running is neither
+     counted nor evicted, however far the completed entries overflow *)
+  let c = sized_cache 20 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let slow = ref 0 in
+  let t =
+    Thread.create
+      (fun () ->
+        slow :=
+          Service.Cache.find_or_compute c ~key:"slow" (fun () ->
+              Atomic.set started true;
+              while not (Atomic.get release) do
+                Thread.yield ()
+              done;
+              15))
+      ()
+  in
+  while not (Atomic.get started) do
+    Thread.yield ()
+  done;
+  ignore (get_sized c "a" 10);
+  ignore (get_sized c "b" 10);
+  ignore (get_sized c "c" 10);
+  let s = Service.Cache.stats c in
+  checki "in-flight entry not counted" 20 s.Service.Cache.bytes;
+  checki "only a completed entry evicted" 1 s.Service.Cache.evictions;
+  Atomic.set release true;
+  Thread.join t;
+  checki "in-flight value delivered" 15 !slow;
+  let s = Service.Cache.stats c in
+  checki "completed entry charged, older ones evicted to fit" 15
+    s.Service.Cache.bytes;
+  checki "its lookup now hits" 15 (get_sized c "slow" 99)
+
 let test_cache_failure_cached () =
-  let c = Service.Cache.create () in
+  let c = Service.Cache.create ~budget:1024 ~size:(fun _ -> 8) () in
   let runs = ref 0 in
   let get () =
     Service.Cache.find_or_compute c ~key:"boom" (fun () ->
@@ -93,8 +167,33 @@ let test_cache_failure_cached () =
   let s = Service.Cache.stats c in
   checki "failure hit counted" 1 s.Service.Cache.hits
 
+let test_cache_failure_evictable () =
+  let fb = Service.Cache.failure_bytes in
+  let c = sized_cache (fb + 10) in
+  let runs = ref 0 in
+  let boom () =
+    match
+      Service.Cache.find_or_compute c ~key:"boom" (fun () ->
+          incr runs;
+          failwith "deterministic failure")
+    with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail "expected the cached failure"
+  in
+  boom ();
+  ignore (get_sized c "a" 10);
+  let s = Service.Cache.stats c in
+  checki "failure charged failure_bytes" (fb + 10) s.Service.Cache.bytes;
+  ignore (get_sized c "b" 10);
+  let s = Service.Cache.stats c in
+  checki "failure evicted first (least recently used)" 1
+    s.Service.Cache.evictions;
+  checki "a and b resident" 20 s.Service.Cache.bytes;
+  boom ();
+  checki "evicted failure recomputes" 2 !runs
+
 let test_cache_reset () =
-  let c = Service.Cache.create () in
+  let c = Service.Cache.create ~budget:1024 ~size:(fun _ -> 8) () in
   ignore (Service.Cache.find_or_compute c ~key:"k" (fun () -> 0));
   Service.Cache.reset c;
   let s = Service.Cache.stats c in
@@ -289,6 +388,113 @@ let test_memo_reference () =
   checkb "second fetch identical" true
     (Imp.Memory.equal expected (Dflow.Memo.reference p))
 
+(* --- Memo: entry sizes and budgets ----------------------------------- *)
+
+let read_example f =
+  let ic = open_in_bin (Filename.concat "../examples/programs" f) in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let examples =
+  [ "bypass.imp"; "spaghetti.imp"; "stencil.imp"; "subroutine.imp"; "sum.imp" ]
+
+(* the five examples and 40 seeded random programs *)
+let honesty_programs =
+  lazy
+   (List.map (fun f -> Imp.Parser.program_of_string (read_example f)) examples
+  @ List.init 40 (fun i ->
+        Workloads.Random_gen.structured (Random.State.make [| 17; i |])))
+
+(* A level's size function must stay within this factor of the heap the
+   entry really holds ([Obj.reachable_words]); a change of
+   representation that voids the estimate fails here, not silently in
+   production as a budget that no longer bounds the heap. *)
+let honesty_factor = 2.0
+
+let check_honest level estimate values =
+  List.iteri
+    (fun i v ->
+      let real = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8) in
+      let r = float_of_int (estimate v) /. float_of_int real in
+      if r < 1.0 /. honesty_factor || r > honesty_factor then
+        Alcotest.failf "%s %d: estimate %d bytes, reachable %d (ratio %.2f)"
+          level i (estimate v) real r)
+    values
+
+let test_size_parse () =
+  check_honest "parse" Dflow.Memo.program_bytes (Lazy.force honesty_programs)
+
+let test_size_front () =
+  check_honest "front" Dflow.Memo.front_bytes
+    (List.map (fun p -> Dflow.Driver.front p) (Lazy.force honesty_programs))
+
+let test_size_graph () =
+  check_honest "graph" Dflow.Memo.compiled_bytes
+    (List.concat_map
+       (fun p ->
+         List.filter_map
+           (fun (spec, optimize) ->
+             match Dflow.Driver.compile spec p with
+             | c when optimize ->
+                 Some
+                   {
+                     c with
+                     Dflow.Driver.graph =
+                       Dfg.Opt.run (Dfg.Simplify.run c.Dflow.Driver.graph);
+                   }
+             | c -> Some c
+             | exception _ -> None)
+           [
+             (Dflow.Driver.Schema1, false);
+             (Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined, false);
+             ( Dflow.Driver.Schema3
+                 (Dflow.Driver.Classes, Dflow.Engine.Pipelined),
+               true );
+           ])
+       (Lazy.force honesty_programs))
+
+let test_size_reference () =
+  check_honest "reference" Dflow.Memo.store_bytes
+    (List.filter_map
+       (fun p ->
+         match Imp.Eval.run_program ~fuel:1_000_000 p with
+         | m -> Some m
+         | exception Imp.Eval.Out_of_fuel -> None)
+       (Lazy.force honesty_programs))
+
+(* A stream of distinct compiles, as a compile-cold server sees: every
+   level stays within its budget after every job, the overflow shows as
+   evictions, and the most recent job's entries are still resident. *)
+let test_memo_stream () =
+  Dflow.Memo.reset ();
+  let spec = Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined in
+  let last = ref ("", false) in
+  for i = 0 to 299 do
+    let src =
+      Imp.Pretty.program_to_string
+        (Workloads.Random_gen.structured (Random.State.make [| 23; i |]))
+    in
+    let optimize = i mod 2 = 0 in
+    last := (src, optimize);
+    ignore (Dflow.Memo.compile_source ~optimize spec src);
+    List.iter
+      (fun (name, (l : Service.Cache.stats)) ->
+        if l.Service.Cache.bytes > l.Service.Cache.budget then
+          Alcotest.failf "job %d: %s holds %d bytes over its %d budget" i name
+            l.Service.Cache.bytes l.Service.Cache.budget)
+      (Dflow.Memo.levels ())
+  done;
+  let level name = List.assoc name (Dflow.Memo.levels ()) in
+  checkb "graphs evicted" true ((level "graphs").Service.Cache.evictions > 0);
+  checkb "fronts evicted" true ((level "fronts").Service.Cache.evictions > 0);
+  let before = Dflow.Memo.stats () in
+  let src, optimize = !last in
+  ignore (Dflow.Memo.compile_source ~optimize spec src);
+  let d = Service.Cache.diff ~after:(Dflow.Memo.stats ()) ~before in
+  checki "most recent key still hits" 0 d.Service.Cache.misses;
+  Dflow.Memo.reset ()
+
 (* --- Server: the serve protocol -------------------------------------- *)
 
 module J = Machine.Json
@@ -461,12 +667,6 @@ let test_server_packed_refuses_faults () =
 (* The serve job surface pinned byte for byte: the replies to a fixed
    set of compile, run and simulate jobs on the five example programs,
    the JSON twins of test_cli's pinned grid. *)
-let read_example f =
-  let ic = open_in_bin (Filename.concat "../examples/programs" f) in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let pin_jobs =
   let s x = J.String x and i n = J.Int n and b x = J.Bool x in
   [
@@ -527,7 +727,7 @@ let test_server_pinned () =
       (fun f ->
         let source = read_example f in
         List.map (fun job -> line (("source", J.String source) :: job)) pin_jobs)
-      [ "bypass.imp"; "spaghetti.imp"; "stencil.imp"; "subroutine.imp"; "sum.imp" ]
+      examples
   in
   let out = Serve.Server.run_batch ~jobs:1 lines in
   checks "replies digest" "43d68e62b235e106f6a43c9e7590c831"
@@ -670,6 +870,14 @@ let () =
           Alcotest.test_case "failures cached" `Quick
             test_cache_failure_cached;
           Alcotest.test_case "reset" `Quick test_cache_reset;
+          Alcotest.test_case "evicts least recent until the bytes fit" `Quick
+            test_cache_evicts_to_fit;
+          Alcotest.test_case "stats bytes = resident sizes" `Quick
+            test_cache_bytes_sum;
+          Alcotest.test_case "in-flight entry neither counted nor evicted"
+            `Quick test_cache_in_flight;
+          Alcotest.test_case "failure sized and evictable" `Quick
+            test_cache_failure_evictable;
         ] );
       ( "pool",
         [
@@ -694,7 +902,19 @@ let () =
             test_framing_bounds;
         ] );
       ( "memo",
-        [ Alcotest.test_case "reference store" `Quick test_memo_reference ]
+        [
+          Alcotest.test_case "reference store" `Quick test_memo_reference;
+          Alcotest.test_case "parse size within 2x of the heap" `Quick
+            test_size_parse;
+          Alcotest.test_case "front size within 2x of the heap" `Quick
+            test_size_front;
+          Alcotest.test_case "graph size within 2x of the heap" `Quick
+            test_size_graph;
+          Alcotest.test_case "reference size within 2x of the heap" `Quick
+            test_size_reference;
+          Alcotest.test_case "distinct stream stays within budgets" `Quick
+            test_memo_stream;
+        ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_memo_transparent ] );
       ( "server",
         [
