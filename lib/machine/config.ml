@@ -23,25 +23,8 @@ let default_latencies = { alu = 1; memory = 4; routing = 1 }
     path length in operators, the paper's abstract parallelism measure. *)
 let unit_latencies = { alu = 1; memory = 1; routing = 1 }
 
-(** Ready-queue discipline when PEs are bounded.  Execution results are
-    identical under both (the graphs are determinate); only timing
-    changes.  The determinacy property is part of the test suite. *)
-type policy =
-  | Fifo  (** oldest enabled operation first (default) *)
-  | Lifo  (** newest enabled operation first (depth-first-ish) *)
-
-(** Which execution core runs the single-PE machine.  [Reference] is
-    the map-and-list interpreter this module always had — the
-    differential oracle's ground machine.  [Packed] is the compiled
-    engine ({!Packed}): the graph is lowered once to flat instruction
-    arrays and tokens rendezvous in preallocated per-context frames
-    with presence bits, driven by an event-driven ready wheel.  The
-    choice changes only wall-clock time: both give bit-identical final
-    stores and the same cycle count and peak parallelism.  The packed
-    engine's observability is coarser (no per-cycle curves, no dynamic
-    critical path), fault injection stays a reference-engine feature,
-    and the multiprocessor ({!Multiproc}) runs the reference engine
-    only. *)
+(** Which execution core runs the single-PE machine (see the
+    interface): the choice changes only wall-clock time. *)
 type engine =
   | Reference
   | Packed
@@ -64,25 +47,15 @@ type t = {
       (** at most this many memory operations may issue per cycle
           ([None] = unbounded): a simple memory-bandwidth model *)
   latencies : latencies;
-  policy : policy;
   max_cycles : int;  (** safety bound; exceeded = divergence *)
   detect_collisions : bool;
       (** raise on two tokens meeting at the same (node, context, port) --
           the single-token-per-arc discipline of explicit token store
           machines.  Disabling it lets experiments demonstrate the
           Figure 8 pile-up. *)
-  max_matching : int option;
-      (** bounded waiting-matching store capacity ([None] = unbounded).
-          A delivery that would open an entry beyond the bound is
-          throttled to the next cycle instead of crashing; sustained
-          overflow shows up as pressure in the diagnosis (and ultimately
-          as divergence), modelling a finite ETS frame memory that
-          degrades gracefully. *)
   engine : engine;
       (** single-PE execution core; [Reference] unless explicitly
-          switched.  The packed engine interprets [max_matching] at
-          frame granularity (simultaneously live contexts) rather than
-          per (node, context) entry. *)
+          switched *)
 }
 
 let default =
@@ -90,10 +63,8 @@ let default =
     pes = None;
     memory_ports = None;
     latencies = default_latencies;
-    policy = Fifo;
     max_cycles = 2_000_000;
     detect_collisions = true;
-    max_matching = None;
     engine = Reference;
   }
 

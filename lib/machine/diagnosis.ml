@@ -1,6 +1,6 @@
 (** Structured post-mortems of dataflow execution (see the interface).
-    Construction happens inside {!Interp}; this module owns the types
-    and the rendering. *)
+    Each engine builds its own; this module owns the types and the
+    rendering. *)
 
 type blocked = {
   b_node : int;
@@ -9,13 +9,6 @@ type blocked = {
   b_present : int list;
   b_missing : int list;
   b_pe : int option;
-}
-
-type pressure = {
-  capacity : int option;
-  peak : int;
-  throttled : int;
-  spilled : int;
 }
 
 type net_pressure = {
@@ -42,7 +35,7 @@ type t = {
   deferred_reads : (int * int) list;
   tokens_by_context : (Context.t * int) list;
   waiting_by_pe : (int * int) list;
-  pressure : pressure;
+  peak_matching : int;
   network : net_pressure option;
   faults : Fault.event list;
   sanitizer : Sanitize.violation list;
@@ -80,16 +73,8 @@ let pp ppf (d : t) =
   Fmt.pf ppf "verdict: %s@." (verdict_to_string d.verdict);
   Fmt.pf ppf "cycles reached: %d, leftover tokens: %d@." d.cycles
     d.leftover_tokens;
-  (match d.pressure.capacity with
-  | Some cap ->
-      Fmt.pf ppf
-        "matching store: peak %d of capacity %d, %d deliveries throttled, %d \
-         spilled over capacity@."
-        d.pressure.peak cap d.pressure.throttled d.pressure.spilled
-  | None ->
-      if d.pressure.peak > 0 then
-        Fmt.pf ppf "matching store: peak %d entries (unbounded)@."
-          d.pressure.peak);
+  if d.peak_matching > 0 then
+    Fmt.pf ppf "matching store: peak %d entries (unbounded)@." d.peak_matching;
   (match d.network with
   | Some n ->
       Fmt.pf ppf

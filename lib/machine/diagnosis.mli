@@ -1,13 +1,13 @@
 (** Structured post-mortems of dataflow execution.
 
-    Every run of {!Interp} — clean, deadlocked, collided or diverged —
-    yields a diagnosis: a verdict plus the machine state needed to
-    understand it.  On a stall this is the waiting-matching store's
-    partial matches (the frontier of operators blocked on missing
-    inputs), per-context token counts and any deferred I-structure
-    reads; on matching-store pressure it is the capacity model's
-    throttle statistics; with fault injection enabled it carries the
-    fault log, so no injected corruption can pass silently. *)
+    Every run of each engine ({!Interp}, {!Packed}, {!Multiproc}) —
+    clean, deadlocked, collided or diverged — yields a diagnosis: a
+    verdict plus the machine state needed to understand it.  On a stall
+    this is the waiting-matching store's partial matches (the frontier
+    of operators blocked on missing inputs), per-context token counts
+    and any deferred I-structure reads; with fault injection enabled it
+    carries the fault log, so no injected corruption can pass
+    silently. *)
 
 (** One operator with a partial match: some input ports filled, some
     still waiting.  This is the stall frontier — the nodes that would
@@ -21,19 +21,6 @@ type blocked = {
   b_pe : int option;
       (** PE whose matching store holds the partial match; [None] on
           single-PE runs *)
-}
-
-(** Waiting-matching store pressure under the bounded-capacity model
-    ({!Config.max_matching}). *)
-type pressure = {
-  capacity : int option;  (** [None] = unbounded store *)
-  peak : int;  (** most simultaneous entries observed *)
-  throttled : int;
-      (** deliveries postponed because the store was at capacity *)
-  spilled : int;
-      (** deliveries admitted over capacity to break a stagnant cycle in
-          which every pending delivery was throttled (the overflow
-          mechanism that keeps the bounded store livelock-free) *)
 }
 
 (** Interconnect pressure of a multiprocessor run ({!Multiproc}); absent
@@ -71,7 +58,8 @@ type t = {
       (** waiting tokens per PE (multiprocessor runs; [] on single-PE) —
           a dead or backpressured PE shows up as the one hoarding
           partial matches *)
-  pressure : pressure;
+  peak_matching : int;
+      (** most simultaneous waiting-matching entries observed *)
   network : net_pressure option;  (** [Some] only for multiprocessor runs *)
   faults : Fault.event list;  (** injected faults, in injection order *)
   sanitizer : Sanitize.violation list;

@@ -16,8 +16,7 @@
       extension of the dataflow model) plus I-structure memory with
       deferred reads;
     - unbounded or [p]-bounded processing elements with configurable
-      latencies and an optionally bounded waiting-matching store (see
-      {!Config});
+      latencies (see {!Config});
     - deterministic fault injection at the delivery and memory-issue
       boundaries ({!Fault}), with every run summarised by a structured
       {!Diagnosis.t}.
@@ -62,9 +61,6 @@ type result = {
   firings_by_kind : (string * int) list;
       (** executions per operator family (loads, stores, switches, ...),
           sorted descending *)
-  matching_throttled : int;
-      (** deliveries postponed because the bounded matching store was at
-          capacity ({!Config.max_matching}) *)
   in_flight_curve : int array;
       (** per cycle, tokens travelling between operators at the end of
           the cycle (the curve whose maximum is [peak_in_flight]) *)
@@ -82,8 +78,8 @@ type result = {
           (node id, context) pairs — [List.length critical_chain =
           critical_path] *)
   diagnosis : Diagnosis.t;
-      (** the structured post-mortem: verdict, stall frontier, pressure
-          and fault log *)
+      (** the structured post-mortem: verdict, stall frontier, peak
+          matching and fault log *)
 }
 
 (** Average operator-level parallelism: firings per active cycle. *)
@@ -154,10 +150,9 @@ let run_packed ~(config : Config.t)
           peak_parallelism = r.Packed.peak_parallelism;
           completed = r.Packed.completed;
           leftover_tokens = r.Packed.leftover_tokens;
-          peak_matching = r.Packed.peak_frames;
+          peak_matching = r.Packed.peak_matching;
           peak_in_flight = r.Packed.peak_in_flight;
           firings_by_kind = r.Packed.firings_by_kind;
-          matching_throttled = r.Packed.throttled;
           in_flight_curve = [||];
           matching_curve = [||];
           critical_path = 0;
@@ -217,15 +212,6 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
   let peak_in_flight = ref 0 in
   let dummy_deliveries = ref 0 in
   let value_deliveries = ref 0 in
-  let throttled = ref 0 in
-  (* stagnation spill: when a whole cycle makes no progress because every
-     pending delivery was throttled by the bounded matching store, admit
-     one delivery over capacity next cycle so the machine cannot
-     livelock (the frame-store overflow recourse) *)
-  let spilled = ref 0 in
-  let spill = ref false in
-  let progressed = ref false in
-  let throttled_this_cycle = ref 0 in
   let by_kind : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let completed = ref false in
   let profile = ref [] in
@@ -262,13 +248,7 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
       deferred_reads = Firing.deferred_reads env;
       tokens_by_context = Matching.tokens_by_context [ wait ];
       waiting_by_pe = [];
-      pressure =
-        {
-          Diagnosis.capacity = config.Config.max_matching;
-          peak = !peak_matching;
-          throttled = !throttled;
-          spilled = !spilled;
-        };
+      peak_matching = !peak_matching;
       network = None;
       faults = (match faults with Some pl -> Fault.events pl | None -> []);
       sanitizer = List.rev !violations;
@@ -325,7 +305,7 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
         }
     done
   in
-  let deliver t (d : delivery) =
+  let deliver (d : delivery) =
     let kind = Dfg.Graph.kind g d.d_node in
     match kind with
     | Dfg.Node.Merge ->
@@ -341,79 +321,56 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
           }
           ready
     | _ -> (
-        let key = (d.d_node, d.d_ctx) in
-        let at_capacity =
-          match config.Config.max_matching with
-          | Some cap ->
-              Matching.entries wait >= cap && not (Hashtbl.mem wait key)
-          | None -> false
-        in
-        if at_capacity && not !spill then begin
-          (* bounded frame memory: postpone the rendezvous instead of
-             crashing, and account for the pressure *)
-          incr throttled;
-          incr throttled_this_cycle;
-          schedule_delivery (t + 1) d
-        end
-        else begin
-          if at_capacity then begin
-            (* the one-per-stagnant-cycle overflow admission *)
-            spill := false;
-            incr spilled
-          end;
-          progressed := true;
-          Sanitize.on_delivery san ~node:d.d_node ~port:d.d_port;
-          match
-            Matching.deliver ~kind
-              ~detect_collisions:config.Config.detect_collisions
-              ~pad:
-                {
-                  s_value = dummy_value;
-                  s_depth = 0;
-                  s_src = -1;
-                  s_bag = Permission.empty_bag;
-                }
-              ~on_insert:(fun () ->
-                if Matching.entries wait > !peak_matching then
-                  peak_matching := Matching.entries wait)
-              wait ~node:d.d_node ~ctx:d.d_ctx ~port:d.d_port
+        Sanitize.on_delivery san ~node:d.d_node ~port:d.d_port;
+        match
+          Matching.deliver ~kind
+            ~detect_collisions:config.Config.detect_collisions
+            ~pad:
               {
-                s_value = d.d_value;
-                s_depth = d.d_depth;
-                s_src = d.d_src;
-                s_bag = d.d_bag;
+                s_value = dummy_value;
+                s_depth = 0;
+                s_src = -1;
+                s_bag = Permission.empty_bag;
               }
-          with
-          | Matching.Collision ->
-              abort
-                (Diagnosis.Collision
-                   (Fmt.str "node %d (%s) port %d ctx %s" d.d_node
-                      (Dfg.Graph.node g d.d_node).Dfg.Node.label d.d_port
-                      (Context.to_string d.d_ctx)))
-          | Matching.Wait -> ()
-          | Matching.Fire slots ->
-              (* the consumed inputs carry the deepest producer forward
-                 for dynamic critical-path accounting *)
-              let in_depth = ref 0 and pred = ref (-1) in
-              Array.iter
-                (fun s ->
-                  if s.s_depth > !in_depth then begin
-                    in_depth := s.s_depth;
-                    pred := s.s_src
-                  end)
-                slots;
-              Queue.add
-                {
-                  f_node = d.d_node;
-                  f_ctx = d.d_ctx;
-                  f_inputs = Array.map (fun s -> s.s_value) slots;
-                  f_in_depth = !in_depth;
-                  f_pred = !pred;
-                  f_bags =
-                    Array.to_list (Array.map (fun s -> s.s_bag) slots);
-                }
-                ready
-        end)
+            ~on_insert:(fun () ->
+              if Matching.entries wait > !peak_matching then
+                peak_matching := Matching.entries wait)
+            wait ~node:d.d_node ~ctx:d.d_ctx ~port:d.d_port
+            {
+              s_value = d.d_value;
+              s_depth = d.d_depth;
+              s_src = d.d_src;
+              s_bag = d.d_bag;
+            }
+        with
+        | Matching.Collision ->
+            abort
+              (Diagnosis.Collision
+                 (Fmt.str "node %d (%s) port %d ctx %s" d.d_node
+                    (Dfg.Graph.node g d.d_node).Dfg.Node.label d.d_port
+                    (Context.to_string d.d_ctx)))
+        | Matching.Wait -> ()
+        | Matching.Fire slots ->
+            (* the consumed inputs carry the deepest producer forward for
+               dynamic critical-path accounting *)
+            let in_depth = ref 0 and pred = ref (-1) in
+            Array.iter
+              (fun s ->
+                if s.s_depth > !in_depth then begin
+                  in_depth := s.s_depth;
+                  pred := s.s_src
+                end)
+              slots;
+            Queue.add
+              {
+                f_node = d.d_node;
+                f_ctx = d.d_ctx;
+                f_inputs = Array.map (fun s -> s.s_value) slots;
+                f_in_depth = !in_depth;
+                f_pred = !pred;
+                f_bags = Array.to_list (Array.map (fun s -> s.s_bag) slots);
+              }
+              ready)
   in
   let execute t (f : firing) =
     let n = Dfg.Graph.node g f.f_node in
@@ -504,28 +461,6 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
         (match perm with Some p -> [ Permission.mint p ] | None -> []);
     }
     ready;
-  (* LIFO policy: enabled firings are moved onto a stack every cycle, so
-     the most recently enabled operation starts first *)
-  let lifo : firing Stack.t = Stack.create () in
-  let absorb_ready () =
-    match config.Config.policy with
-    | Config.Fifo -> ()
-    | Config.Lifo ->
-        while not (Queue.is_empty ready) do
-          Stack.push (Queue.pop ready) lifo
-        done
-  in
-  let pop_next () =
-    match config.Config.policy with
-    | Config.Fifo -> Queue.pop ready
-    | Config.Lifo -> Stack.pop lifo
-  in
-  let ready_length () =
-    Queue.length ready
-    + match config.Config.policy with
-      | Config.Fifo -> 0
-      | Config.Lifo -> Stack.length lifo
-  in
   try
     let finished = ref false in
     while not !finished do
@@ -538,21 +473,20 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
           List.iter
             (fun d ->
               decr pending;
-              deliver !t d)
+              deliver d)
             (List.rev ds)
       | None -> ());
       (* 2. start up to [pes] firings *)
-      absorb_ready ();
       let budget =
         match config.Config.pes with
-        | None -> ready_length ()
-        | Some p -> min p (ready_length ())
+        | None -> Queue.length ready
+        | Some p -> min p (Queue.length ready)
       in
       let started = ref 0 in
       let mem_issued = ref 0 in
       let deferred_mem : firing list ref = ref [] in
       while !started < budget do
-        let f = pop_next () in
+        let f = Queue.pop ready in
         let is_mem = Dfg.Node.is_memory_op (Dfg.Graph.kind g f.f_node) in
         let port_free =
           match config.Config.memory_ports with
@@ -571,7 +505,6 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
         if port_free && not port_stalled then begin
           if is_mem then incr mem_issued;
           execute !t f;
-          progressed := true;
           incr started
         end
         else begin
@@ -585,12 +518,8 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
       (* occupancy curves, sampled at the end of every cycle *)
       in_flight_curve := !pending :: !in_flight_curve;
       matching_curve := Hashtbl.length wait :: !matching_curve;
-      (* 3. stagnation test: all throttle, no progress -> spill next cycle *)
-      if !throttled_this_cycle > 0 && not !progressed then spill := true;
-      throttled_this_cycle := 0;
-      progressed := false;
-      (* 4. quiescence test *)
-      if ready_length () = 0 && !pending = 0 then finished := true else incr t
+      (* 3. quiescence test *)
+      if Queue.is_empty ready && !pending = 0 then finished := true else incr t
     done;
     let leftover = leftover_count () in
     List.iter
@@ -642,7 +571,6 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
         firings_by_kind =
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []
           |> List.sort (fun (_, a) (_, b) -> compare b a);
-        matching_throttled = !throttled;
         in_flight_curve = Array.of_list (List.rev !in_flight_curve);
         matching_curve = Array.of_list (List.rev !matching_curve);
         critical_path;
@@ -672,7 +600,7 @@ let run ?config ?faults ?on_fire (p : program) : result =
 (** [run_exn ?config p] runs and additionally checks clean completion:
     End fired, no leftover tokens.  The [Failure] message carries the
     structured diagnosis: blocked frontier, per-context token counts,
-    matching-store pressure and any injected faults.
+    peak matching and any injected faults.
     @raise Failure otherwise. *)
 let run_exn ?config ?faults (p : program) : result =
   let r = run ?config ?faults p in

@@ -6,16 +6,16 @@
     single-token-per-arc discipline (violations raise
     {!Token_collision} — this is how Figure 8's pathology is observed),
     split-phase multiply-writable memory plus I-structures with deferred
-    reads, and unbounded or bounded processing elements and
-    waiting-matching store (see {!Config}).
+    reads, and unbounded or bounded processing elements (see
+    {!Config}).
 
     Robustness layer: a seeded {!Fault.plan} can be injected at the
     delivery and memory-issue boundaries, and every run — clean or not —
     is summarised by a structured {!Diagnosis.t} (verdict, blocked
-    frontier, matching-store pressure, fault log).
+    frontier, peak matching, fault log).
 
-    Execution is deterministic: the ready queue policy is fixed and all
-    graphs produced by the translation schemas are determinate. *)
+    Execution is deterministic: the ready queue is FIFO and all graphs
+    produced by the translation schemas are determinate. *)
 
 exception Token_collision of string
 (** Two tokens met at the same (node, context, input port): the graph is
@@ -27,7 +27,7 @@ exception Double_write of string
 
 exception Divergence of string
 (** [max_cycles] exceeded; the message carries the full diagnosis dump
-    (blocked frontier, token counts, pressure). *)
+    (blocked frontier, token counts, peak matching). *)
 
 type program = {
   graph : Dfg.Graph.t;
@@ -55,9 +55,6 @@ type result = {
   firings_by_kind : (string * int) list;
       (** executions per operator family (loads, stores, switches, ...),
           sorted descending *)
-  matching_throttled : int;
-      (** deliveries postponed because the bounded matching store was at
-          capacity ({!Config.max_matching}) *)
   in_flight_curve : int array;
       (** per cycle, tokens travelling between operators at the end of
           the cycle; its maximum is [peak_in_flight] *)
@@ -72,8 +69,8 @@ type result = {
       (** one maximal chain, source to sink, as (node id, context);
           its length is [critical_path] *)
   diagnosis : Diagnosis.t;
-      (** structured post-mortem: verdict, stall frontier, pressure and
-          fault log *)
+      (** structured post-mortem: verdict, stall frontier, peak matching
+          and fault log *)
 }
 
 (** Average operator-level parallelism: firings per cycle of makespan. *)

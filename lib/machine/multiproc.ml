@@ -78,7 +78,6 @@ type slot = Imp.Value.t * Permission.bag
 type snapshot = {
   sp_wait : (int * Context.t, slot option array) Hashtbl.t array;
   sp_ready : firing Queue.t array;
-  sp_lifo : firing Stack.t array;
   sp_locals : (int, delivery list) Hashtbl.t;
   sp_local_pending : int;
   sp_to_inject : (int, (int * int * delivery) list) Hashtbl.t;
@@ -119,6 +118,13 @@ let run ?(config = Config.default) ?(net = Network.default)
     | Some tp -> Sched.Routing.hops tp
     | None -> fun _ _ -> 1
   in
+  (* the distances the steal victim search compares, built once per run:
+     the uniform topology when none is given *)
+  let steal_topo =
+    match topo with
+    | Some tp -> tp
+    | None -> Sched.Topology.make Sched.Topology.Uniform ~pes:pcount
+  in
   let memory = Imp.Memory.create p.Interp.layout in
   let env : unit Firing.env =
     Firing.make_env ~graph:g ~layout:p.Interp.layout memory
@@ -137,9 +143,6 @@ let run ?(config = Config.default) ?(net = Network.default)
   in
   let ready : firing Queue.t array =
     Array.init pcount (fun _ -> Queue.create ())
-  in
-  let lifo : firing Stack.t array =
-    Array.init pcount (fun _ -> Stack.create ())
   in
   (* transport: same-PE tokens bypass the network on a local schedule;
      cross-PE tokens are scheduled into their source PE's injection
@@ -252,13 +255,7 @@ let run ?(config = Config.default) ?(net = Network.default)
         Array.to_list
           (Array.mapi (fun pe w -> (pe, Matching.leftover [ w ])) wait)
         |> List.filter (fun (_, n) -> n <> 0);
-      pressure =
-        {
-          Diagnosis.capacity = None;
-          peak = !peak_matching;
-          throttled = 0;
-          spilled = 0;
-        };
+      peak_matching = !peak_matching;
       network =
         Some
           {
@@ -480,7 +477,6 @@ let run ?(config = Config.default) ?(net = Network.default)
     {
       sp_wait = Array.map copy_store wait;
       sp_ready = Array.map Queue.copy ready;
-      sp_lifo = Array.map Stack.copy lifo;
       sp_locals = Hashtbl.copy locals;
       sp_local_pending = !local_pending;
       sp_to_inject = Hashtbl.copy to_inject;
@@ -515,8 +511,7 @@ let run ?(config = Config.default) ?(net = Network.default)
     (* matching stores and ready queues, re-bucketed by current assign *)
     for pe = 0 to pcount - 1 do
       wait.(pe) <- Matching.create ();
-      ready.(pe) <- Queue.create ();
-      lifo.(pe) <- Stack.create ()
+      ready.(pe) <- Queue.create ()
     done;
     Array.iter
       (fun store ->
@@ -530,14 +525,6 @@ let run ?(config = Config.default) ?(net = Network.default)
       Queue.add f ready.((!place).Placement.assign.(f.x_node))
     in
     Array.iter (fun q -> Queue.iter requeue q) sp.sp_ready;
-    Array.iter
-      (fun s ->
-        (* stack snapshots iterate top-first; re-add bottom-first so the
-           replay order matches the original enabling order *)
-        let l = ref [] in
-        Stack.iter (fun f -> l := f :: !l) s;
-        List.iter requeue !l)
-      sp.sp_lifo;
     (* pending schedules, rebased onto the resume cycle *)
     Hashtbl.reset locals;
     Hashtbl.iter
@@ -603,32 +590,9 @@ let run ?(config = Config.default) ?(net = Network.default)
         ref rs.Recovery.interval
     | None -> ref max_int
   in
-  let absorb_ready pe =
-    match config.Config.policy with
-    | Config.Fifo -> ()
-    | Config.Lifo ->
-        while not (Queue.is_empty ready.(pe)) do
-          Stack.push (Queue.pop ready.(pe)) lifo.(pe)
-        done
-  in
-  let pop_next pe =
-    match config.Config.policy with
-    | Config.Fifo -> Queue.pop ready.(pe)
-    | Config.Lifo -> Stack.pop lifo.(pe)
-  in
-  let ready_length pe =
-    Queue.length ready.(pe)
-    +
-    match config.Config.policy with
-    | Config.Fifo -> 0
-    | Config.Lifo -> Stack.length lifo.(pe)
-  in
   let all_idle () =
-    let idle = ref true in
-    for pe = 0 to pcount - 1 do
-      if ready_length pe > 0 then idle := false
-    done;
-    !idle && !local_pending = 0 && !inject_pending = 0 && net_pending () = 0
+    Array.for_all Queue.is_empty ready
+    && !local_pending = 0 && !inject_pending = 0 && net_pending () = 0
   in
   (* one scheduled fail-stop, if due this cycle: mark the PE dead, remap
      its nodes over the survivors, and report that a restore is needed *)
@@ -681,86 +645,44 @@ let run ?(config = Config.default) ?(net = Network.default)
                   (List.rev ms)
             | None -> ());
             (* 4a. work stealing: a PE idle past the hysteresis takes the
-               enabled firing its closest eligible victim would run LAST.
-               Only ready (fully matched) firings move — tokens are
-               location-independent, so the theft changes where and when
-               the firing executes, never what it computes; the final
-               store is the determinacy grid's invariant. *)
+               enabled firing its closest eligible victim would run LAST
+               (the back of its FIFO).  Only ready (fully matched)
+               firings move — tokens are location-independent, so the
+               theft changes where and when the firing executes, never
+               what it computes; the final store is the determinacy
+               grid's invariant. *)
             (match steal with
             | Some spec ->
                 for pe = 0 to pcount - 1 do
                   if alive.(pe) then
-                    if ready_length pe > 0 then idle_ctr.(pe) <- 0
+                    if not (Queue.is_empty ready.(pe)) then idle_ctr.(pe) <- 0
                     else begin
                       idle_ctr.(pe) <- idle_ctr.(pe) + 1;
                       if idle_ctr.(pe) >= spec.Sched.Steal.hysteresis then
-                        let tp =
-                          match topo with
-                          | Some tp -> tp
-                          | None ->
-                              Sched.Topology.make Sched.Topology.Uniform
-                                ~pes:pcount
-                        in
                         match
-                          Sched.Steal.victim tp spec ~thief:pe
+                          Sched.Steal.victim steal_topo spec ~thief:pe
                             ~queue_len:(fun v ->
-                              if alive.(v) then ready_length v else 0)
+                              if alive.(v) then Queue.length ready.(v) else 0)
                         with
-                        | None -> ()
-                        | Some v ->
-                            (* the victim's last-to-run: back of its FIFO
-                               under Fifo; bottom of its stack (else front
-                               of its feed queue, which absorb reverses)
-                               under Lifo *)
-                            let stolen =
-                              if Stack.length lifo.(v) > 0 then begin
-                                let l = ref [] in
-                                Stack.iter (fun f -> l := f :: !l) lifo.(v);
-                                match !l with
-                                | bottom :: rest ->
-                                    Stack.clear lifo.(v);
-                                    List.iter
-                                      (fun f -> Stack.push f lifo.(v))
-                                      rest;
-                                    Some bottom
-                                | [] -> None
-                              end
-                              else
-                                match config.Config.policy with
-                                | Config.Lifo when Queue.length ready.(v) > 0
-                                  ->
-                                    Some (Queue.pop ready.(v))
-                                | _ ->
-                                    let n = Queue.length ready.(v) in
-                                    if n = 0 then None
-                                    else begin
-                                      let last = ref None in
-                                      for _ = 1 to n do
-                                        let f = Queue.pop ready.(v) in
-                                        (match !last with
-                                        | Some prev -> Queue.add prev ready.(v)
-                                        | None -> ());
-                                        last := Some f
-                                      done;
-                                      !last
-                                    end
-                            in
-                            (match stolen with
-                            | Some f ->
-                                Queue.add f ready.(pe);
-                                incr steals;
-                                idle_ctr.(pe) <- 0
-                            | None -> ())
+                        | Some v when not (Queue.is_empty ready.(v)) ->
+                            (* rotate all but the last-to-run back in *)
+                            let q = ready.(v) in
+                            for _ = 2 to Queue.length q do
+                              Queue.add (Queue.pop q) q
+                            done;
+                            Queue.add (Queue.pop q) ready.(pe);
+                            incr steals;
+                            idle_ctr.(pe) <- 0
+                        | _ -> ()
                     end
                 done
             | None -> ());
             (* 4. every live PE issues at most one enabled firing *)
             for pe = 0 to pcount - 1 do
               if alive.(pe) then begin
-                absorb_ready pe;
-                let budget = min 1 (ready_length pe) in
+                let budget = min 1 (Queue.length ready.(pe)) in
                 for _ = 1 to budget do
-                  execute pe (pop_next pe)
+                  execute pe (Queue.pop ready.(pe))
                 done;
                 per_pe_curve.(pe) <- budget :: per_pe_curve.(pe);
                 if budget > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1

@@ -7,7 +7,7 @@
 
     Each cycle: network arrivals and same-PE deliveries rendezvous in
     their PE's matching store; every PE issues at most one enabled
-    firing (FIFO or LIFO per {!Config.policy}); output tokens
+    firing, oldest first; output tokens
     bound for co-resident consumers are scheduled locally while
     cross-PE tokens enter the injection queue; the network moves
     bandwidth-limited messages into flight.  Memory is interleaved
@@ -24,11 +24,11 @@
     stay ordered — the property the differential suite checks against
     the reference interpreter and the single-PE machine.
 
-    Of {!Config.t} the multiprocessor honours [latencies], [policy],
-    [max_cycles] and [detect_collisions]; [pes], [memory_ports] and
-    [max_matching] are single-machine notions superseded by [~pes],
-    the module interleaving and per-PE stores.  [engine] must be
-    [Reference]: the packed engine is single-PE only.
+    Of {!Config.t} the multiprocessor honours [latencies], [max_cycles]
+    and [detect_collisions]; [pes] and [memory_ports] are
+    single-machine notions superseded by [~pes] and the module
+    interleaving.  [engine] must be [Reference]: the packed engine is
+    single-PE only.
 
     {b Fault tolerance.}  Passing [?faults] and/or [?recovery] switches
     the machine from the raw wire to the {!Network} reliable transport

@@ -279,11 +279,10 @@ type result = {
   peak_parallelism : int;
   completed : bool;
   leftover_tokens : int;
+  peak_matching : int;
   peak_frames : int;  (** most simultaneously live context frames *)
   peak_in_flight : int;
   firings_by_kind : (string * int) list;
-  throttled : int;  (** deliveries postponed by the frame-store bound *)
-  spilled : int;
   diagnosis : Diagnosis.t;
 }
 
@@ -303,13 +302,9 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     | Some cert -> Some (Permission.create g cert)
     | None -> None
   in
-  let cap = config.Config.max_matching in
-  (* the frame bound as a plain int: max_int means unbounded *)
-  let capk = match cap with Some k -> k | None -> max_int in
   let direct =
     config.Config.pes = None
     && config.Config.memory_ports = None
-    && config.Config.policy = Config.Fifo
     &&
     let l = config.Config.latencies in
     l.Config.alu >= 1 && l.Config.memory >= 1 && l.Config.routing >= 1
@@ -331,6 +326,14 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let live = ref 0 in
   (* frames holding at least one token *)
   let peak_frames = ref 0 in
+  (* waiting-matching entries, counted as {!Matching} counts them: a
+     (node, context) holding at least one token, a gateway's two port
+     groups sharing one.  Delivery opens and closes them inline, where a
+     group is armed and where it fires: a helper closure (the build has
+     no flambda to inline it), or one shared test reading both stamps on
+     every first token, measurably slows the per-token path *)
+  let entries = ref 0 in
+  let peak_matching = ref 0 in
   let intern ctx =
     match Hashtbl.find_opt ctx_ids ctx with
     | Some i -> i
@@ -393,11 +396,11 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     c.pool <- !free
   in
   (* the ready wheel: schedule offsets are bounded by the largest
-     operation latency plus the one-cycle throttle retry, so a
-     power-of-two wheel just above that can never wrap *)
+     operation latency, so a power-of-two wheel above that can never
+     wrap *)
   let wheel_size =
     let l = config.Config.latencies in
-    let m = max l.Config.alu (max l.Config.memory l.Config.routing) + 2 in
+    let m = max l.Config.alu (max l.Config.memory l.Config.routing) + 1 in
     let rec pow2 w = if w >= m then w else pow2 (2 * w) in
     pow2 8
   in
@@ -407,9 +410,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   in
   let pending = ref 0 in
   let peak_in_flight = ref 0 in
-  (* the ready queue (FIFO), with a LIFO absorption stack *)
+  (* the ready queue (FIFO) *)
   let ready : firing Queue.t = Queue.create () in
-  let lifo : firing Stack.t = Stack.create () in
   (* counters *)
   let firings = ref 0 in
   let memory_ops = ref 0 in
@@ -417,11 +419,6 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let dummy_deliveries = ref 0 in
   let value_deliveries = ref 0 in
   let peak_parallelism = ref 0 in
-  let throttled = ref 0 in
-  let throttled_this_cycle = ref 0 in
-  let spilled = ref 0 in
-  let spill = ref false in
-  let progressed = ref false in
   let completed = ref false in
   let last_cycle = ref 0 in
   let t = ref 0 in
@@ -489,13 +486,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       deferred_reads = Firing.deferred_reads env;
       tokens_by_context;
       waiting_by_pe = [];
-      pressure =
-        {
-          Diagnosis.capacity = cap;
-          peak = !peak_frames;
-          throttled = !throttled;
-          spilled = !spilled;
-        };
+      peak_matching = !peak_matching;
       network = None;
       faults = [];
       sanitizer = List.rev !violations;
@@ -804,11 +795,11 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         else if op = op_sink then ()
         else exec_fast t_done node cid ctx [| v |]
   in
-  (* direct mode: with one unbounded PE, no memory-port limit and FIFO
-     scheduling, every enabled firing issues in the cycle it matched, so
-     the ready queue is an identity step — execute straight from the
-     delivery instead (all latencies >= 1, so emissions never land back
-     in the bucket being drained) *)
+  (* direct mode: with one unbounded PE and no memory-port limit, every
+     enabled firing issues in the cycle it matched, so the ready queue
+     is an identity step — execute straight from the delivery instead
+     (all latencies >= 1, so emissions never land back in the bucket
+     being drained) *)
   let fire t node cid ctx inputs bags =
     if direct then exec t node cid ctx inputs bags
     else
@@ -828,12 +819,15 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     if op = op_merge || c.in_ar.!(node) = 1 then begin
       (* no rendezvous needed: a merge fires on every delivery, and a
          single token is already a complete match for a monadic
-         operator — neither touches a frame (nor the capacity bound,
-         which counts waiting matches) *)
-      progressed := true;
-      (match san with
-      | Some s when op <> op_merge -> Sanitize.on_delivery s ~node ~port
-      | _ -> ());
+         operator — neither touches a frame.  The monadic token is a
+         momentary matching entry, as in {!Matching}; a merge makes
+         none *)
+      if op <> op_merge then begin
+        if !entries >= !peak_matching then peak_matching := !entries + 1;
+        match san with
+        | Some s -> Sanitize.on_delivery s ~node ~port
+        | None -> ()
+      end;
       if direct then exec1 t node cid ctx v bag
       else
         Queue.add
@@ -847,93 +841,90 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           ready
     end
     else begin
+      (match san with
+      | Some s -> Sanitize.on_delivery s ~node ~port
+      | None -> ());
       let existing = !frames.!(cid) in
-      let is_new = existing == nil_frame in
-      let at_capacity = is_new && !live >= capk in
-      if at_capacity && not !spill then begin
-        (* bounded frame store: postpone the rendezvous instead of
-           crashing, and account for the pressure *)
-        incr throttled;
-        incr throttled_this_cycle;
-        schedule (t + 1) node port cid ctx v bag
+      let f = if existing == nil_frame then acquire cid else existing in
+      let slot = c.frame_off.!(node) + port in
+      if f.f_stamp.!(slot) = f.f_gen then begin
+        (* presence bit already set: the single-token-per-arc
+           discipline is violated *)
+        if config.Config.detect_collisions then
+          abort
+            (Diagnosis.Collision
+               (Fmt.str "node %d (%s) port %d ctx %s" node
+                  (Dfg.Graph.node g node).Dfg.Node.label port
+                  (Context.to_string ctx)));
+        (* undetected: the late token overwrites the slot, exactly the
+           Figure 8 pile-up the sanitizer then reports as Double_fire *)
+        f.f_vals.!(slot) <- v;
+        f.f_bags.!(slot) <- bag
       end
       else begin
-        if at_capacity then begin
-          (* the one-per-stagnant-cycle overflow admission *)
-          spill := false;
-          incr spilled
+        f.f_stamp.!(slot) <- f.f_gen;
+        f.f_vals.!(slot) <- v;
+        f.f_bags.!(slot) <- bag;
+        f.f_occ <- f.f_occ + 1;
+        if f.f_occ = 1 then begin
+          incr live;
+          if !live > !peak_frames then peak_frames := !live
         end;
-        progressed := true;
-        (match san with
-        | Some s -> Sanitize.on_delivery s ~node ~port
-        | None -> ());
-        let f = if is_new then acquire cid else existing in
-        let slot = c.frame_off.!(node) + port in
-        if f.f_stamp.!(slot) = f.f_gen then begin
-          (* presence bit already set: the single-token-per-arc
-             discipline is violated *)
-          if config.Config.detect_collisions then
-            abort
-              (Diagnosis.Collision
-                 (Fmt.str "node %d (%s) port %d ctx %s" node
-                    (Dfg.Graph.node g node).Dfg.Node.label port
-                    (Context.to_string ctx)));
-          (* undetected: the late token overwrites the slot, exactly the
-             Figure 8 pile-up the sanitizer then reports as Double_fire *)
-          f.f_vals.!(slot) <- v;
-          f.f_bags.!(slot) <- bag
+        let la = c.loop_ar.!(node) in
+        if la = 0 then begin
+          if f.f_nstamp.!(node) <> f.f_gen then begin
+            f.f_nstamp.!(node) <- f.f_gen;
+            f.f_need.!(node) <- c.in_ar.!(node);
+            incr entries;
+            if !entries > !peak_matching then peak_matching := !entries
+          end;
+          f.f_need.!(node) <- f.f_need.!(node) - 1;
+          if f.f_need.!(node) = 0 then begin
+            f.f_nstamp.!(node) <- 0;
+            decr entries;
+            let inputs, bags =
+              gather cid f node 0 c.in_ar.!(node) ~extra_pad:false
+            in
+            fire t node cid ctx inputs bags
+          end
+        end
+        else if port < la then begin
+          (* gateway initial group: ports 0..arity-1; the gateway's one
+             entry is open while either group holds a token *)
+          if f.f_nstamp.!(node) <> f.f_gen then begin
+            if f.f_bstamp.!(node) <> f.f_gen then begin
+              incr entries;
+              if !entries > !peak_matching then peak_matching := !entries
+            end;
+            f.f_nstamp.!(node) <- f.f_gen;
+            f.f_need.!(node) <- la
+          end;
+          f.f_need.!(node) <- f.f_need.!(node) - 1;
+          if f.f_need.!(node) = 0 then begin
+            f.f_nstamp.!(node) <- 0;
+            if f.f_bstamp.!(node) <> f.f_gen then decr entries;
+            let inputs, bags = gather cid f node 0 la ~extra_pad:false in
+            fire t node cid ctx inputs bags
+          end
         end
         else begin
-          f.f_stamp.!(slot) <- f.f_gen;
-          f.f_vals.!(slot) <- v;
-          f.f_bags.!(slot) <- bag;
-          f.f_occ <- f.f_occ + 1;
-          if f.f_occ = 1 then begin
-            incr live;
-            if !live > !peak_frames then peak_frames := !live
+          (* gateway back-edge group: ports arity..2*arity-1; the fired
+             group is encoded by the input-array length (arity+1 with a
+             trailing pad), as {!Matching.deliver} does *)
+          if f.f_bstamp.!(node) <> f.f_gen then begin
+            if f.f_nstamp.!(node) <> f.f_gen then begin
+              incr entries;
+              if !entries > !peak_matching then peak_matching := !entries
+            end;
+            f.f_bstamp.!(node) <- f.f_gen;
+            f.f_need_back.!(node) <- la
           end;
-          let la = c.loop_ar.!(node) in
-          if la = 0 then begin
-            if f.f_nstamp.!(node) <> f.f_gen then begin
-              f.f_nstamp.!(node) <- f.f_gen;
-              f.f_need.!(node) <- c.in_ar.!(node)
-            end;
-            f.f_need.!(node) <- f.f_need.!(node) - 1;
-            if f.f_need.!(node) = 0 then begin
-              f.f_nstamp.!(node) <- 0;
-              let inputs, bags =
-                gather cid f node 0 c.in_ar.!(node) ~extra_pad:false
-              in
-              fire t node cid ctx inputs bags
-            end
-          end
-          else if port < la then begin
-            (* gateway initial group: ports 0..arity-1 *)
-            if f.f_nstamp.!(node) <> f.f_gen then begin
-              f.f_nstamp.!(node) <- f.f_gen;
-              f.f_need.!(node) <- la
-            end;
-            f.f_need.!(node) <- f.f_need.!(node) - 1;
-            if f.f_need.!(node) = 0 then begin
-              f.f_nstamp.!(node) <- 0;
-              let inputs, bags = gather cid f node 0 la ~extra_pad:false in
-              fire t node cid ctx inputs bags
-            end
-          end
-          else begin
-            (* gateway back-edge group: ports arity..2*arity-1; the
-               fired group is encoded by the input-array length (arity+1
-               with a trailing pad), as {!Matching.deliver} does *)
-            if f.f_bstamp.!(node) <> f.f_gen then begin
-              f.f_bstamp.!(node) <- f.f_gen;
-              f.f_need_back.!(node) <- la
-            end;
-            f.f_need_back.!(node) <- f.f_need_back.!(node) - 1;
-            if f.f_need_back.!(node) = 0 then begin
-              f.f_bstamp.!(node) <- 0;
-              let inputs, bags = gather cid f node la la ~extra_pad:true in
-              fire t node cid ctx inputs bags
-            end
+          f.f_need_back.!(node) <- f.f_need_back.!(node) - 1;
+          if f.f_need_back.!(node) = 0 then begin
+            f.f_bstamp.!(node) <- 0;
+            if f.f_nstamp.!(node) <> f.f_gen then decr entries;
+            let inputs, bags = gather cid f node la la ~extra_pad:true in
+            fire t node cid ctx inputs bags
           end
         end
       end
@@ -957,26 +948,6 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         fr_bags = boot_bags;
       }
       ready;
-  let absorb () =
-    match config.Config.policy with
-    | Config.Fifo -> ()
-    | Config.Lifo ->
-        while not (Queue.is_empty ready) do
-          Stack.push (Queue.pop ready) lifo
-        done
-  in
-  let pop_next () =
-    match config.Config.policy with
-    | Config.Fifo -> Queue.pop ready
-    | Config.Lifo -> Stack.pop lifo
-  in
-  let ready_length () =
-    Queue.length ready
-    +
-    match config.Config.policy with
-    | Config.Fifo -> 0
-    | Config.Lifo -> Stack.length lifo
-  in
   try
     let finished = ref false in
     while not !finished do
@@ -989,8 +960,6 @@ let run_report ?(config = Config.default) ?(sanitize = true)
          completed matches execute inline here) *)
       let b = wheel.(!t land mask) in
       let count = b.b_len in
-      (* reset before processing: a throttled delivery re-schedules into
-         the (t+1) bucket, never back into this one *)
       b.b_len <- 0;
       for i = 0 to count - 1 do
         decr pending;
@@ -1004,17 +973,16 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       (* 2. issue enabled firings (in direct mode completed matches
          already executed during delivery and the queue is empty) *)
       if not direct then begin
-        absorb ();
         let budget =
           match config.Config.pes with
-          | None -> ready_length ()
-          | Some p -> min p (ready_length ())
+          | None -> Queue.length ready
+          | Some p -> min p (Queue.length ready)
         in
         let started = ref 0 in
         let mem_issued = ref 0 in
         let deferred_mem : firing list ref = ref [] in
         while !started < budget do
-          let f = pop_next () in
+          let f = Queue.pop ready in
           let port_free =
             match config.Config.memory_ports with
             | None -> true
@@ -1023,7 +991,6 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           if port_free then begin
             if c.is_mem.(f.fr_node) then incr mem_issued;
             exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_bags;
-            progressed := true;
             incr started
           end
           else begin
@@ -1036,14 +1003,9 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       end;
       let fired = !firings - fired_before in
       if fired > !peak_parallelism then peak_parallelism := fired;
-      (* 3. stagnation: every delivery throttled, nothing fired ->
-         admit one over capacity next cycle *)
-      if !throttled_this_cycle > 0 && not !progressed then spill := true;
-      throttled_this_cycle := 0;
-      progressed := false;
-      (* 4. quiescence / event-driven skip to the next scheduled cycle *)
-      if ready_length () = 0 && !pending = 0 then finished := true
-      else if ready_length () > 0 then incr t
+      (* 3. quiescence / event-driven skip to the next scheduled cycle *)
+      if Queue.is_empty ready && !pending = 0 then finished := true
+      else if not (Queue.is_empty ready) then incr t
       else begin
         (* nothing enabled: jump straight to the next delivery cycle *)
         let j = ref 1 in
@@ -1090,11 +1052,10 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         peak_parallelism = !peak_parallelism;
         completed = !completed;
         leftover_tokens = leftover;
+        peak_matching = !peak_matching;
         peak_frames = !peak_frames;
         peak_in_flight = !peak_in_flight;
         firings_by_kind;
-        throttled = !throttled;
-        spilled = !spilled;
         diagnosis;
       }
   with Abort d ->

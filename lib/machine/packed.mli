@@ -28,9 +28,8 @@
     no per-cycle parallelism/matching curves, no dynamic critical path,
     and no fault injection (those stay with the reference engine, and
     {!Interp.run_report} refuses a packed run that asks for faults).
-    Firing counts, cycle counts, pressure statistics, the
-    sanitizer, and the fractional-permission certificate are all still
-    live. *)
+    Firing counts, cycle counts, peak matching, the sanitizer, and the
+    fractional-permission certificate are all still live. *)
 
 (** A graph compiled to flat instruction arrays.  Compile once, run
     many times. *)
@@ -55,21 +54,17 @@ type result = {
   peak_parallelism : int;
   completed : bool;
   leftover_tokens : int;
+  peak_matching : int;
+      (** most simultaneous waiting-matching entries, counted as
+          {!Matching} counts them *)
   peak_frames : int;  (** most simultaneously live context frames *)
   peak_in_flight : int;
   firings_by_kind : (string * int) list;
-  throttled : int;  (** deliveries postponed by the frame-store bound *)
-  spilled : int;  (** over-capacity admissions breaking stagnation *)
   diagnosis : Diagnosis.t;
 }
 
 (** [run_report ~layout code] executes compiled [code].  It honours
-    [config.pes], [config.memory_ports], the latencies and the
-    scheduling policy, and interprets [config.max_matching] as a bound
-    on simultaneously live context frames — at capacity, deliveries
-    needing a new frame are throttled to the next cycle (with the same
-    stagnation-spill escape as the reference engine) and reported as
-    {!Diagnosis.pressure}, never a crash.
+    [config.pes], [config.memory_ports] and the latencies.
 
     [sanitize] (default true) runs the token-conservation sanitizer.
     [on_fire cycle node ctx] observes every firing.  The permission

@@ -1,6 +1,6 @@
-(* Robustness tests for deterministic fault injection (Machine.Fault),
-   the structured diagnosis (Machine.Diagnosis) and the bounded
-   waiting-matching store.  The invariants under test: the fault plan is
+(* Robustness tests for deterministic fault injection (Machine.Fault)
+   and the structured diagnosis (Machine.Diagnosis).  The invariants
+   under test: the fault plan is
    a pure function of the seed; every corruption class maps to a
    detection rather than a silently wrong store; timing faults (delay,
    port stall) perturb the schedule but never the result. *)
@@ -217,58 +217,6 @@ let test_run_exn_reports_diagnosis () =
   | exception Machine.Interp.Divergence msg ->
       checkb "message carries the diagnosis dump" true (contains msg "verdict:")
 
-(* ------------------------------------------------------------------ *)
-(* Bounded waiting-matching store                                     *)
-
-(* A pipelined loop overlaps iterations, so the waiting-matching store
-   holds several contexts at once — real pressure for the bounded
-   model. *)
-let pipelined_prog () =
-  let c =
-    Dflow.Driver.compile
-      (Dflow.Driver.Schema2 Dflow.Engine.Pipelined)
-      (Imp.Factory.fib_kernel ~n:8 ())
-  in
-  { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
-
-let bounded cap =
-  let config =
-    { Machine.Config.default with Machine.Config.max_matching = Some cap }
-  in
-  Machine.Interp.run ~config (pipelined_prog ())
-
-let test_bounded_matching_store () =
-  let fib_ref = Imp.Eval.run_program (Imp.Factory.fib_kernel ~n:8 ()) in
-  let unbounded = Machine.Interp.run (pipelined_prog ()) in
-  let natural = unbounded.Machine.Interp.peak_matching in
-  checkb "workload exercises the store" true (natural > 2);
-  let cap = max 2 (natural / 2) in
-  let r = bounded cap in
-  checkb "bounded run still completes cleanly" true
-    (r.Machine.Interp.diagnosis.D.verdict = D.Clean);
-  checkb "bounded run preserves the store" true
-    (Imp.Memory.equal r.Machine.Interp.memory fib_ref);
-  checkb "pressure was reported" true (r.Machine.Interp.matching_throttled > 0);
-  let p = r.Machine.Interp.diagnosis.D.pressure in
-  checkb "diagnosis mirrors the pressure" true
-    (p.D.capacity = Some cap
-    && p.D.throttled = r.Machine.Interp.matching_throttled);
-  checkb "capacity respected up to spills" true
-    (r.Machine.Interp.peak_matching <= cap + p.D.spilled)
-
-let test_bounded_matching_no_livelock () =
-  (* even a one-entry store must complete: the stagnation spill admits
-     an over-capacity delivery whenever a cycle would otherwise make no
-     progress *)
-  let fib_ref = Imp.Eval.run_program (Imp.Factory.fib_kernel ~n:8 ()) in
-  let r = bounded 1 in
-  checkb "cap 1 still completes cleanly" true
-    (r.Machine.Interp.diagnosis.D.verdict = D.Clean);
-  checkb "cap 1 preserves the store" true
-    (Imp.Memory.equal r.Machine.Interp.memory fib_ref);
-  checkb "spills were accounted" true
-    (r.Machine.Interp.diagnosis.D.pressure.D.spilled > 0)
-
 let () =
   Alcotest.run "faults"
     [
@@ -296,12 +244,5 @@ let () =
             test_port_stall_harmless;
           Alcotest.test_case "run_exn reports diagnosis" `Quick
             test_run_exn_reports_diagnosis;
-        ] );
-      ( "matching-store",
-        [
-          Alcotest.test_case "bounded store degrades gracefully" `Quick
-            test_bounded_matching_store;
-          Alcotest.test_case "bounded store never livelocks" `Quick
-            test_bounded_matching_no_livelock;
         ] );
     ]

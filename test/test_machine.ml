@@ -336,56 +336,6 @@ let test_pe_bound_respected () =
     (rinf.Machine.Interp.cycles <= r4.Machine.Interp.cycles
     && r4.Machine.Interp.cycles <= r1.Machine.Interp.cycles)
 
-let test_policy_determinacy () =
-  (* FIFO and LIFO scheduling change timing only: same results, same
-     work, on a real translated program. *)
-  let p = Imp.Factory.gcd_kernel () in
-  let c = Dflow.Driver.compile (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) p in
-  let prog =
-    { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
-  in
-  let conf policy =
-    { Machine.Config.default with Machine.Config.pes = Some 2; policy }
-  in
-  let rf = Machine.Interp.run_exn ~config:(conf Machine.Config.Fifo) prog in
-  let rl = Machine.Interp.run_exn ~config:(conf Machine.Config.Lifo) prog in
-  checkb "same store" true
-    (Imp.Memory.equal rf.Machine.Interp.memory rl.Machine.Interp.memory);
-  checki "same work" rf.Machine.Interp.firings rl.Machine.Interp.firings
-
-let test_policy_timing_differs () =
-  (* The other half of the Fifo/Lifo claim: the policies really do take
-     different schedules, so on a PE-bound loop kernel the cycle counts
-     must differ while the stores stay identical.  A loop keeps enough
-     ready tokens alive per cycle that issue order is observable. *)
-  let p = Imp.Factory.fib_kernel ~n:10 () in
-  let c = Dflow.Driver.compile (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) p in
-  let prog =
-    { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
-  in
-  let reference = Imp.Eval.run_program ~fuel:1_000_000 p in
-  let run pes policy =
-    Machine.Interp.run_exn
-      ~config:{ Machine.Config.default with Machine.Config.pes = Some pes; policy }
-      prog
-  in
-  (* scan a few PE bounds: the schedules only diverge once the machine
-     is narrow enough that the ready queue holds real choices *)
-  let diverged =
-    List.exists
-      (fun pes ->
-        let rf = run pes Machine.Config.Fifo in
-        let rl = run pes Machine.Config.Lifo in
-        checkb "fifo matches reference" true
-          (Imp.Memory.equal reference rf.Machine.Interp.memory);
-        checkb "lifo matches reference" true
-          (Imp.Memory.equal reference rl.Machine.Interp.memory);
-        checki "same work" rf.Machine.Interp.firings rl.Machine.Interp.firings;
-        rf.Machine.Interp.cycles <> rl.Machine.Interp.cycles)
-      [ 1; 2; 3 ]
-  in
-  checkb "some PE bound shows differing cycle counts" true diverged
-
 let test_matching_store_stats () =
   let p = Imp.Factory.fib_kernel ~n:8 () in
   let c = Dflow.Driver.compile (Dflow.Driver.Schema2 Dflow.Engine.Barrier) p in
@@ -425,7 +375,7 @@ let test_profile_sums_to_firings () =
 
 let test_configuration_determinacy () =
   (* results depend only on the program, never on machine shape: sweep
-     PEs x policy x memory ports x latencies over random programs *)
+     PEs x memory ports x latencies over random programs *)
   let rand = Random.State.make [| 31337 |] in
   for _ = 1 to 10 do
     let p = Workloads.Random_gen.structured rand in
@@ -448,8 +398,6 @@ let test_configuration_determinacy () =
           Machine.Config.ideal;
           Machine.Config.bounded 1;
           Machine.Config.bounded 3;
-          { Machine.Config.default with Machine.Config.policy = Machine.Config.Lifo;
-            pes = Some 2 };
           { Machine.Config.default with Machine.Config.memory_ports = Some 1 };
           { Machine.Config.default with
             Machine.Config.latencies = { alu = 7; memory = 19; routing = 2 } };
@@ -496,10 +444,6 @@ let () =
           Alcotest.test_case "PE bound respected" `Quick test_pe_bound_respected;
           Alcotest.test_case "profile sums to firings" `Quick
             test_profile_sums_to_firings;
-          Alcotest.test_case "scheduling policy determinacy" `Quick
-            test_policy_determinacy;
-          Alcotest.test_case "scheduling policy timing differs" `Quick
-            test_policy_timing_differs;
           Alcotest.test_case "memory ports" `Quick test_memory_ports;
           Alcotest.test_case "determinacy across configurations" `Quick
             test_configuration_determinacy;

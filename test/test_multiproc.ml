@@ -188,22 +188,6 @@ let test_examples_determinate () =
     (example_programs ())
 
 (* ------------------------------------------------------------------ *)
-(* Determinacy under per-PE LIFO scheduling                           *)
-
-let test_lifo_multiproc_determinate () =
-  let p = Imp.Factory.fib_kernel ~n:8 () in
-  let c = compile_best p in
-  let prog = { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout } in
-  let reference = Imp.Eval.run_program ~fuel:1_000_000 p in
-  let lifo = { Machine.Config.default with policy = Machine.Config.Lifo } in
-  List.iter
-    (fun pes ->
-      let r = MP.run_exn ~config:lifo ~placement:P.Affinity ~pes prog in
-      checkb (Fmt.str "LIFO multiproc p=%d agrees" pes) true
-        (Imp.Memory.equal reference r.MP.memory))
-    [ 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
 (* Accounting invariants of one multiproc run                         *)
 
 let test_multiproc_accounting () =
@@ -634,8 +618,6 @@ let () =
         [
           Alcotest.test_case "example suite grid" `Quick
             test_examples_determinate;
-          Alcotest.test_case "per-PE LIFO scheduling" `Quick
-            test_lifo_multiproc_determinate;
           qcheck_determinacy;
           qcheck_steal;
         ] );

@@ -3,9 +3,10 @@
    headline is the differential property — over random programs,
    rotating translation schemas and single-PE configurations, packed
    and reference runs must produce bit-identical final stores,
-   identical certificate verdicts, and the same cycle count and peak
-   parallelism.  The engines run one machine with one timing model, so
-   any divergence is an engine bug, not a timing artefact. *)
+   identical certificate verdicts, and the same cycle count, peak
+   parallelism and peak matching.  The engines run one machine with
+   one timing model, so any divergence is an engine bug, not a timing
+   artefact. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -76,10 +77,10 @@ let test_compile_layout () =
 
 (* What must agree between the engines on any run of the same graph:
    the final store bit for bit, the firing multiset size, completion,
-   leftover count, the certificate verdict, and the timing — cycle
-   count and peak parallelism.  The engine is a wall-clock choice, not
-   a different machine.  Peak matching is left out: the packed engine
-   counts live frames, the reference (node, context) entries. *)
+   leftover count, the certificate verdict, the timing — cycle count
+   and peak parallelism — and the peak count of waiting-matching
+   entries.  The engine is a wall-clock choice, not a different
+   machine. *)
 let engines_agree name (prog : Machine.Interp.program) ~config =
   let reference = Machine.Interp.run ~config prog in
   let pk =
@@ -100,6 +101,9 @@ let engines_agree name (prog : Machine.Interp.program) ~config =
     (name ^ ": same peak parallelism")
     reference.Machine.Interp.peak_parallelism
     pk.Machine.Interp.peak_parallelism;
+  checki
+    (name ^ ": same peak matching")
+    reference.Machine.Interp.peak_matching pk.Machine.Interp.peak_matching;
   checkb (name ^ ": same completion") reference.Machine.Interp.completed
     pk.Machine.Interp.completed;
   checki (name ^ ": same leftovers")
@@ -121,13 +125,10 @@ let test_examples_differential () =
     (fun (name, p) ->
       let c = compile_best p in
       let prog = prog_of c in
-      (* idealised, PE-bounded, and LIFO configurations *)
+      (* idealised, PE-bounded, and memory-port-bound configurations *)
       engines_agree name prog ~config:Cfg_.default;
       engines_agree (name ^ "/p4") prog
         ~config:{ Cfg_.default with Cfg_.pes = Some 4 };
-      engines_agree (name ^ "/lifo") prog
-        ~config:
-          { Cfg_.default with Cfg_.pes = Some 2; Cfg_.policy = Cfg_.Lifo };
       engines_agree (name ^ "/memports") prog
         ~config:
           { Cfg_.default with Cfg_.pes = Some 4; Cfg_.memory_ports = Some 1 })
@@ -217,28 +218,6 @@ let test_presence_double_set_sanitized () =
   checkb "packed sanitizer caught the double fire" true (has_double_fire pk);
   checkb "stores still agree" true
     (Imp.Memory.equal reference.Machine.Interp.memory pk.Machine.Interp.memory)
-
-let test_frame_exhaustion_is_structured () =
-  (* a frame store with room for a single context, on a program whose
-     loop wants many: deliveries are throttled (and spill one at a time
-     through stagnant cycles), the run completes, and the pressure is on
-     record — never a crash *)
-  let c = compile_best (Imp.Factory.sum_kernel ~n:6 ()) in
-  let tight = { packed with Cfg_.max_matching = Some 1 } in
-  let r = Machine.Interp.run ~config:tight (prog_of c) in
-  checkb "completed despite exhaustion" true r.Machine.Interp.completed;
-  checki "no leftovers" 0 r.Machine.Interp.leftover_tokens;
-  let pressure = r.Machine.Interp.diagnosis.Machine.Diagnosis.pressure in
-  checkb "capacity on record" true
-    (pressure.Machine.Diagnosis.capacity = Some 1);
-  checkb "throttling recorded" true (pressure.Machine.Diagnosis.throttled > 0);
-  checkb "spills recorded" true (pressure.Machine.Diagnosis.spilled > 0);
-  checkb "matching_throttled surfaced" true
-    (r.Machine.Interp.matching_throttled > 0);
-  (* and the store still lands where the unbounded run does *)
-  let free = Machine.Interp.run ~config:packed (prog_of c) in
-  checkb "store unaffected by the bound" true
-    (Imp.Memory.equal free.Machine.Interp.memory r.Machine.Interp.memory)
 
 let test_empty_program_both_engines () =
   (* a zero-statement program still has Start/End control structure;
@@ -331,7 +310,7 @@ let compile_rotating (p : Imp.Ast.program) : Dflow.Driver.compiled =
       Dflow.Driver.compile Dflow.Driver.Schema1 p
 
 (* unbounded and p=1: the stores, verdicts and firing counts agree,
-   and so does the timing *)
+   and so do the timing and the peak matching *)
 let prop_packed_differential (p : Imp.Ast.program) =
   let c = compile_rotating p in
   let prog = prog_of c in
@@ -349,7 +328,9 @@ let prop_packed_differential (p : Imp.Ast.program) =
       && reference.Machine.Interp.firings = pk.Machine.Interp.firings
       && reference.Machine.Interp.cycles = pk.Machine.Interp.cycles
       && reference.Machine.Interp.peak_parallelism
-         = pk.Machine.Interp.peak_parallelism)
+         = pk.Machine.Interp.peak_parallelism
+      && reference.Machine.Interp.peak_matching
+         = pk.Machine.Interp.peak_matching)
     [ None; Some 1 ]
 
 let qcheck_differential =
@@ -381,8 +362,6 @@ let () =
             test_presence_collision_detected;
           Alcotest.test_case "presence double-set -> Double_fire" `Quick
             test_presence_double_set_sanitized;
-          Alcotest.test_case "frame exhaustion is a structured stall" `Quick
-            test_frame_exhaustion_is_structured;
           Alcotest.test_case "empty program runs cleanly" `Quick
             test_empty_program_both_engines;
           Alcotest.test_case "divergence detected" `Quick
