@@ -24,7 +24,7 @@ val default_latencies : latencies
 val unit_latencies : latencies
 
 (** Which execution core runs the single-PE machine.  [Reference] is
-    the original map-and-list interpreter — the differential oracle's
+    {!Multiproc}'s run loop on its single-PE transport — the oracle's
     ground machine.  [Packed] is the compiled engine ({!Packed}): flat
     instruction arrays, preallocated per-context frames with presence
     bits, and an event-driven ready wheel.  The choice changes only
@@ -49,7 +49,10 @@ val valid_engine_names : string
 val engine_of_string : string -> engine
 
 type t = {
-  pes : int option;  (** [None] = unbounded parallelism *)
+  pes : int option;
+      (** the single PE's issue width: at most this many firings start
+          a cycle ([None] = unbounded parallelism); {!Multiproc.run}
+          takes its PE count from [~pes] instead *)
   memory_ports : int option;
       (** at most this many memory operations may issue per cycle
           ([None] = unbounded): a simple memory-bandwidth model *)

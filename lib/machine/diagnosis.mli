@@ -1,8 +1,9 @@
 (** Structured post-mortems of dataflow execution.
 
-    Every run of each engine ({!Interp}, {!Packed}, {!Multiproc}) —
-    clean, deadlocked, collided or diverged — yields a diagnosis: a
-    verdict plus the machine state needed to understand it.  On a stall
+    Every run of each machine ({!Multiproc}, {!Packed}, and {!Interp}
+    reporting either at one PE) — clean, deadlocked, collided or
+    diverged — yields a diagnosis: a verdict plus the machine state
+    needed to understand it.  On a stall
     this is the waiting-matching store's partial matches (the frontier
     of operators blocked on missing inputs), per-context token counts
     and any deferred I-structure reads; with fault injection enabled it

@@ -122,10 +122,6 @@ val flip_value : int -> Imp.Value.t -> Imp.Value.t
     so tests can enumerate a plan without running the machine. *)
 val decision : spec -> int -> action
 
-(** [link_decision spec i] — likewise for {!on_link}: what the plan will
-    do to wire event [i]. *)
-val link_decision : spec -> int -> action
-
 (** [mix seed stream i] — the avalanche hash every decision stream draws
     from: a pure function of its arguments, stable across runs and OCaml
     versions.  Exposed so other seeded schedules (e.g. {!Recovery}'s

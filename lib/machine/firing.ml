@@ -1,7 +1,7 @@
-(** The dataflow firing rule shared by {!Interp} and {!Multiproc} (see
-    the interface).  Extracted from the single-PE interpreter so the
-    multiprocessor composes the same operator semantics with its own
-    transport instead of forking them. *)
+(** The dataflow firing rule shared by the reference machine
+    ({!Multiproc}'s run loop) and the packed engine ({!Packed}) (see the
+    interface), so each composes the same operator semantics with its
+    own token store and transport instead of forking them. *)
 
 let dummy_value = Imp.Value.Int 0
 

@@ -1,11 +1,11 @@
 (** The dataflow firing rule: what one operator execution does, shared
-    by the single-PE interpreter ({!Interp}) and the multiprocessor
-    stepper ({!Multiproc}).
+    by the reference machine ({!Multiproc}'s run loop, which {!Interp}
+    reports at one PE) and the packed engine ({!Packed}).
 
     The rule is parametrised over a ['meta] provenance type carried on
-    every emitted token: the single-PE machine threads (depth, firing
+    every emitted token: the reference machine threads (depth, firing
     index) pairs through it for dynamic critical-path accounting; the
-    multiprocessor uses [unit].  Timing, scheduling, fan-out and token
+    packed engine uses [unit].  Timing, scheduling, fan-out and token
     transport stay with the caller — [execute] only decides {e which}
     output ports emit {e which} values (and in which context), and
     performs the split-phase memory side effects. *)

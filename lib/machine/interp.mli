@@ -1,18 +1,21 @@
-(** The explicit-token-store dataflow machine simulator — the Monsoon
-    stand-in (DESIGN.md, substitutions).
+(** The single-PE explicit-token-store machine — the Monsoon stand-in
+    (DESIGN.md, substitutions) at one processing element that starts up
+    to [Config.pes] firings a cycle.
 
-    A cycle-driven interpreter of {!Dfg.Graph.t} implementing the
+    Two engines run this one machine and differ only in wall-clock time
+    ({!Config.engine}).  The reference engine is the single-PE transport
+    of {!Multiproc}'s run loop, which the multiprocessor shares: the
     dataflow firing rule, waiting-matching by (node, context), the
     single-token-per-arc discipline (violations raise
     {!Token_collision} — this is how Figure 8's pathology is observed),
-    split-phase multiply-writable memory plus I-structures with deferred
-    reads, and unbounded or bounded processing elements (see
-    {!Config}).
+    and split-phase multiply-writable memory plus I-structures with
+    deferred reads.  The packed engine is {!Packed}.
 
     Robustness layer: a seeded {!Fault.plan} can be injected at the
-    delivery and memory-issue boundaries, and every run — clean or not —
-    is summarised by a structured {!Diagnosis.t} (verdict, blocked
-    frontier, peak matching, fault log).
+    delivery and memory-issue boundaries (reference engine only), and
+    every run — clean or not — is summarised by a structured
+    {!Diagnosis.t} (verdict, blocked frontier, peak matching, fault
+    log).
 
     Execution is deterministic: the ready queue is FIFO and all graphs
     produced by the translation schemas are determinate. *)
@@ -29,7 +32,8 @@ exception Divergence of string
 (** [max_cycles] exceeded; the message carries the full diagnosis dump
     (blocked frontier, token counts, peak matching). *)
 
-type program = {
+(** The program both machines run, re-exported with its labels. *)
+type program = Multiproc.program = {
   graph : Dfg.Graph.t;
   layout : Imp.Layout.t;  (** variable-to-address map the graph assumes *)
 }

@@ -1,6 +1,6 @@
-(** The waiting-matching store shared by {!Interp} and {!Multiproc}
-    (see the interface).  The slot type is polymorphic so each machine
-    attaches its own per-token metadata. *)
+(** The waiting-matching store of the reference machine (see the
+    interface).  The slot type is polymorphic so the machine stores its
+    own token record. *)
 
 type 'slot store = (int * Context.t, 'slot option array) Hashtbl.t
 

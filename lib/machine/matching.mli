@@ -1,11 +1,11 @@
 (** The waiting-matching store: token rendezvous by (node, context).
 
-    This is the ETS frame memory shared by the single-PE interpreter
-    ({!Interp}) and the multiprocessor stepper ({!Multiproc}) — each PE
-    of a multiprocessor owns one store over the nodes placed on it.  The
-    store is polymorphic in the slot type so each machine can attach its
-    own per-token metadata (the single-PE machine carries critical-path
-    provenance; the multiprocessor carries bare values).
+    This is the ETS frame memory of the reference machine
+    ({!Multiproc}'s run loop, on both of its transports) — each PE of a
+    multiprocessor owns one store over the nodes placed on it.  The
+    store is polymorphic in the slot type; the machine stores the
+    arriving token itself, with its critical-path provenance and the
+    permission fractions it carries.
 
     Matching follows the single-token-per-arc discipline: delivering a
     token to an occupied (node, context, port) slot is a collision.

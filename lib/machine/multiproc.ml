@@ -1,16 +1,24 @@
-(** The multiprocessor ETS machine (see the interface): per-PE matching
-    stores, ready queues and ALUs composed with the {!Network}
-    interconnect under a {!Placement}.  The operator semantics are
-    {!Firing.execute} — the same rule the single-PE {!Interp} runs —
-    instantiated with [unit] token metadata: the multiprocessor measures
-    communication, not critical paths.
+(** The reference ETS machine (see the interface): one run loop over the
+    {!Firing} rule and the {!Matching} store, with two transports.  The
+    single-PE transport is the machine {!Interp} reports; the network
+    transport composes per-PE matching stores, ready queues and ALUs
+    with the {!Network} interconnect under a {!Placement}.  One observer
+    records what both report besides the store: the firing profile, the
+    occupancy curves, delivery and kind counts, and the dynamic critical
+    path, which every token carries as its producer's chain depth and
+    firing-log index.
 
-    With [?faults] or [?recovery] the machine switches from the raw wire
-    to the {!Network} reliable transport, runs the {!Sanitize} invariant
-    checker, and (when [?recovery] is given) takes epoch checkpoints it
-    can replay from after a PE fail-stop or a sanitizer violation.  The
-    fault-free path is untouched: same transport, same timing, same
-    counters as before. *)
+    With [?faults] or [?recovery] the network transport switches from
+    the raw wire to the {!Network} reliable transport, runs the
+    {!Sanitize} invariant checker, and (when [?recovery] is given) takes
+    epoch checkpoints it can replay from after a PE fail-stop or a
+    sanitizer violation.  The fault-free path is untouched: same
+    transport, same timing, same counters as before. *)
+
+type program = {
+  graph : Dfg.Graph.t;
+  layout : Imp.Layout.t;
+}
 
 type result = {
   memory : Imp.Memory.t;
@@ -20,6 +28,16 @@ type result = {
   completed : bool;
   leftover_tokens : int;
   peak_matching : int;
+  dummy_deliveries : int;
+  value_deliveries : int;
+  profile : int array;
+  peak_parallelism : int;
+  peak_in_flight : int;
+  firings_by_kind : (string * int) list;
+  in_flight_curve : int array;
+  matching_curve : int array;
+  critical_path : int;
+  critical_chain : (int * Context.t) list;
   per_pe_firings : int array;
   per_pe_busy : int array;
   utilisation : float array;
@@ -41,22 +59,129 @@ type result = {
   diagnosis : Diagnosis.t;
 }
 
-(* A token in transit to one input port: its value plus the permission
-   fractions riding it — the slot type of the per-PE matching stores is
-   the (value, bag) pair. *)
+(* A token in transit to one input port: its value, the permission
+   fractions riding it, and the provenance the critical-path account
+   needs -- the producing firing's chain depth and firing-log index
+   ([-1] for none).  A token waiting in a matching store is the same
+   record. *)
 type delivery = {
   m_node : int;
   m_port : int;
   m_ctx : Context.t;
   m_value : Imp.Value.t;
   m_bag : Permission.bag;
+  m_depth : int;
+  m_src : int;
 }
+
+(* the filler of a loop gateway's back-edge group (see {!Matching.deliver}) *)
+let pad =
+  {
+    m_node = -1;
+    m_port = 0;
+    m_ctx = Context.toplevel;
+    m_value = Firing.dummy_value;
+    m_bag = Permission.empty_bag;
+    m_depth = 0;
+    m_src = -1;
+  }
 
 type firing = {
   x_node : int;
   x_ctx : Context.t;
   x_inputs : Imp.Value.t array;
   x_bags : Permission.bag list;  (** permission bags of the consumed tokens *)
+  x_depth : int;  (** chain depth of the deepest consumed token *)
+  x_pred : int;  (** that token's producer in the firing log, [-1] *)
+}
+
+(* A firing of [node] in [ctx] on the consumed tokens: it extends the
+   deepest input chain. *)
+let firing_of node ctx (tokens : delivery array) =
+  let deepest =
+    Array.fold_left (fun a s -> if s.m_depth > a.m_depth then s else a) pad
+      tokens
+  in
+  {
+    x_node = node;
+    x_ctx = ctx;
+    x_inputs = Array.map (fun s -> s.m_value) tokens;
+    x_bags = Array.to_list (Array.map (fun s -> s.m_bag) tokens);
+    x_depth = deepest.m_depth;
+    x_pred = deepest.m_src;
+  }
+
+(* What the two machines do differently: how tokens travel and how
+   firings issue.  [Single_pe] issues up to [Config.pes] firings a cycle
+   under [Config.memory_ports]; faults enter at the delivery and
+   memory-issue boundaries, and the sanitizer and the certificate only
+   report.  [Network] runs [pes] PEs of one issue each, joined by the
+   interconnect, with memory homes, stealing, link faults and recovery;
+   there the sanitizer (on under faults) and the certificate roll a
+   violation back or stop the run. *)
+type transport =
+  | Single_pe
+  | Network of {
+      net : Network.config;
+      policy : Placement.policy;
+      tree : (int * int option) list;
+      topo : Sched.Topology.t option;
+      steal : Sched.Steal.spec option;
+      recovery : Recovery.spec option;
+      pes : int;
+    }
+
+(* The wire under the network transport: raw, or the reliable transport
+   under faults or recovery.  The single PE has none. *)
+type link =
+  | No_link
+  | Raw of delivery Network.t
+  | Reliable of delivery Network.rt
+
+(* A growable array.  The observer appends one firing-log entry per
+   firing and one curve sample per cycle; as lists of boxed entries they
+   would be promoted and traced by the major collector for the whole
+   run. *)
+type 'a vec = { mutable data : 'a array; mutable len : int }
+
+let vec x = { data = Array.make 256 x; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.data then begin
+    let d = Array.make (2 * v.len) x in
+    Array.blit v.data 0 d 0 v.len;
+    v.data <- d
+  end;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
+let contents v = Array.sub v.data 0 v.len
+
+(* An epoch checkpoint: a consistent cut of the whole machine taken at
+   the end of a cycle.  Matching stores and ready queues are kept in
+   their per-PE buckets but restore re-buckets them through the current
+   placement, so a snapshot taken before a death replays cleanly onto
+   the survivors.  Undelivered transport payloads are captured as
+   (src, dst, payload) — delivered-but-unacked frames are excluded,
+   their effect is already inside the snapshot's receiver state.  The
+   firing log rolls back to its length at the epoch, with the tokens
+   that point into it. *)
+type snapshot = {
+  sp_wait : (int * Context.t, delivery option array) Hashtbl.t array;
+  sp_ready : firing Queue.t array;
+  sp_locals : (int, delivery list) Hashtbl.t;
+  sp_local_pending : int;
+  sp_to_inject : (int, (int * int * delivery) list) Hashtbl.t;
+  sp_inject_pending : int;
+  sp_cells : int array;
+  sp_present : bool array;
+  sp_deferred : (int, (int * Context.t * (int * int)) list) Hashtbl.t;
+  sp_undelivered : (int * int * delivery) list;
+  sp_completed : bool;
+  sp_firings : int;
+  sp_san : Sanitize.snap option;
+  sp_perm : Permission.snap option;
+  sp_logged : int;
 }
 
 exception Abort of Diagnosis.t
@@ -66,51 +191,37 @@ exception Abort of Diagnosis.t
    from the snapshot, so aborting mid-cycle is safe. *)
 exception Rollback
 
-(* An epoch checkpoint: a consistent cut of the whole machine taken at
-   the end of a cycle.  Matching stores and ready queues are kept in
-   their per-PE buckets but restore re-buckets them through the current
-   placement, so a snapshot taken before a death replays cleanly onto
-   the survivors.  Undelivered transport payloads are captured as
-   (src, dst, payload) — delivered-but-unacked frames are excluded,
-   their effect is already inside the snapshot's receiver state. *)
-type slot = Imp.Value.t * Permission.bag
-
-type snapshot = {
-  sp_wait : (int * Context.t, slot option array) Hashtbl.t array;
-  sp_ready : firing Queue.t array;
-  sp_locals : (int, delivery list) Hashtbl.t;
-  sp_local_pending : int;
-  sp_to_inject : (int, (int * int * delivery) list) Hashtbl.t;
-  sp_inject_pending : int;
-  sp_cells : int array;
-  sp_present : bool array;
-  sp_deferred : (int, (int * Context.t * unit) list) Hashtbl.t;
-  sp_undelivered : (int * int * delivery) list;
-  sp_completed : bool;
-  sp_firings : int;
-  sp_san : Sanitize.snap option;
-  sp_perm : Permission.snap option;
-}
-
-let copy_store (s : slot Matching.store) :
-    (int * Context.t, slot option array) Hashtbl.t =
+let copy_store (s : delivery Matching.store) :
+    (int * Context.t, delivery option array) Hashtbl.t =
   let c = Hashtbl.create (max 16 (Hashtbl.length s)) in
   Hashtbl.iter (fun k arr -> Hashtbl.replace c k (Array.copy arr)) s;
   c
 
-let run ?(config = Config.default) ?(net = Network.default)
-    ?(placement = Placement.Hash) ?(tree = []) ?(topo : Sched.Topology.t option)
-    ?(steal : Sched.Steal.spec option)
+let no_wire =
+  { Network.s_messages = 0; s_hops = 0; s_backpressure = 0; s_peak_queue = 0;
+    s_peak_in_flight = 0 }
+
+(* The one run loop. *)
+let exec ~transport ~(config : Config.t)
     ?(on_fire : (int -> Dfg.Node.t -> Context.t -> pe:int -> unit) option)
-    ?(faults : Fault.plan option) ?(recovery : Recovery.spec option) ~pes
-    (p : Interp.program) : (result, Diagnosis.t) Stdlib.result =
-  if pes < 1 then invalid_arg "Multiproc.run: pes must be >= 1";
-  if config.Config.engine <> Config.Reference then
-    invalid_arg
-      "Multiproc.run: the multiprocessor runs on the reference engine only";
-  let g = p.Interp.graph in
-  let pcount = pes in
-  let place = ref (Placement.compute ~tree ?topo placement ~pes:pcount g) in
+    ?(faults : Fault.plan option) (p : program) :
+    (result, Diagnosis.t) Stdlib.result =
+  let g = p.graph in
+  let n = Dfg.Graph.num_nodes g in
+  let single, pcount, net, recovery, steal, topo =
+    match transport with
+    | Single_pe -> (true, 1, Network.default, None, None, None)
+    | Network w -> (false, w.pes, w.net, w.recovery, w.steal, w.topo)
+  in
+  let place =
+    ref
+      (match transport with
+      | Single_pe ->
+          (* one PE holds every node: nothing to place *)
+          let assign = Array.make n 0 in
+          { Placement.pes = 1; policy = Placement.Hash; assign }
+      | Network w -> Placement.compute ~tree:w.tree ?topo w.policy ~pes:w.pes g)
+  in
   (* per-hop distances under the topology; the constant 1 (no topology)
      is the seed's uniform wire, bit for bit *)
   let hops_fn =
@@ -120,25 +231,30 @@ let run ?(config = Config.default) ?(net = Network.default)
   in
   (* the distances the steal victim search compares, built once per run:
      the uniform topology when none is given *)
-  let steal_topo =
-    match topo with
-    | Some tp -> tp
-    | None -> Sched.Topology.make Sched.Topology.Uniform ~pes:pcount
+  let steal =
+    Option.map
+      (fun spec ->
+        ( spec,
+          match topo with
+          | Some tp -> tp
+          | None -> Sched.Topology.make Sched.Topology.Uniform ~pes:pcount ))
+      steal
   in
-  let memory = Imp.Memory.create p.Interp.layout in
-  let env : unit Firing.env =
-    Firing.make_env ~graph:g ~layout:p.Interp.layout memory
+  let memory = Imp.Memory.create p.layout in
+  (* split-phase memory state; deferred readers carry their (depth, log
+     index) provenance *)
+  let env : (int * int) Firing.env =
+    Firing.make_env ~graph:g ~layout:p.layout memory
   in
   (* fractional-permission certificate, active only when the translation
-     attached its cover metadata; violations mirror sanitizer handling:
-     bounded rollback under recovery, structured report otherwise *)
+     attached its cover metadata; violations mirror sanitizer handling *)
   let perm =
     match g.Dfg.Graph.cert with
     | Some c -> Some (Permission.create g c)
     | None -> None
   in
   (* per-PE machine state *)
-  let wait : slot Matching.store array =
+  let wait : delivery Matching.store array =
     Array.init pcount (fun _ -> Matching.create ())
   in
   let ready : firing Queue.t array =
@@ -153,14 +269,11 @@ let run ?(config = Config.default) ?(net = Network.default)
     Hashtbl.create 64
   in
   let inject_pending = ref 0 in
-  (* fault tolerance switches the machine from the raw wire to the
+  (* fault tolerance switches the network from the raw wire to the
      reliable transport; the fault-free path keeps the raw network and
      its exact timing *)
-  let ft = faults <> None || recovery <> None in
-  let network : delivery Network.t =
-    Network.create ~config:net ~hops:hops_fn ~pes:pcount ()
-  in
-  let make_rt () : delivery Network.rt =
+  let ft = (not single) && (faults <> None || recovery <> None) in
+  let make_rt () =
     Network.rt_create ~config:net ~hops:hops_fn
       ?fault:
         (Option.map
@@ -169,10 +282,17 @@ let run ?(config = Config.default) ?(net = Network.default)
       ~corrupt:(fun b d -> { d with m_value = Fault.flip_value b d.m_value })
       ~pes:pcount ()
   in
-  let rt : delivery Network.rt option ref =
-    ref (if ft then Some (make_rt ()) else None)
+  let link =
+    ref
+      (if single then No_link
+       else if ft then Reliable (make_rt ())
+       else Raw (Network.create ~config:net ~hops:hops_fn ~pes:pcount ()))
   in
-  let san = if ft then Some (Sanitize.create g) else None in
+  (* the token-conservation sanitizer: always on, report-only, on the
+     single PE; on the network only under faults or recovery, where a
+     violation rolls back or stops the run *)
+  let san = if single || ft then Some (Sanitize.create g) else None in
+  let violations : Sanitize.violation list ref = ref [] in
   let alive = Array.make pcount true in
   let subst = ref (Array.init pcount (fun i -> i)) in
   let journal : snapshot Recovery.journal = Recovery.journal_create () in
@@ -181,7 +301,18 @@ let run ?(config = Config.default) ?(net = Network.default)
   let pending_deaths =
     ref (match recovery with Some rs -> rs.Recovery.deaths | None -> [])
   in
-  let standing_violations : Sanitize.violation list ref = ref [] in
+  (* The observer: what both transports report besides the store.  It
+     counts firings per node (remembering which fired first) and per
+     cycle, samples the in-flight and matching curves at the end of
+     every cycle, keeps the matching stores' running size and its peak
+     (counted on insert), and logs every firing as (node, ctx, depth,
+     producer's log index) for the critical chain. *)
+  let by_node = Array.make n 0 and first = ref [] and fired = ref 0 in
+  let profile = vec 0 and in_flight = vec 0 and matching = vec 0 in
+  let dummy = ref 0 and value = ref 0 in
+  let waiting = ref 0 and peak_waiting = ref 0 in
+  let log_node = vec 0 and log_ctx = vec Context.toplevel in
+  let log_depth = vec 0 and log_pred = vec 0 in
   (* counters *)
   let firings = ref 0 in
   let memory_ops = ref 0 in
@@ -195,41 +326,47 @@ let run ?(config = Config.default) ?(net = Network.default)
   (* consecutive cycles each PE has sat with an empty ready queue —
      the stealing hysteresis clock *)
   let idle_ctr = Array.make pcount 0 in
-  let peak_matching = ref 0 in
   let net_occupancy = ref [] in
   let completed = ref false in
   let last_cycle = ref 0 in
   let t = ref 0 in
   let net_inject ~src ~dst d =
-    match !rt with
-    | Some r -> Network.rt_send r ~now:!t ~src ~dst d
-    | None -> Network.inject network ~src ~dst d
+    match !link with
+    | Reliable r -> Network.rt_send r ~now:!t ~src ~dst d
+    | Raw w -> Network.inject w ~src ~dst d
+    | No_link -> assert false (* one PE: every token is local *)
   in
   let net_arrivals () =
-    match !rt with
-    | Some r -> Network.rt_arrivals r ~now:!t
-    | None -> Network.arrivals network ~now:!t
+    match !link with
+    | Reliable r -> Network.rt_arrivals r ~now:!t
+    | Raw w -> Network.arrivals w ~now:!t
+    | No_link -> []
   in
   let net_step () =
-    match !rt with
-    | Some r -> Network.rt_step r ~now:!t
-    | None -> Network.step network ~now:!t
+    match !link with
+    | Reliable r -> Network.rt_step r ~now:!t
+    | Raw w -> Network.step w ~now:!t
+    | No_link -> ()
   in
   let net_pending () =
-    match !rt with
-    | Some r -> Network.rt_pending r
-    | None -> Network.in_transit network
+    match !link with
+    | Reliable r -> Network.rt_pending r
+    | Raw w -> Network.in_transit w
+    | No_link -> 0
   in
   let wire_stats () =
-    match !rt with
-    | Some r -> Network.rt_wire_stats r
-    | None -> Network.stats network
+    match !link with
+    | Reliable r -> Some (Network.rt_wire_stats r)
+    | Raw w -> Some (Network.stats w)
+    | No_link -> None
   in
   let leftover_count () =
     Matching.leftover (Array.to_list wait) + Firing.deferred_count env
   in
+  let waiting_by_pe () =
+    Array.to_list (Array.mapi (fun pe w -> (pe, Matching.leftover [ w ])) wait)
+  in
   let diagnose (verdict : Diagnosis.verdict) : Diagnosis.t =
-    let st = wire_stats () in
     let blocked =
       List.concat
         (List.init pcount (fun pe ->
@@ -241,7 +378,7 @@ let run ?(config = Config.default) ?(net = Network.default)
                       b_ctx = ctx;
                       b_present = present;
                       b_missing = missing;
-                      b_pe = Some pe;
+                      b_pe = (if single then None else Some pe);
                     })))
     in
     {
@@ -252,20 +389,21 @@ let run ?(config = Config.default) ?(net = Network.default)
       deferred_reads = Firing.deferred_reads env;
       tokens_by_context = Matching.tokens_by_context (Array.to_list wait);
       waiting_by_pe =
-        Array.to_list
-          (Array.mapi (fun pe w -> (pe, Matching.leftover [ w ])) wait)
-        |> List.filter (fun (_, n) -> n <> 0);
-      peak_matching = !peak_matching;
+        (if single then []
+         else List.filter (fun (_, n) -> n <> 0) (waiting_by_pe ()));
+      peak_matching = !peak_waiting;
       network =
-        Some
-          {
-            Diagnosis.net_messages = st.Network.s_messages;
-            net_backpressure = st.Network.s_backpressure;
-            net_peak_queue = st.Network.s_peak_queue;
-            net_peak_in_flight = st.Network.s_peak_in_flight;
-          };
+        Option.map
+          (fun st ->
+            {
+              Diagnosis.net_messages = st.Network.s_messages;
+              net_backpressure = st.Network.s_backpressure;
+              net_peak_queue = st.Network.s_peak_queue;
+              net_peak_in_flight = st.Network.s_peak_in_flight;
+            })
+          (wire_stats ());
       faults = (match faults with Some pl -> Fault.events pl | None -> []);
-      sanitizer = !standing_violations;
+      sanitizer = List.rev !violations;
       permission =
         (match perm with Some p -> Permission.violations p | None -> []);
       certified =
@@ -277,6 +415,7 @@ let run ?(config = Config.default) ?(net = Network.default)
   let abort verdict = raise (Abort (diagnose verdict)) in
   let schedule_local at d =
     incr local_pending;
+    incr local_deliveries;
     Hashtbl.replace locals at
       (d :: (try Hashtbl.find locals at with Not_found -> []))
   in
@@ -294,39 +433,30 @@ let run ?(config = Config.default) ?(net = Network.default)
     match kind with
     | Dfg.Node.Merge ->
         (* no matching: forward immediately as its own firing *)
-        Queue.add
-          {
-            x_node = d.m_node;
-            x_ctx = d.m_ctx;
-            x_inputs = [| d.m_value |];
-            x_bags = [ d.m_bag ];
-          }
-          ready.(pe)
+        Queue.add (firing_of d.m_node d.m_ctx [| d |]) ready.(pe)
     | _ -> (
-        match
+        let w = wait.(pe) in
+        let before = Matching.entries w in
+        let outcome =
           Matching.deliver ~kind
-            ~detect_collisions:config.Config.detect_collisions
-            ~pad:(Firing.dummy_value, Permission.empty_bag)
-            wait.(pe) ~node:d.m_node ~ctx:d.m_ctx ~port:d.m_port
-            (d.m_value, d.m_bag)
-        with
+            ~detect_collisions:config.Config.detect_collisions ~pad
+            ~on_insert:(fun () ->
+              let now = !waiting + Matching.entries w - before in
+              if now > !peak_waiting then peak_waiting := now)
+            w ~node:d.m_node ~ctx:d.m_ctx ~port:d.m_port d
+        in
+        waiting := !waiting + Matching.entries w - before;
+        match outcome with
         | Matching.Collision ->
             abort
               (Diagnosis.Collision
-                 (Fmt.str "node %d (%s) port %d ctx %s (PE %d)" d.m_node
+                 (Fmt.str "node %d (%s) port %d ctx %s%s" d.m_node
                     (Dfg.Graph.node g d.m_node).Dfg.Node.label d.m_port
                     (Context.to_string d.m_ctx)
-                    pe))
+                    (if single then "" else Fmt.str " (PE %d)" pe)))
         | Matching.Wait -> ()
-        | Matching.Fire slots ->
-            Queue.add
-              {
-                x_node = d.m_node;
-                x_ctx = d.m_ctx;
-                x_inputs = Array.map fst slots;
-                x_bags = Array.to_list (Array.map snd slots);
-              }
-              ready.(pe))
+        | Matching.Fire tokens ->
+            Queue.add (firing_of d.m_node d.m_ctx tokens) ready.(pe))
   in
   (* Can a sanitizer violation be rolled back right now? *)
   let can_roll_back () =
@@ -336,12 +466,58 @@ let run ?(config = Config.default) ?(net = Network.default)
         && Recovery.last journal <> None
     | None -> false
   in
+  (* A violation observed mid-run: the single PE only reports it; the
+     network rolls back to the last epoch when it can and otherwise
+     stops with the report. *)
+  let violated ~report msg =
+    if single then report ()
+    else if can_roll_back () then begin
+      incr san_rollbacks;
+      raise Rollback
+    end
+    else begin
+      report ();
+      abort (Diagnosis.Corrupted msg)
+    end
+  in
+  let count_arc (a : Dfg.Graph.arc) =
+    if a.Dfg.Graph.dummy then incr dummy else incr value
+  in
+  (* The single PE's delivery boundary, where the fault plan may drop,
+     duplicate, corrupt or delay a token: a dropped token destroys its
+     bag, a duplicated one duplicates it -- exactly what the quiescence
+     account then reports. *)
+  let deliver_later (a : Dfg.Graph.arc) at d =
+    let at, d, copies =
+      match faults with
+      | None -> (at, d, 1)
+      | Some plan -> (
+          match
+            Fault.on_delivery plan ~cycle:at ~node:d.m_node ~value:d.m_value
+          with
+          | Fault.Pass | Fault.Act (Fault.Port_stall _ | Fault.Pe_death) ->
+              (at, d, 1)
+          | Fault.Act Fault.Drop -> (at, d, 0)
+          | Fault.Act Fault.Duplicate -> (at, d, 2)
+          | Fault.Act (Fault.Bit_flip b) ->
+              (at, { d with m_value = Fault.flip_value b d.m_value }, 1)
+          | Fault.Act (Fault.Delay k | Fault.Reorder k) -> (at + k, d, 1))
+    in
+    for _ = 1 to copies do
+      count_arc a;
+      schedule_local at d
+    done
+  in
   let execute pe (f : firing) =
-    let n = Dfg.Graph.node g f.x_node in
-    let kind = n.Dfg.Node.kind in
+    let node = Dfg.Graph.node g f.x_node in
+    let kind = node.Dfg.Node.kind in
     incr firings;
     per_pe_firings.(pe) <- per_pe_firings.(pe) + 1;
-    (match on_fire with Some cb -> cb !t n f.x_ctx ~pe | None -> ());
+    let seen = by_node.(f.x_node) in
+    if seen = 0 then first := f.x_node :: !first;
+    by_node.(f.x_node) <- seen + 1;
+    incr fired;
+    (match on_fire with Some cb -> cb !t node f.x_ctx ~pe | None -> ());
     (match san with
     | Some s -> (
         match
@@ -349,31 +525,20 @@ let run ?(config = Config.default) ?(net = Network.default)
             ~group:(Array.length f.x_inputs)
         with
         | Some v ->
-            if can_roll_back () then begin
-              incr san_rollbacks;
-              raise Rollback
-            end
-            else begin
-              standing_violations := !standing_violations @ [ v ];
-              abort (Diagnosis.Corrupted (Sanitize.violation_to_string v))
-            end
+            violated (Sanitize.violation_to_string v) ~report:(fun () ->
+                violations := v :: !violations)
         | None -> ())
     | None -> ());
     (* certificate: join the consumed bags and assert the cover
-       requirement; a violation rolls back like a sanitizer hit when an
-       epoch is available, otherwise the run stops with the report *)
+       requirement before the operator's effect *)
     let held =
       match perm with
       | Some p -> (
           match Permission.on_fire p ~node:f.x_node ~ctx:f.x_ctx f.x_bags with
           | held, [] -> held
-          | _, v :: _ ->
-              if can_roll_back () then begin
-                incr san_rollbacks;
-                raise Rollback
-              end
-              else
-                abort (Diagnosis.Corrupted (Permission.violation_to_string v)))
+          | held, v :: _ ->
+              violated (Permission.violation_to_string v) ~report:ignore;
+              held)
       | None -> Permission.empty_bag
     in
     let lat = Config.latency config kind in
@@ -385,12 +550,17 @@ let run ?(config = Config.default) ?(net = Network.default)
        pipeline speed; serialising whole round trips onto the
        per-variable chains would deny the machine the latency tolerance
        dataflow exists to provide.  A module homed on a dead PE is
-       served by that PE's substitute. *)
+       served by that PE's substitute.  The single PE owns every
+       module. *)
     let mem_penalty =
       if Dfg.Node.is_memory_op kind then begin
         incr memory_ops;
-        let addr = Firing.address env kind f.x_inputs in
-        let home = (!subst).(Network.home_pe net ~pes:pcount ~addr) in
+        let home =
+          if single then pe
+          else
+            let addr = Firing.address env kind f.x_inputs in
+            (!subst).(Network.home_pe net ~pes:pcount ~addr)
+        in
         if home = pe then begin
           incr mem_local;
           0
@@ -408,14 +578,23 @@ let run ?(config = Config.default) ?(net = Network.default)
     let value_done = t_done + mem_penalty in
     if value_done > !last_cycle then last_cycle := value_done;
     let is_load = match kind with Dfg.Node.Load _ -> true | _ -> false in
+    (* chain accounting: this firing extends the deepest input chain *)
+    let depth = f.x_depth + 1 and my_id = log_node.len in
+    push log_node f.x_node;
+    push log_ctx f.x_ctx;
+    push log_depth depth;
+    push log_pred f.x_pred;
     (* emissions are buffered so the held permission can be split over
        the actual deliveries; the replay below preserves the original
-       per-arc order, keeping routing and timing bit-identical *)
-    let buffered : (int * int * Context.t * Imp.Value.t) list ref = ref [] in
+       per-arc order, keeping fault draws, routing and timing
+       bit-identical *)
+    let buffered = ref [] in
     Firing.execute env
-      ~emit:(fun ~node ~port ~ctx ~meta:() v ->
-        buffered := (node, port, ctx, v) :: !buffered)
-      ~meta:() ~meta_max:(fun () () -> ())
+      ~emit:(fun ~node ~port ~ctx ~meta v ->
+        buffered := (node, port, ctx, meta, v) :: !buffered)
+      ~meta:(depth, my_id)
+      ~meta_max:(fun (d1, s1) (d2, s2) ->
+        if d1 >= d2 then (d1, s1) else (d2, s2))
       ~on_complete:(fun () -> completed := true)
       ~double_write:(fun msg -> abort (Diagnosis.Double_write msg))
       ~node:f.x_node ~ctx:f.x_ctx ~inputs:f.x_inputs;
@@ -424,7 +603,7 @@ let run ?(config = Config.default) ?(net = Network.default)
        I-structure wakeups emit from the reader's node and carry none) *)
     let flat =
       List.concat_map
-        (fun ((node, port, _, _) as em) ->
+        (fun ((node, port, _, _, _) as em) ->
           List.map (fun a -> (em, a)) (Dfg.Graph.outgoing g node port))
         (List.rev !buffered)
     in
@@ -435,25 +614,16 @@ let run ?(config = Config.default) ?(net = Network.default)
           let labels =
             Array.of_list
               (List.map
-                 (fun ((node, _, _, _), a) ->
+                 (fun ((node, _, _, _, _), a) ->
                    if node = f.x_node then a.Dfg.Graph.tokens else [])
                  flat)
           in
           fst (Permission.split p ~node:f.x_node ~held labels)
     in
     List.iteri
-      (fun i ((node, port, ctx, v), (a : Dfg.Graph.arc)) ->
-        (* emissions route from the PE of the emitting node: a deferred
-           I-structure read completed by a remote store answers from the
-           parked load's PE, not the store's.  The firing node's own
-           emissions leave from the PE actually EXECUTING it — equal to
-           its placed PE except for a stolen firing, which emits from
-           the thief *)
+      (fun i ((node, port, ctx, (depth, src), v), (a : Dfg.Graph.arc)) ->
         let t_done =
           if is_load && node = f.x_node && port = 0 then value_done else t_done
-        in
-        let src_pe =
-          if node = f.x_node then pe else (!place).Placement.assign.(node)
         in
         let dstn = a.Dfg.Graph.dst.Dfg.Graph.node in
         let d =
@@ -463,14 +633,108 @@ let run ?(config = Config.default) ?(net = Network.default)
             m_ctx = ctx;
             m_value = v;
             m_bag = bags.(i);
+            m_depth = depth;
+            m_src = src;
           }
         in
-        if (!place).Placement.assign.(dstn) = src_pe then begin
-          incr local_deliveries;
-          schedule_local t_done d
-        end
-        else schedule_inject t_done src_pe (!place).Placement.assign.(dstn) d)
+        if single then deliver_later a t_done d
+        else begin
+          count_arc a;
+          (* emissions route from the PE of the emitting node: a
+             deferred I-structure read completed by a remote store
+             answers from the parked load's PE, not the store's.  The
+             firing node's own emissions leave from the PE actually
+             EXECUTING it — equal to its placed PE except for a stolen
+             firing, which emits from the thief *)
+          let src_pe =
+            if node = f.x_node then pe else (!place).Placement.assign.(node)
+          in
+          let dst_pe = (!place).Placement.assign.(dstn) in
+          if dst_pe = src_pe then schedule_local t_done d
+          else schedule_inject t_done src_pe dst_pe d
+        end)
       flat
+  in
+  (* The single PE starts up to [Config.pes] firings, oldest first.  A
+     memory operation refused an issue slot -- out of memory ports, or
+     an injected port stall at the memory-issue boundary -- retries next
+     cycle like a busy port. *)
+  let issue_single () =
+    let q = ready.(0) in
+    let budget =
+      match config.Config.pes with
+      | None -> Queue.length q
+      | Some k -> min k (Queue.length q)
+    in
+    let mem_issued = ref 0 and refused = ref [] in
+    for _ = 1 to budget do
+      let f = Queue.pop q in
+      let is_mem = Dfg.Node.is_memory_op (Dfg.Graph.kind g f.x_node) in
+      let port_free =
+        match config.Config.memory_ports with
+        | None -> true
+        | Some k -> (not is_mem) || !mem_issued < max 1 k
+      in
+      let port_stalled =
+        is_mem
+        &&
+        match faults with
+        | Some plan -> Fault.on_memory_issue plan ~cycle:!t ~node:f.x_node
+        | None -> false
+      in
+      if port_free && not port_stalled then begin
+        if is_mem then incr mem_issued;
+        execute 0 f
+      end
+      else refused := f :: !refused
+    done;
+    List.iter (fun f -> Queue.add f q) (List.rev !refused)
+  in
+  (* Every live PE issues at most one enabled firing.  First, work
+     stealing: a PE idle past the hysteresis takes the enabled firing
+     its closest eligible victim would run LAST (the back of its FIFO).
+     Only ready (fully matched) firings move — tokens are
+     location-independent, so the theft changes where and when the
+     firing executes, never what it computes; the final store is the
+     determinacy grid's invariant. *)
+  let issue_network () =
+    (match steal with
+    | Some (spec, steal_topo) ->
+        for pe = 0 to pcount - 1 do
+          if alive.(pe) then
+            if not (Queue.is_empty ready.(pe)) then idle_ctr.(pe) <- 0
+            else begin
+              idle_ctr.(pe) <- idle_ctr.(pe) + 1;
+              if idle_ctr.(pe) >= spec.Sched.Steal.hysteresis then
+                match
+                  Sched.Steal.victim steal_topo spec ~thief:pe
+                    ~queue_len:(fun v ->
+                      if alive.(v) then Queue.length ready.(v) else 0)
+                with
+                | Some v when not (Queue.is_empty ready.(v)) ->
+                    (* rotate all but the last-to-run back in *)
+                    let q = ready.(v) in
+                    for _ = 2 to Queue.length q do
+                      Queue.add (Queue.pop q) q
+                    done;
+                    Queue.add (Queue.pop q) ready.(pe);
+                    incr steals;
+                    idle_ctr.(pe) <- 0
+                | _ -> ()
+            end
+        done
+    | None -> ());
+    for pe = 0 to pcount - 1 do
+      if alive.(pe) then begin
+        let budget = min 1 (Queue.length ready.(pe)) in
+        for _ = 1 to budget do
+          execute pe (Queue.pop ready.(pe))
+        done;
+        per_pe_curve.(pe) <- budget :: per_pe_curve.(pe);
+        if budget > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1
+      end
+      else per_pe_curve.(pe) <- 0 :: per_pe_curve.(pe)
+    done
   in
   (* --- checkpoint / restore ------------------------------------------- *)
   let take_snapshot () : snapshot =
@@ -485,11 +749,12 @@ let run ?(config = Config.default) ?(net = Network.default)
       sp_present = Array.copy env.Firing.present;
       sp_deferred = Hashtbl.copy env.Firing.deferred;
       sp_undelivered =
-        (match !rt with Some r -> Network.rt_undelivered r | None -> []);
+        (match !link with Reliable r -> Network.rt_undelivered r | _ -> []);
       sp_completed = !completed;
       sp_firings = !firings;
       sp_san = Option.map Sanitize.snapshot san;
       sp_perm = Option.map Permission.snapshot perm;
+      sp_logged = log_node.len;
     }
   in
   (* Restore the last epoch and resume after the failover penalty.  Time
@@ -521,6 +786,7 @@ let run ?(config = Config.default) ?(net = Network.default)
               (Array.copy arr))
           store)
       sp.sp_wait;
+    waiting := Array.fold_left (fun a w -> a + Matching.entries w) 0 wait;
     let requeue (f : firing) =
       Queue.add f ready.((!place).Placement.assign.(f.x_node))
     in
@@ -551,8 +817,8 @@ let run ?(config = Config.default) ?(net = Network.default)
       sp.sp_deferred;
     (* fresh transport; resend everything undelivered at the epoch, from
        the substitutes of any dead sources *)
-    rt := Some (make_rt ());
-    let r = match !rt with Some r -> r | None -> assert false in
+    let r = make_rt () in
+    link := Reliable r;
     List.iter
       (fun (src, dst, d) ->
         Network.rt_send r ~now:resume ~src:((!subst).(src))
@@ -566,6 +832,8 @@ let run ?(config = Config.default) ?(net = Network.default)
     (match (perm, sp.sp_perm) with
     | Some p, Some snap -> Permission.restore p snap
     | _ -> ());
+    List.iter (fun v -> v.len <- sp.sp_logged) [ log_node; log_depth; log_pred ];
+    log_ctx.len <- sp.sp_logged;
     t := resume;
     Array.fill idle_ctr 0 pcount 0;
     if resume > !last_cycle then last_cycle := resume
@@ -578,6 +846,8 @@ let run ?(config = Config.default) ?(net = Network.default)
       x_ctx = Context.toplevel;
       x_inputs = [||];
       x_bags = (match perm with Some p -> [ Permission.mint p ] | None -> []);
+      x_depth = 0;
+      x_pred = -1;
     }
     ready.((!place).Placement.assign.(g.Dfg.Graph.start));
   (* epoch 0: with recovery enabled even a death before the first
@@ -589,10 +859,6 @@ let run ?(config = Config.default) ?(net = Network.default)
         metrics.Recovery.m_checkpoints <- 1;
         ref rs.Recovery.interval
     | None -> ref max_int
-  in
-  let all_idle () =
-    Array.for_all Queue.is_empty ready
-    && !local_pending = 0 && !inject_pending = 0 && net_pending () = 0
   in
   (* one scheduled fail-stop, if due this cycle: mark the PE dead, remap
      its nodes over the survivors, and report that a restore is needed *)
@@ -622,6 +888,7 @@ let run ?(config = Config.default) ?(net = Network.default)
       | Some rs when process_death () -> do_restore rs
       | _ -> (
           try
+            fired := 0;
             (* 1. network arrivals rendezvous at their destination PE *)
             List.iter (fun (_dst, d) -> deliver d) (net_arrivals ());
             (* 2. same-PE deliveries scheduled for this cycle *)
@@ -635,7 +902,10 @@ let run ?(config = Config.default) ?(net = Network.default)
                   (List.rev ds)
             | None -> ());
             (* 3. completed firings' cross-PE tokens enter injection queues *)
-            (match Hashtbl.find_opt to_inject !t with
+            (match
+               if !inject_pending = 0 then None
+               else Hashtbl.find_opt to_inject !t
+             with
             | Some ms ->
                 Hashtbl.remove to_inject !t;
                 List.iter
@@ -644,60 +914,17 @@ let run ?(config = Config.default) ?(net = Network.default)
                     net_inject ~src ~dst d)
                   (List.rev ms)
             | None -> ());
-            (* 4a. work stealing: a PE idle past the hysteresis takes the
-               enabled firing its closest eligible victim would run LAST
-               (the back of its FIFO).  Only ready (fully matched)
-               firings move — tokens are location-independent, so the
-               theft changes where and when the firing executes, never
-               what it computes; the final store is the determinacy
-               grid's invariant. *)
-            (match steal with
-            | Some spec ->
-                for pe = 0 to pcount - 1 do
-                  if alive.(pe) then
-                    if not (Queue.is_empty ready.(pe)) then idle_ctr.(pe) <- 0
-                    else begin
-                      idle_ctr.(pe) <- idle_ctr.(pe) + 1;
-                      if idle_ctr.(pe) >= spec.Sched.Steal.hysteresis then
-                        match
-                          Sched.Steal.victim steal_topo spec ~thief:pe
-                            ~queue_len:(fun v ->
-                              if alive.(v) then Queue.length ready.(v) else 0)
-                        with
-                        | Some v when not (Queue.is_empty ready.(v)) ->
-                            (* rotate all but the last-to-run back in *)
-                            let q = ready.(v) in
-                            for _ = 2 to Queue.length q do
-                              Queue.add (Queue.pop q) q
-                            done;
-                            Queue.add (Queue.pop q) ready.(pe);
-                            incr steals;
-                            idle_ctr.(pe) <- 0
-                        | _ -> ()
-                    end
-                done
-            | None -> ());
-            (* 4. every live PE issues at most one enabled firing *)
-            for pe = 0 to pcount - 1 do
-              if alive.(pe) then begin
-                let budget = min 1 (Queue.length ready.(pe)) in
-                for _ = 1 to budget do
-                  execute pe (Queue.pop ready.(pe))
-                done;
-                per_pe_curve.(pe) <- budget :: per_pe_curve.(pe);
-                if budget > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1
-              end
-              else per_pe_curve.(pe) <- 0 :: per_pe_curve.(pe)
-            done;
+            (* 4. issue *)
+            if single then issue_single () else issue_network ();
             (* 5. the interconnect moves bandwidth-limited messages into
                flight (plus retransmits and held frames under faults) *)
             net_step ();
             (* end-of-cycle sampling *)
-            net_occupancy := net_pending () :: !net_occupancy;
-            let waiting =
-              Array.fold_left (fun a w -> a + Matching.entries w) 0 wait
-            in
-            if waiting > !peak_matching then peak_matching := waiting;
+            let on_wire = net_pending () in
+            if not single then net_occupancy := on_wire :: !net_occupancy;
+            push profile !fired;
+            push in_flight (!local_pending + !inject_pending + on_wire);
+            push matching !waiting;
             (* epoch checkpoint *)
             (match recovery with
             | Some rs when !t >= !next_checkpoint ->
@@ -707,18 +934,16 @@ let run ?(config = Config.default) ?(net = Network.default)
                 next_checkpoint := !t + rs.Recovery.interval
             | _ -> ());
             (* quiescence *)
-            if all_idle () then begin
+            if
+              Array.for_all Queue.is_empty ready
+              && !local_pending = 0 && !inject_pending = 0 && on_wire = 0
+            then begin
               let leftover = leftover_count () in
               let san_vs =
                 match san with
                 | Some s ->
-                    let by_pe =
-                      Array.to_list
-                        (Array.mapi
-                           (fun pe w -> (pe, Matching.leftover [ w ]))
-                           wait)
-                    in
-                    Sanitize.at_quiescence s ~by_pe
+                    Sanitize.at_quiescence s
+                      ?by_pe:(if single then None else Some (waiting_by_pe ()))
                       ~leftover:(Matching.leftover (Array.to_list wait))
                 | None -> []
               in
@@ -741,7 +966,7 @@ let run ?(config = Config.default) ?(net = Network.default)
                 raise Rollback
               end
               else begin
-                standing_violations := san_vs;
+                violations := List.rev_append san_vs !violations;
                 finished := true
               end
             end
@@ -752,26 +977,63 @@ let run ?(config = Config.default) ?(net = Network.default)
             | None -> assert false))
     done;
     let leftover = leftover_count () in
-    let verdict =
-      match !standing_violations with
-      | v :: _ -> Diagnosis.Corrupted (Sanitize.violation_to_string v)
-      | [] -> (
-          match perm with
-          | Some p when Permission.violations p <> [] ->
-              Diagnosis.Corrupted
-                (Permission.violation_to_string
-                   (List.hd (Permission.violations p)))
-          | _ ->
-              if not !completed then Diagnosis.Deadlock
-              else if leftover <> 0 then Diagnosis.Leftover leftover
-              else Diagnosis.Clean)
+    (* the network stops on corruption; the single PE only reports it *)
+    let corrupted =
+      if single then None
+      else
+        match (List.rev !violations, perm) with
+        | v :: _, _ -> Some (Sanitize.violation_to_string v)
+        | [], Some p -> (
+            match Permission.violations p with
+            | v :: _ -> Some (Permission.violation_to_string v)
+            | [] -> None)
+        | [], None -> None
     in
-    let st = wire_stats () in
+    let verdict =
+      match corrupted with
+      | Some m -> Diagnosis.Corrupted m
+      | None ->
+          if not !completed then Diagnosis.Deadlock
+          else if leftover <> 0 then Diagnosis.Leftover leftover
+          else Diagnosis.Clean
+    in
+    let st = Option.value (wire_stats ()) ~default:no_wire in
     let total_cycles = !t + 1 in
     let payloads =
-      match !rt with
-      | Some r -> (Network.rt_stats r).Network.r_sends
-      | None -> st.Network.s_messages
+      match !link with
+      | Reliable r -> (Network.rt_stats r).Network.r_sends
+      | _ -> st.Network.s_messages
+    in
+    let profile = contents profile in
+    (* the single PE's own curve is the profile *)
+    if single then
+      per_pe_busy.(0) <- Array.fold_left (fun a k -> a + min k 1) 0 profile;
+    let in_flight_curve = contents in_flight in
+    (* dynamic critical path: the first deepest firing, its chain walked
+       back through the logged producer indices *)
+    let depths = contents log_depth in
+    let critical_path = Array.fold_left max 0 depths in
+    let rec walk i acc =
+      if i < 0 then acc
+      else walk log_pred.data.(i) ((log_node.data.(i), log_ctx.data.(i)) :: acc)
+    in
+    let critical_chain =
+      match Array.find_index (fun d -> d = critical_path) depths with
+      | Some i -> walk i []
+      | None -> []
+    in
+    (* families enter the table in order of first firing, which fixes
+       the order of equal counts *)
+    let firings_by_kind =
+      let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun v ->
+          let fam = Firing.family (Dfg.Graph.kind g v) in
+          Hashtbl.replace tbl fam
+            (by_node.(v) + Option.value ~default:0 (Hashtbl.find_opt tbl fam)))
+        (List.rev !first);
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+      |> List.sort (fun (_, a) (_, b) -> compare b a)
     in
     Ok
       {
@@ -781,7 +1043,17 @@ let run ?(config = Config.default) ?(net = Network.default)
         memory_ops = !memory_ops;
         completed = !completed;
         leftover_tokens = leftover;
-        peak_matching = !peak_matching;
+        peak_matching = !peak_waiting;
+        dummy_deliveries = !dummy;
+        value_deliveries = !value;
+        profile;
+        peak_parallelism = Array.fold_left max 0 profile;
+        peak_in_flight = Array.fold_left max 0 in_flight_curve;
+        firings_by_kind;
+        in_flight_curve;
+        matching_curve = contents matching;
+        critical_path;
+        critical_chain;
         per_pe_firings;
         per_pe_busy;
         utilisation =
@@ -789,7 +1061,8 @@ let run ?(config = Config.default) ?(net = Network.default)
             (fun b -> float_of_int b /. float_of_int (max 1 total_cycles))
             per_pe_busy;
         per_pe_curve =
-          Array.map (fun c -> Array.of_list (List.rev c)) per_pe_curve;
+          (if single then [| profile |]
+           else Array.map (fun c -> Array.of_list (List.rev c)) per_pe_curve);
         local_deliveries = !local_deliveries;
         net_messages = payloads;
         cut_traffic =
@@ -806,11 +1079,31 @@ let run ?(config = Config.default) ?(net = Network.default)
         net_occupancy = Array.of_list (List.rev !net_occupancy);
         placement = !place;
         placement_stats = Placement.stats g !place;
-        transport = Option.map Network.rt_stats !rt;
+        transport =
+          (match !link with
+          | Reliable r -> Some (Network.rt_stats r)
+          | _ -> None);
         recovery = (match recovery with Some _ -> Some metrics | None -> None);
         diagnosis = diagnose verdict;
       }
   with Abort d -> Error d
+
+let run ?(config = Config.default) ?(net = Network.default)
+    ?(placement = Placement.Hash) ?(tree = []) ?topo ?steal ?on_fire ?faults
+    ?recovery ~pes (p : program) : (result, Diagnosis.t) Stdlib.result =
+  if pes < 1 then invalid_arg "Multiproc.run: pes must be >= 1";
+  if config.Config.engine <> Config.Reference then
+    invalid_arg
+      "Multiproc.run: the multiprocessor runs on the reference engine only";
+  exec ~config ?on_fire ?faults
+    ~transport:
+      (Network { net; policy = placement; tree; topo; steal; recovery; pes })
+    p
+
+let run_single ?(config = Config.default) ?faults ?on_fire (p : program) =
+  exec ~config ?faults ~transport:Single_pe
+    ?on_fire:(Option.map (fun cb t node ctx ~pe:_ -> cb t node ctx) on_fire)
+    p
 
 let run_exn ?config ?net ?placement ?tree ?topo ?steal ?on_fire ?faults
     ?recovery ~pes p : result =

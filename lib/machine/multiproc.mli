@@ -1,52 +1,69 @@
-(** The multiprocessor ETS machine: [p] processing elements — each with
-    its own waiting-matching store, ready queue and ALU — joined by a
-    {!Network} interconnect, with nodes distributed by a {!Placement}
-    policy.  This is the Monsoon floor plan the single-PE {!Interp}
-    stands in for: same firing rule (both machines run {!Firing} over
-    {!Matching}), different transport.
+(** The reference ETS machine: one run loop over the {!Firing} rule and
+    the {!Matching} store with two transports.  A machine with one PE is
+    the simplest case of the paper's explicit-token-store multiprocessor
+    (Monsoon), so the transport owns only what differs, and one observer
+    reports for both: the per-cycle firing profile, the in-flight and
+    matching curves, peak in-flight, peak matching (counted on insert,
+    summed over PEs), dummy and value deliveries, firings by kind, and
+    the dynamic critical path with one maximal chain.
 
+    {b Single PE} ({!run_single}, what {!Interp} reports): up to
+    [Config.pes] enabled firings start a cycle (all when [None]), oldest
+    first, at most [Config.memory_ports] of them memory operations.  A
+    seeded {!Fault.plan} enters at the delivery and memory-issue
+    boundaries; the {!Sanitize} checker and the permission certificate
+    only report.  No placement, memory home, network step or steal scan
+    is computed.
+
+    {b Network} ({!run}): [p] processing elements — each with its own
+    matching store, ready queue and ALU — joined by a {!Network}
+    interconnect, with nodes distributed by a {!Placement} policy.
     Each cycle: network arrivals and same-PE deliveries rendezvous in
     their PE's matching store; every PE issues at most one enabled
-    firing, oldest first; output tokens
-    bound for co-resident consumers are scheduled locally while
-    cross-PE tokens enter the injection queue; the network moves
-    bandwidth-limited messages into flight.  Memory is interleaved
-    across modules ({!Network.home_pe}): a load from a non-owning PE
-    pays a request/response round trip of [2 * latency] extra cycles on
-    its value output — requests themselves are fire-and-forget in
-    access-chain order, so stores and the chain's successor token never
-    wait on the round trip (split-phase access).
+    firing, oldest first; tokens bound for co-resident consumers are
+    scheduled locally while cross-PE tokens enter the injection queue;
+    the network moves bandwidth-limited messages into flight.  Memory
+    is interleaved across modules ({!Network.home_pe}): a load from a
+    non-owning PE pays a request/response round trip of [2 * latency]
+    extra cycles on its value output — requests themselves are
+    fire-and-forget in access-chain order, so stores and the chain's
+    successor token never wait on the round trip (split-phase access).
+    At one PE its timing is the single PE's at [Config.pes = Some 1].
 
     Determinacy: the final store does not depend on [pes], placement or
     network configuration.  The translation schemas' access tokens
     already serialise every pair of conflicting memory operations, so
     however transport reorders independent firings, conflicting ones
-    stay ordered — the property the differential suite checks against
-    the reference interpreter and the single-PE machine.
+    stay ordered — the property the differential suite checks.
 
-    Of {!Config.t} the multiprocessor honours [latencies], [max_cycles]
-    and [detect_collisions]; [pes] and [memory_ports] are
-    single-machine notions superseded by [~pes] and the module
-    interleaving.  [engine] must be [Reference]: the packed engine is
-    single-PE only.
+    Of {!Config.t} the network honours [latencies], [max_cycles] and
+    [detect_collisions]; [pes] and [memory_ports] are single-PE notions
+    superseded by [~pes] and the module interleaving.  [engine] must be
+    [Reference]: the packed engine is single-PE only.
 
-    {b Fault tolerance.}  Passing [?faults] and/or [?recovery] switches
-    the machine from the raw wire to the {!Network} reliable transport
-    (sequence numbers, receiver dedup, ack/retransmit with backoff) and
-    runs the {!Sanitize} token-conservation checker.  [?faults] injects
-    seeded wire faults via {!Fault.on_link}.  [?recovery] adds epoch
-    checkpoints of the whole machine — matching stores, ready queues,
-    undelivered transport payloads, memory and split-phase state,
-    sanitizer counters — plus a schedule of PE fail-stops: on a death
-    the dead PE's nodes are remapped over the survivors
-    ({!Recovery.remap}) and the last epoch is replayed.  Time is
-    monotonic across rollbacks: lost cycles and the failover penalty
-    show up in the makespan, and the cost is accounted in
-    [result.recovery].  Determinacy is what makes replay safe — any
-    arrival order yields the same final store, so resuming from a
-    consistent cut with different timing (and one PE fewer) converges on
-    the reference store.  Without these options the machine's behaviour
-    and timing are bit-identical to the fault-free original. *)
+    {b Fault tolerance.}  Passing [?faults] and/or [?recovery] to {!run}
+    switches the machine from the raw wire to the {!Network} reliable
+    transport (sequence numbers, receiver dedup, ack/retransmit with
+    backoff) and runs the {!Sanitize} token-conservation checker.
+    [?faults] injects seeded wire faults via {!Fault.on_link}.
+    [?recovery] adds epoch checkpoints of the whole machine — matching
+    stores, ready queues, undelivered transport payloads, memory and
+    split-phase state, sanitizer counters, the firing log — plus a
+    schedule of PE fail-stops: on a death the dead PE's nodes are
+    remapped over the survivors ({!Recovery.remap}) and the last epoch
+    is replayed.  Time is monotonic across rollbacks: lost cycles and
+    the failover penalty show up in the makespan, and the cost is
+    accounted in [result.recovery].  Determinacy is what makes replay
+    safe — any arrival order yields the same final store, so resuming
+    from a consistent cut with different timing (and one PE fewer)
+    converges on the reference store.  Without these options the
+    machine's behaviour and timing are bit-identical to the fault-free
+    original. *)
+
+type program = {
+  graph : Dfg.Graph.t;
+  layout : Imp.Layout.t;  (** variable-to-address map the graph assumes *)
+}
 
 type result = {
   memory : Imp.Memory.t;  (** final store *)
@@ -56,8 +73,21 @@ type result = {
   completed : bool;  (** the End operator fired *)
   leftover_tokens : int;
   peak_matching : int;
-      (** peak total matching-store entries, summed over PEs (sampled
-          per cycle) *)
+      (** most simultaneous matching-store entries, summed over PEs and
+          counted on insert *)
+  dummy_deliveries : int;  (** tokens delivered along dummy (access) arcs *)
+  value_deliveries : int;  (** tokens delivered along value arcs *)
+  profile : int array;  (** firings started per cycle, all PEs *)
+  peak_parallelism : int;  (** the maximum of [profile] *)
+  peak_in_flight : int;  (** the maximum of [in_flight_curve] *)
+  firings_by_kind : (string * int) list;
+      (** executions per operator family, sorted descending *)
+  in_flight_curve : int array;
+      (** per cycle, tokens scheduled, queued or on the wire at its end *)
+  matching_curve : int array;  (** per cycle, matching entries at its end *)
+  critical_path : int;
+      (** firings on the longest dependence chain actually executed *)
+  critical_chain : (int * Context.t) list;  (** one such chain, source first *)
   per_pe_firings : int array;
   per_pe_busy : int array;  (** cycles in which the PE issued a firing *)
   utilisation : float array;  (** per PE, busy cycles / total cycles *)
@@ -84,7 +114,8 @@ type result = {
       (** reliable-transport counters; [Some] iff faults/recovery on *)
   recovery : Recovery.metrics option;
       (** checkpoint/rollback cost accounting; [Some] iff recovery on *)
-  diagnosis : Diagnosis.t;  (** [diagnosis.network] is always [Some _] *)
+  diagnosis : Diagnosis.t;
+      (** [diagnosis.network] is [Some _] under the network transport *)
 }
 
 (** [run ?config ?net ?placement ?on_fire ~pes program] —
@@ -118,7 +149,21 @@ val run :
   ?faults:Fault.plan ->
   ?recovery:Recovery.spec ->
   pes:int ->
-  Interp.program ->
+  program ->
+  (result, Diagnosis.t) Stdlib.result
+
+(** [run_single ?config ?faults ?on_fire program] — execute to
+    quiescence on the single-PE transport: [config.pes] is the issue
+    width, [config.memory_ports] the memory issue limit, and [faults]
+    acts at the delivery and memory-issue boundaries.  [config.engine]
+    is not consulted.  The network fields describe one PE that never
+    uses the network: every node on PE 0, every token and memory access
+    local.  {!Interp.run_report} reports this run. *)
+val run_single :
+  ?config:Config.t ->
+  ?faults:Fault.plan ->
+  ?on_fire:(int -> Dfg.Node.t -> Context.t -> unit) ->
+  program ->
   (result, Diagnosis.t) Stdlib.result
 
 (** Like {!run} but additionally requires clean completion: End fired
@@ -135,5 +180,5 @@ val run_exn :
   ?faults:Fault.plan ->
   ?recovery:Recovery.spec ->
   pes:int ->
-  Interp.program ->
+  program ->
   result

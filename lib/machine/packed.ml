@@ -115,8 +115,10 @@ type code = {
   start : int;
   (* recycled activation frames, shared across runs of this code (the
      engine is single-threaded); a frame's generation stamp makes any
-     stale contents invisible to the next run *)
+     stale contents invisible to the next run, so the generation counter
+     lives here too and never repeats a value across runs *)
   mutable pool : frame list;
+  mutable gen : int;
 }
 
 let graph (c : code) = c.g
@@ -200,6 +202,7 @@ let compile_graph (g : Dfg.Graph.t) : code =
     dst_tokens;
     start = g.Dfg.Graph.start;
     pool = [];
+    gen = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -322,7 +325,6 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   (* frame pool handed across runs of this code *)
   let free : frame list ref = ref c.pool in
   c.pool <- [];
-  let gen = ref 1 in
   let live = ref 0 in
   (* frames holding at least one token *)
   let peak_frames = ref 0 in
@@ -373,8 +375,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           f
       | [] -> fresh_frame ()
     in
-    incr gen;
-    f.f_gen <- !gen;
+    c.gen <- c.gen + 1;
+    f.f_gen <- c.gen;
     f.f_occ <- 0;
     !frames.(cid) <- f;
     f

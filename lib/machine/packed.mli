@@ -1,8 +1,8 @@
 (** Packed explicit-token-store execution core.
 
-    The reference machines ({!Interp}, {!Multiproc}) walk functional
-    structures — maps keyed by (node, context), association lists,
-    per-cycle replay lists — on every token.  This module is the
+    The reference machine ({!Multiproc}'s run loop) walks functional
+    structures — hashtables keyed by (node, context), per-cycle delivery
+    lists — on every token.  This module is the
     compiled alternative, the move Monsoon made for the paper's
     abstract ETS machine: {!compile_graph} lowers a {!Dfg.Graph.t}
     {e once} into flat instruction arrays (int opcode, matching arity,
@@ -12,10 +12,10 @@
     preallocated per-context frames recycled through a free list — with
     an event-driven ready wheel, so empty cycles cost nothing.
 
-    It is a single-PE engine: it runs exactly the machine {!Interp}
-    runs, with the same timing, so the two report the same cycle count
-    and peak parallelism for the same graph and configuration.  The
-    multiprocessor has one model, {!Multiproc}.
+    It is a single-PE engine: it runs exactly the machine the reference
+    loop's single-PE transport runs, with the same timing, so the two
+    report the same cycle count and peak parallelism for the same graph
+    and configuration.  The multiprocessor has one model, {!Multiproc}.
 
     Why this is safe to use: the translated graphs are determinate, so
     the final store and the certificate verdict are independent of

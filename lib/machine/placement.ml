@@ -26,8 +26,6 @@ type t = {
   assign : int array;
 }
 
-let pe_of t n = t.assign.(n)
-
 (* Knuth multiplicative hash of the node id: the ETS-style frame hash —
    uniform, structure-blind.  The PE index comes from the HIGH bits of
    the 32-bit product (fixed-point multiply by p); the low bits are

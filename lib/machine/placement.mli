@@ -40,9 +40,6 @@ type t = {
   assign : int array;  (** node id -> PE, [0 <= assign.(n) < pes] *)
 }
 
-(** The PE a node lives on. *)
-val pe_of : t -> int -> int
-
 (** [compute ?tree ?topo policy ~pes g] — deterministic placement of
     [g]'s nodes onto [max 1 pes] PEs.  [tree] is the loop-nesting
     forest [(loop id, parent)] and [topo] the interconnect shape; both

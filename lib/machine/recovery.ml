@@ -103,10 +103,3 @@ let metrics_create () =
     m_lost_cycles = 0;
     m_replayed_firings = 0;
   }
-
-let pp_metrics ppf (m : metrics) =
-  Fmt.pf ppf
-    "checkpoints %d, rollbacks %d, deaths %d, lost cycles %d, replayed \
-     firings %d"
-    m.m_checkpoints m.m_rollbacks m.m_deaths m.m_lost_cycles
-    m.m_replayed_firings

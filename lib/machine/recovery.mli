@@ -74,4 +74,3 @@ type metrics = {
 }
 
 val metrics_create : unit -> metrics
-val pp_metrics : Format.formatter -> metrics -> unit

@@ -50,7 +50,6 @@ type t = {
   entry_gates : (int, int) Hashtbl.t;  (** loop id -> Loop_entry node count *)
   exit_gates : (int, int) Hashtbl.t;  (** loop id -> Loop_exit node count *)
   mutable fired : (int * Context.t, unit) Hashtbl.t;
-  mutable fires : int;
   mutable switch_in : int array;  (** data (port 0) deliveries per switch *)
   mutable switch_fired : int array;
   mutable loop_entries : (int, int) Hashtbl.t;  (** initial-group fires *)
@@ -95,7 +94,6 @@ let create (graph : Dfg.Graph.t) : t =
     entry_gates;
     exit_gates;
     fired = Hashtbl.create 256;
-    fires = 0;
     switch_in = Array.make n 0;
     switch_fired = Array.make n 0;
     loop_entries = Hashtbl.create 4;
@@ -126,7 +124,6 @@ let recurrent (t : t) node =
       r.(node)
 
 let on_fire (t : t) ~node ~ctx ~group : violation option =
-  t.fires <- t.fires + 1;
   (match Dfg.Graph.kind t.graph node with
   | Dfg.Node.Switch -> t.switch_fired.(node) <- t.switch_fired.(node) + 1
   | Dfg.Node.Loop_entry { loop; arity } ->
@@ -147,8 +144,6 @@ let on_fire (t : t) ~node ~ctx ~group : violation option =
     Hashtbl.replace t.fired key ();
     None
   end
-
-let fire_count (t : t) = t.fires
 
 let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
   let vs = ref [] in
@@ -218,7 +213,6 @@ let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
    double fires. *)
 type snap = {
   sn_fired : (int * Context.t, unit) Hashtbl.t;
-  sn_fires : int;
   sn_switch_in : int array;
   sn_switch_fired : int array;
   sn_loop_entries : (int, int) Hashtbl.t;
@@ -230,7 +224,6 @@ type snap = {
 let snapshot (t : t) : snap =
   {
     sn_fired = Hashtbl.copy t.fired;
-    sn_fires = t.fires;
     sn_switch_in = Array.copy t.switch_in;
     sn_switch_fired = Array.copy t.switch_fired;
     sn_loop_entries = Hashtbl.copy t.loop_entries;
@@ -241,7 +234,6 @@ let snapshot (t : t) : snap =
 
 let restore (t : t) (s : snap) : unit =
   t.fired <- Hashtbl.copy s.sn_fired;
-  t.fires <- s.sn_fires;
   t.switch_in <- Array.copy s.sn_switch_in;
   t.switch_fired <- Array.copy s.sn_switch_fired;
   t.loop_entries <- Hashtbl.copy s.sn_loop_entries;

@@ -69,9 +69,6 @@ val on_delivery : t -> node:int -> port:int -> unit
     this (node, ctx) has already fired — the rollback trigger. *)
 val on_fire : t -> node:int -> ctx:Context.t -> group:int -> violation option
 
-(** Total firings recorded (used for the replayed-firings metric). *)
-val fire_count : t -> int
-
 (** [at_quiescence ?by_pe t ~leftover] — the balance checks that only
     make sense once the machine is quiet: switch in/out balance,
     per-loop entry/exit balance, and the matching-store leak ([leftover]

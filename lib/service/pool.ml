@@ -52,55 +52,3 @@ let map ?(jobs = default_jobs ()) (f : 'a -> 'b) (items : 'a array) :
     List.iter Domain.join spawned
   end;
   results
-
-let map_emit ?(jobs = default_jobs ())
-    ~(emit : int -> ('b, failure) result -> unit) (f : 'a -> 'b)
-    (items : 'a array) : unit =
-  check_jobs jobs;
-  let n = Array.length items in
-  let workers = min jobs n in
-  if workers <= 1 then
-    Array.iteri (fun i x -> emit i (run_task f x)) items
-  else begin
-    let slots : ('b, failure) result option array = Array.make n None in
-    let mutex = Mutex.create () in
-    let flushed = ref 0 in
-    let next = Atomic.make 0 in
-    (* the flush front: whoever completes slot [!flushed] drains every
-       contiguous ready slot, under the mutex, so emissions are strictly
-       ordered and never concurrent.  [emit] is caller code and may
-       raise: the unlock must survive that, or every other worker
-       deadlocks on the next deposit. *)
-    let deposit i r =
-      Mutex.lock mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock mutex)
-        (fun () ->
-          slots.(i) <- Some r;
-          let rec drain () =
-            if !flushed < n then
-              match slots.(!flushed) with
-              | Some r ->
-                  let i = !flushed in
-                  incr flushed;
-                  slots.(i) <- None;
-                  emit i r;
-                  drain ()
-              | None -> ()
-          in
-          drain ())
-    in
-    let worker () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          deposit i (run_task f items.(i));
-          go ()
-        end
-      in
-      go ()
-    in
-    let spawned = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned
-  end

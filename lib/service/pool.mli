@@ -32,14 +32,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, failure) result array
     never disturbs its neighbours.  [jobs <= 1] runs inline on the
     calling domain — same results, no domains spawned.
     @raise Invalid_argument if [jobs < 1]. *)
-
-val map_emit :
-  ?jobs:int -> emit:(int -> ('b, failure) result -> unit) -> ('a -> 'b) ->
-  'a array -> unit
-(** Like {!map} but streams: [emit i r] is called exactly once per item,
-    strictly in index order, as soon as every result up to [i] is
-    available.  [emit] runs on the calling domain for [jobs <= 1] and on
-    whichever worker completes the flush-front otherwise, but never
-    concurrently with itself.  An [emit] that raises propagates to the
-    worker that called it, but never leaves the internal mutex held:
-    the remaining workers keep draining their own slots. *)

@@ -209,10 +209,30 @@ let test_multiproc_accounting () =
     (Array.length r.MP.net_occupancy);
   checkb "diagnosis carries the network section" true
     (r.MP.diagnosis.Machine.Diagnosis.network <> None);
+  (* the observer: the profile sums to the firings, a chain is as long
+     as the critical path, and peak matching (counted on insert) is at
+     least every end-of-cycle sample *)
+  checki "profile sums to the firings" r.MP.firings
+    (Array.fold_left ( + ) 0 r.MP.profile);
+  checki "critical chain is the critical path" r.MP.critical_path
+    (List.length r.MP.critical_chain);
+  checkb "peak matching bounds the curve" true
+    (Array.for_all (fun m -> m <= r.MP.peak_matching) r.MP.matching_curve);
   (* p=1 never touches the network *)
   let r1 = MP.run_exn ~placement:P.Hash ~pes:1 prog in
   checki "p=1 sends no messages" 0 r1.MP.net_messages;
-  checki "p=1 pays no remote accesses" 0 r1.MP.mem_remote
+  checki "p=1 pays no remote accesses" 0 r1.MP.mem_remote;
+  (* and reports what the single PE issuing one firing a cycle reports *)
+  let one = Machine.Interp.run_exn ~config:(Machine.Config.bounded 1) prog in
+  checkb "p=1 observes the single PE's run" true
+    (r1.MP.profile = one.Machine.Interp.profile
+    && r1.MP.in_flight_curve = one.Machine.Interp.in_flight_curve
+    && r1.MP.matching_curve = one.Machine.Interp.matching_curve
+    && r1.MP.peak_matching = one.Machine.Interp.peak_matching
+    && r1.MP.critical_chain = one.Machine.Interp.critical_chain
+    && r1.MP.firings_by_kind = one.Machine.Interp.firings_by_kind
+    && r1.MP.dummy_deliveries = one.Machine.Interp.dummy_deliveries
+    && r1.MP.value_deliveries = one.Machine.Interp.value_deliveries)
 
 let test_backpressure_counted_not_dropped () =
   (* a one-slot, one-per-cycle network under round-robin placement:
@@ -511,6 +531,11 @@ let prop_multiproc_determinate (p : Imp.Ast.program) =
   let c = compile_best p in
   let prog = { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout } in
   let single = Machine.Interp.run_exn prog in
+  (* one PE issuing one firing a cycle: the single-PE and the network
+     transport must keep one timing model *)
+  let one_pe =
+    Machine.Interp.run_exn ~config:(Machine.Config.bounded 1) prog
+  in
   Imp.Memory.equal reference single.Machine.Interp.memory
   && List.for_all
        (fun policy ->
@@ -519,7 +544,11 @@ let prop_multiproc_determinate (p : Imp.Ast.program) =
              List.for_all
                (fun pes ->
                  let r = MP.run_exn ~net ~placement:policy ~pes prog in
-                 Imp.Memory.equal reference r.MP.memory)
+                 Imp.Memory.equal reference r.MP.memory
+                 && (pes <> 1
+                    || r.MP.cycles = one_pe.Machine.Interp.cycles
+                       && r.MP.firings = one_pe.Machine.Interp.firings
+                       && r.MP.memory_ops = one_pe.Machine.Interp.memory_ops))
                [ 1; 2; 4 ])
            net_grid)
        P.all_policies

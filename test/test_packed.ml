@@ -236,6 +236,49 @@ let test_empty_program_both_engines () =
            pk.Machine.Interp.memory))
     [ Dflow.Driver.Schema1; Dflow.Driver.Schema2_opt Dflow.Engine.Barrier ]
 
+(* A run that stalls with a token parked: the add gets port 0 from Start,
+   but its port 1 hangs off a switch steered false, so the run quiesces
+   with one leftover token in the add's frame. *)
+let stalled_graph () =
+  let b = B.create () in
+  let start = B.add b (N.Start 4) in
+  let f = B.add b (N.Const (Imp.Value.Bool false)) in
+  let sw = B.add b N.Switch in
+  let add = B.add b (N.Binop Imp.Ast.Add) in
+  let stop = B.add b (N.End 2) in
+  B.connect b ~dummy:true (start, 0) (f, 0);
+  B.connect b ~dummy:true (start, 1) (sw, 0);
+  B.connect b (f, 0) (sw, 1);
+  B.connect b ~dummy:true (start, 2) (add, 0);
+  B.connect b ~dummy:true (sw, 0) (add, 1);
+  B.connect b ~dummy:true (sw, 1) (stop, 0);
+  B.connect b ~dummy:true (start, 3) (stop, 1);
+  B.finish b
+
+let test_reused_code_forgets_parked_tokens () =
+  (* compiled code recycles its frames across runs: a stalled run's
+     parked token must not reappear in the next run of the same code *)
+  let code = Machine.Packed.compile_graph (stalled_graph ()) in
+  let outcome () =
+    match Machine.Packed.run_report ~layout:(layout_xy ()) code with
+    | Error d -> (d.Machine.Diagnosis.verdict, -1)
+    | Ok r ->
+        ( r.Machine.Packed.diagnosis.Machine.Diagnosis.verdict,
+          r.Machine.Packed.leftover_tokens )
+  in
+  let show (v, n) =
+    Fmt.str "%s (%d leftover)" (Machine.Diagnosis.verdict_to_string v) n
+  in
+  let first = show (outcome ()) in
+  Alcotest.(check string) "first run stalls with one parked token"
+    (show (Machine.Diagnosis.Leftover 1, 1))
+    first;
+  List.iter
+    (fun run ->
+      Alcotest.(check string) (Fmt.str "run %d of the same code" run) first
+        (show (outcome ())))
+    [ 2; 3 ]
+
 let test_divergence_detected () =
   let b = B.create () in
   let start = B.add b (N.Start 1) in
@@ -366,5 +409,7 @@ let () =
             test_empty_program_both_engines;
           Alcotest.test_case "divergence detected" `Quick
             test_divergence_detected;
+          Alcotest.test_case "reused code forgets parked tokens" `Quick
+            test_reused_code_forgets_parked_tokens;
         ] );
     ]

@@ -237,46 +237,6 @@ let test_pool_invalid_jobs () =
         | _ -> false))
     [ 0; -1 ]
 
-let test_pool_emit_order () =
-  let seen = ref [] in
-  Service.Pool.map_emit ~jobs:4
-    ~emit:(fun i r -> seen := (i, unpack r) :: !seen)
-    (fun x -> x + 1)
-    (Array.init 50 Fun.id);
-  let expected = List.init 50 (fun i -> (49 - i, 50 - i)) in
-  checkb "emitted strictly in index order" true (!seen = expected)
-
-let test_pool_emit_raising_no_deadlock () =
-  (* regression: emit raising on the very first flush used to leave the
-     internal mutex locked, deadlocking every other worker at its next
-     deposit (this test then hung).  With the unlock in Fun.protect the
-     exception propagates and the surviving workers keep draining. *)
-  checkb "raising emit propagates, workers not deadlocked" true
-    (match
-       Service.Pool.map_emit ~jobs:4
-         ~emit:(fun i _ -> if i = 0 then failwith "emit-boom")
-         (fun x -> x)
-         (Array.init 64 Fun.id)
-     with
-    | () -> false
-    | exception Failure m -> m = "emit-boom")
-
-let test_pool_emit_raising_last () =
-  (* raise on the final flush: every earlier item must already be out *)
-  let seen = ref [] in
-  checkb "raised on last emit" true
-    (match
-       Service.Pool.map_emit ~jobs:4
-         ~emit:(fun i r ->
-           if i = 9 then failwith "last" else seen := (i, unpack r) :: !seen)
-         (fun x -> x * 2)
-         (Array.init 10 Fun.id)
-     with
-    | () -> false
-    | exception Failure m -> m = "last");
-  checkb "all earlier items emitted in order" true
-    (List.rev !seen = List.init 9 (fun i -> (i, 2 * i)))
-
 let test_pool_backtrace_preserved () =
   Printexc.record_backtrace true;
   let deep () = failwith "kaboom" in
@@ -886,11 +846,6 @@ let () =
           Alcotest.test_case "error isolation" `Quick
             test_pool_error_isolation;
           Alcotest.test_case "invalid jobs" `Quick test_pool_invalid_jobs;
-          Alcotest.test_case "emit in order" `Quick test_pool_emit_order;
-          Alcotest.test_case "raising emit does not deadlock" `Quick
-            test_pool_emit_raising_no_deadlock;
-          Alcotest.test_case "raising emit after full drain" `Quick
-            test_pool_emit_raising_last;
           Alcotest.test_case "backtrace preserved" `Quick
             test_pool_backtrace_preserved;
         ] );
