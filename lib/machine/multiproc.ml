@@ -146,12 +146,21 @@ type 'a vec = { mutable data : 'a array; mutable len : int }
 
 let vec x = { data = Array.make 256 x; len = 0 }
 
+let grow v x =
+  let d = Array.make (2 * v.len) x in
+  Array.blit v.data 0 d 0 v.len;
+  v.data <- d
+
 let push v x =
-  if v.len = Array.length v.data then begin
-    let d = Array.make (2 * v.len) x in
-    Array.blit v.data 0 d 0 v.len;
-    v.data <- d
-  end;
+  if v.len = Array.length v.data then grow v x;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* [push] for the int columns: typed [int], the store is a plain word
+   write, where the polymorphic one goes through the generic array
+   store *)
+let push_int (v : int vec) (x : int) =
+  if v.len = Array.length v.data then grow v x;
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
@@ -182,6 +191,7 @@ type snapshot = {
   sp_san : Sanitize.snap option;
   sp_perm : Permission.snap option;
   sp_logged : int;
+  sp_deepest : int * int;
 }
 
 exception Abort of Diagnosis.t
@@ -305,14 +315,16 @@ let exec ~transport ~(config : Config.t)
      counts firings per node (remembering which fired first) and per
      cycle, samples the in-flight and matching curves at the end of
      every cycle, keeps the matching stores' running size and its peak
-     (counted on insert), and logs every firing as (node, ctx, depth,
-     producer's log index) for the critical chain. *)
+     (counted on insert), and logs every firing as (node, ctx,
+     producer's log index) for the critical chain, whose depth is one
+     more than its producer's: only the deepest firing and its first log
+     index are kept. *)
   let by_node = Array.make n 0 and first = ref [] and fired = ref 0 in
   let profile = vec 0 and in_flight = vec 0 and matching = vec 0 in
   let dummy = ref 0 and value = ref 0 in
   let waiting = ref 0 and peak_waiting = ref 0 in
   let log_node = vec 0 and log_ctx = vec Context.toplevel in
-  let log_depth = vec 0 and log_pred = vec 0 in
+  let log_pred = vec 0 and deepest = ref (0, -1) in
   (* counters *)
   let firings = ref 0 in
   let memory_ops = ref 0 in
@@ -424,6 +436,16 @@ let exec ~transport ~(config : Config.t)
     Hashtbl.replace to_inject at
       ((src, dst, d) :: (try Hashtbl.find to_inject at with Not_found -> []))
   in
+  (* the matching stores' peak, counted at every insert: the delivering
+     PE and its store's size before the delivery ride in two refs, so
+     the callback is built once, not per delivery *)
+  let ins_pe = ref 0 and ins_before = ref 0 in
+  let on_insert =
+    Some
+      (fun () ->
+        let now = !waiting + Matching.entries wait.(!ins_pe) - !ins_before in
+        if now > !peak_waiting then peak_waiting := now)
+  in
   let deliver (d : delivery) =
     let kind = Dfg.Graph.kind g d.m_node in
     let pe = (!place).Placement.assign.(d.m_node) in
@@ -437,12 +459,11 @@ let exec ~transport ~(config : Config.t)
     | _ -> (
         let w = wait.(pe) in
         let before = Matching.entries w in
+        ins_pe := pe;
+        ins_before := before;
         let outcome =
           Matching.deliver ~kind
-            ~detect_collisions:config.Config.detect_collisions ~pad
-            ~on_insert:(fun () ->
-              let now = !waiting + Matching.entries w - before in
-              if now > !peak_waiting then peak_waiting := now)
+            ~detect_collisions:config.Config.detect_collisions ~pad ?on_insert
             w ~node:d.m_node ~ctx:d.m_ctx ~port:d.m_port d
         in
         waiting := !waiting + Matching.entries w - before;
@@ -580,10 +601,10 @@ let exec ~transport ~(config : Config.t)
     let is_load = match kind with Dfg.Node.Load _ -> true | _ -> false in
     (* chain accounting: this firing extends the deepest input chain *)
     let depth = f.x_depth + 1 and my_id = log_node.len in
-    push log_node f.x_node;
+    push_int log_node f.x_node;
     push log_ctx f.x_ctx;
-    push log_depth depth;
-    push log_pred f.x_pred;
+    push_int log_pred f.x_pred;
+    if depth > fst !deepest then deepest := (depth, my_id);
     (* emissions are buffered so the held permission can be split over
        the actual deliveries; the replay below preserves the original
        per-arc order, keeping fault draws, routing and timing
@@ -618,7 +639,8 @@ let exec ~transport ~(config : Config.t)
                    if node = f.x_node then a.Dfg.Graph.tokens else [])
                  flat)
           in
-          fst (Permission.split p ~node:f.x_node ~held labels)
+          Permission.split p ~node:f.x_node ~held labels 0
+            (Array.length labels)
     in
     List.iteri
       (fun i ((node, port, ctx, (depth, src), v), (a : Dfg.Graph.arc)) ->
@@ -755,6 +777,7 @@ let exec ~transport ~(config : Config.t)
       sp_san = Option.map Sanitize.snapshot san;
       sp_perm = Option.map Permission.snapshot perm;
       sp_logged = log_node.len;
+      sp_deepest = !deepest;
     }
   in
   (* Restore the last epoch and resume after the failover penalty.  Time
@@ -832,8 +855,9 @@ let exec ~transport ~(config : Config.t)
     (match (perm, sp.sp_perm) with
     | Some p, Some snap -> Permission.restore p snap
     | _ -> ());
-    List.iter (fun v -> v.len <- sp.sp_logged) [ log_node; log_depth; log_pred ];
+    List.iter (fun v -> v.len <- sp.sp_logged) [ log_node; log_pred ];
     log_ctx.len <- sp.sp_logged;
+    deepest := sp.sp_deepest;
     t := resume;
     Array.fill idle_ctr 0 pcount 0;
     if resume > !last_cycle then last_cycle := resume
@@ -922,9 +946,9 @@ let exec ~transport ~(config : Config.t)
             (* end-of-cycle sampling *)
             let on_wire = net_pending () in
             if not single then net_occupancy := on_wire :: !net_occupancy;
-            push profile !fired;
-            push in_flight (!local_pending + !inject_pending + on_wire);
-            push matching !waiting;
+            push_int profile !fired;
+            push_int in_flight (!local_pending + !inject_pending + on_wire);
+            push_int matching !waiting;
             (* epoch checkpoint *)
             (match recovery with
             | Some rs when !t >= !next_checkpoint ->
@@ -1011,17 +1035,12 @@ let exec ~transport ~(config : Config.t)
     let in_flight_curve = contents in_flight in
     (* dynamic critical path: the first deepest firing, its chain walked
        back through the logged producer indices *)
-    let depths = contents log_depth in
-    let critical_path = Array.fold_left max 0 depths in
+    let critical_path, deepest_at = !deepest in
     let rec walk i acc =
       if i < 0 then acc
       else walk log_pred.data.(i) ((log_node.data.(i), log_ctx.data.(i)) :: acc)
     in
-    let critical_chain =
-      match Array.find_index (fun d -> d = critical_path) depths with
-      | Some i -> walk i []
-      | None -> []
-    in
+    let critical_chain = walk deepest_at [] in
     (* families enter the table in order of first firing, which fixes
        the order of equal counts *)
     let firings_by_kind =

@@ -9,9 +9,9 @@
     wheel, so empty cycles cost nothing.
 
     The operator semantics are shared with the reference machines: the
-    hot ALU/routing opcodes are specialised inline, everything with a
-    side effect (start, end, loads, stores and their deferred
-    I-structure reads) goes through {!Firing.execute}.  Determinacy of
+    hot ALU/routing opcodes and plain loads and stores are specialised
+    inline, certified or not; start, end and the I-structure operations
+    with their deferred reads go through {!Firing.execute}.  Determinacy of
     the translated graphs is what makes the split sound — the final
     store does not depend on scheduling — and the differential suite
     (test/test_packed.ml) holds the engine to bit-identical stores
@@ -218,7 +218,14 @@ external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 (* One ready-wheel bucket: a reusable growable vector of in-flight
    deliveries held as parallel arrays, so scheduling a token allocates
    nothing.  A token's context rides along both as its interned id
-   (the frame key) and as the structural context (for observers). *)
+   (the frame key) and as the structural context (for observers).
+
+   A drained bucket is emptied by resetting [b_len] alone: its slots
+   keep their last context, value and bag until the next push
+   overwrites them, so a delivery pays no write barrier to clear them.
+   Nothing reads a slot at or past [b_len], and the stale references
+   are bounded by the buckets' capacity (the most deliveries ever due
+   in one cycle), as a frame's are by the code's frame pool. *)
 type bucket = {
   mutable b_node : int array;
   mutable b_port : int array;
@@ -264,12 +271,18 @@ let bucket_push (b : bucket) node port cid ctx v bag =
   b.b_bag.!(k) <- bag;
   b.b_len <- k + 1
 
+(* [acc] joined with [bags.(i)] for [i] in [\[lo, hi)], in slot order *)
+let rec join_slots (bags : Permission.bag array) lo hi acc =
+  if lo = hi then acc
+  else join_slots bags (lo + 1) hi (Permission.join acc bags.(lo))
+
 type firing = {
   fr_node : int;
   fr_cid : int;
   fr_ctx : Context.t;
   fr_inputs : Imp.Value.t array;
-  fr_bags : Permission.bag list;  (** [[]] on uncertified runs *)
+  fr_held : Permission.bag;
+      (** the consumed tokens' joined permission; [] uncertified *)
 }
 
 type result = {
@@ -507,75 +520,45 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     if !pending > !peak_in_flight then peak_in_flight := !pending;
     bucket_push wheel.(at land mask) node port cid ctx v bag
   in
+  (* A firing's permission split: [bags.(j - first)] rides delivery [j]
+     of the firing's range, which starts at flattened destination
+     [first]; [no_bags] when the firing holds nothing, so every delivery
+     carries the empty bag *)
+  let no_bags : Permission.bag array = [||] in
   (* deliver the value emitted at (node, port) to every destination of
      that port *)
-  let emit_port ~t_done node port cid ctx v bag =
+  let emit_port ~t_done node port cid ctx v bags first =
     let pb = c.port_base.!(node) + port in
     let base = c.dest_base.!(pb) in
     let stop = c.dest_base.!(pb + 1) in
     for j = base to stop - 1 do
       if c.dst_dummy.!(j) then incr dummy_deliveries
       else incr value_deliveries;
-      schedule t_done c.dst_node.!(j) c.dst_port.!(j) cid ctx v bag
+      schedule t_done c.dst_node.!(j) c.dst_port.!(j) cid ctx v
+        (if bags == no_bags then Permission.empty_bag else bags.!(j - first))
     done
   in
-  (* --- waiting-matching in frames ---------------------------------- *)
-  (* gather a completed rendezvous: ports [p0, p0+count) of [node],
-     consumed (stamps cleared, occupancy released).  [extra_pad] appends
-     the trailing pad slot that encodes a gateway's back-edge group. *)
-  (* in direct mode a firing's input array dies inside the delivery
-     that produced it, so one scratch array per arity is reused across
-     the whole run; queued firings still get a fresh array (the record
-     outlives the delivery) *)
-  let scratch = Array.make 33 [||] in
-  let take_inputs n =
-    if (not direct) || n > 32 then Array.make n dummy_value
-    else begin
-      let a = scratch.(n) in
-      if Array.length a = n then a
-      else begin
-        let a = Array.make n dummy_value in
-        scratch.(n) <- a;
-        a
-      end
-    end
+  (* split [held] over the deliveries of ports [p0, p1) of [node], which
+     are contiguous in the flattened destinations and in the reference
+     engine's emission-then-arc order *)
+  let split_ports node p0 p1 (held : Permission.bag) =
+    match (held, perm) with
+    | [], _ | _, None -> no_bags
+    | _, Some pm ->
+        let pb = c.port_base.!(node) in
+        Permission.split pm ~node ~held c.dst_tokens
+          c.dest_base.!(pb + p0)
+          c.dest_base.!(pb + p1)
   in
-  let gather cid (f : frame) node p0 count ~extra_pad =
-    let base = c.frame_off.!(node) + p0 in
-    let inputs = take_inputs (count + if extra_pad then 1 else 0) in
-    Array.blit f.f_vals base inputs 0 count;
-    if extra_pad then inputs.(count) <- dummy_value;
-    let bags =
-      match perm with
-      | None -> []
-      | Some _ ->
-          let rec take i acc =
-            if i < 0 then acc
-            else
-              take (i - 1)
-                ((if i < count then f.f_bags.(base + i)
-                  else Permission.empty_bag)
-                :: acc)
-          in
-          take (count - 1 + if extra_pad then 1 else 0) []
-    in
-    for i = 0 to count - 1 do
-      f.f_stamp.!(base + i) <- 0;
-      (* release the value and bag so the frame pool does not retain
-         dead heap structure across contexts *)
-      f.f_vals.!(base + i) <- dummy_value;
-      f.f_bags.!(base + i) <- Permission.empty_bag
-    done;
-    f.f_occ <- f.f_occ - count;
-    if f.f_occ = 0 then release cid f;
-    (inputs, bags)
+  (* emit [v] on one port, carrying that port's share of [held] *)
+  let emit1 ~t_done node port cid ctx v held =
+    emit_port ~t_done node port cid ctx v
+      (split_ports node port (port + 1) held)
+      c.dest_base.!(c.port_base.!(node) + port)
   in
   (* --- firing execution -------------------------------------------- *)
   let on_complete () = completed := true in
   let double_write msg = abort (Diagnosis.Double_write msg) in
-  (* certified path: buffer the emissions so the held permission can be
-     split over the actual deliveries in emission-then-arc order,
-     matching the reference engine's split bit for bit *)
   (* contexts minted by a firing (gateway transitions, deferred
      wakeups) are interned where they first appear; the common case is
      the firing's own context, one physical comparison *)
@@ -588,42 +571,56 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let cur_ctx = ref Context.toplevel in
   let emit_shared ~node ~port ~ctx ~meta:() v =
     emit_port ~t_done:!cur_t_done node port
-      (cid_of !cur_cid !cur_ctx ctx) ctx v Permission.empty_bag
+      (cid_of !cur_cid !cur_ctx ctx) ctx v no_bags 0
   in
+  (* the generic path: start, end, I-structure loads and stores, and
+     their deferred wakeups (which emit from the reader's own ports)
+     share the reference firing rule.  Certified, the emissions are
+     buffered so the held permission can be split over the actual
+     deliveries in emission-then-arc order, matching the reference
+     engine's split bit for bit *)
   let ebuf : (int * int * Context.t * Imp.Value.t) list ref = ref [] in
-  let exec_cert pm t_done node fcid fctx inputs fbags =
-    let held = fst (Permission.on_fire pm ~node ~ctx:fctx fbags) in
-    ebuf := [];
-    Firing.execute env
-      ~emit:(fun ~node ~port ~ctx ~meta:() v ->
-        ebuf := (node, port, ctx, v) :: !ebuf)
-      ~meta:() ~meta_max:(fun () () -> ()) ~on_complete ~double_write ~node
-      ~ctx:fctx ~inputs;
-    let emissions = List.rev !ebuf in
-    let labels =
-      List.concat_map
-        (fun (en, ep, _, _) ->
-          let base = c.dest_base.(c.port_base.(en) + ep) in
-          let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
-          List.init (stop - base) (fun j ->
-              if en = node then c.dst_tokens.(base + j) else []))
-        emissions
-      |> Array.of_list
-    in
-    let bags = fst (Permission.split pm ~node ~held labels) in
-    let k = ref 0 in
-    List.iter
-      (fun (en, ep, ectx, ev) ->
-        let base = c.dest_base.(c.port_base.(en) + ep) in
-        let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
-        for j = base to stop - 1 do
-          if c.dst_dummy.(j) then incr dummy_deliveries
-          else incr value_deliveries;
-          schedule t_done c.dst_node.(j) c.dst_port.(j) (cid_of fcid fctx ectx)
-            ectx ev bags.(!k);
-          incr k
-        done)
-      emissions
+  let exec_generic t_done node fcid fctx inputs held =
+    match perm with
+    | None ->
+        cur_t_done := t_done;
+        cur_cid := fcid;
+        cur_ctx := fctx;
+        Firing.execute env ~emit:emit_shared ~meta:()
+          ~meta_max:(fun () () -> ()) ~on_complete ~double_write ~node
+          ~ctx:fctx ~inputs
+    | Some pm ->
+        ebuf := [];
+        Firing.execute env
+          ~emit:(fun ~node ~port ~ctx ~meta:() v ->
+            ebuf := (node, port, ctx, v) :: !ebuf)
+          ~meta:() ~meta_max:(fun () () -> ()) ~on_complete ~double_write
+          ~node ~ctx:fctx ~inputs;
+        let emissions = List.rev !ebuf in
+        let labels =
+          List.concat_map
+            (fun (en, ep, _, _) ->
+              let base = c.dest_base.(c.port_base.(en) + ep) in
+              let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
+              List.init (stop - base) (fun j ->
+                  if en = node then c.dst_tokens.(base + j) else []))
+            emissions
+          |> Array.of_list
+        in
+        let bags = Permission.split pm ~node ~held labels 0 (Array.length labels) in
+        let k = ref 0 in
+        List.iter
+          (fun (en, ep, ectx, ev) ->
+            let base = c.dest_base.(c.port_base.(en) + ep) in
+            let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
+            for j = base to stop - 1 do
+              if c.dst_dummy.(j) then incr dummy_deliveries
+              else incr value_deliveries;
+              schedule t_done c.dst_node.(j) c.dst_port.(j)
+                (cid_of fcid fctx ectx) ectx ev bags.(!k);
+              incr k
+            done)
+          emissions
   in
   (* per-node ALU closures, compiled once: [Imp.Value.binop] allocates
      its dispatch closures on every call, which the firing loop cannot
@@ -678,132 +675,125 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     let e = mem_ext.!(node) in
     mem_base.!(node) + (((i mod e) + e) mod e)
   in
-  let exec_fast t_done node cid ctx inputs =
-    let nobag = Permission.empty_bag in
-    let op = c.opcode.!(node) in
-    if op = op_binop then
-      emit_port ~t_done node 0 cid ctx
-        (binop_fn.!(node) inputs.(0) inputs.(1))
-        nobag
-    else if op = op_const then
-      match c.kinds.(node) with
-      | Dfg.Node.Const v -> emit_port ~t_done node 0 cid ctx v nobag
-      | _ -> assert false
-    else if op = op_id || op = op_merge then
-      emit_port ~t_done node 0 cid ctx inputs.(0) nobag
-    else if op = op_switch then begin
-      if Imp.Value.to_bool inputs.(1) then
-        emit_port ~t_done node 0 cid ctx inputs.(0) nobag
-      else emit_port ~t_done node 1 cid ctx inputs.(0) nobag
-    end
-    else if op = op_synch then
-      emit_port ~t_done node 0 cid ctx dummy_value nobag
-    else if op = op_unop then
-      match c.kinds.(node) with
-      | Dfg.Node.Unop uop ->
-          emit_port ~t_done node 0 cid ctx
-            (Imp.Value.unop uop inputs.(0))
-            nobag
-      | _ -> assert false
-    else if op = op_sink then ()
-    else if op = op_load && mem_plain.!(node) then begin
-      let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(1) else 0 in
-      emit_port ~t_done node 0 cid ctx
-        (Imp.Value.Int (Imp.Memory.read_addr env.Firing.memory (mem_addr node i)))
-        nobag;
-      emit_port ~t_done node 1 cid ctx dummy_value nobag
-    end
-    else if op = op_store && mem_plain.!(node) then begin
-      let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(2) else 0 in
-      Imp.Memory.write_addr env.Firing.memory (mem_addr node i)
-        (Imp.Value.to_int inputs.(1));
-      emit_port ~t_done node 0 cid ctx dummy_value nobag
-    end
-    else if op = op_loop_entry then begin
-      let a = c.loop_ar.(node) in
-      let ctx' =
-        if Array.length inputs = a then Context.enter ctx else Context.next ctx
-      in
-      let cid' = intern ctx' in
-      for i = 0 to a - 1 do
-        emit_port ~t_done node i cid' ctx' inputs.(i) nobag
-      done
-    end
-    else if op = op_loop_exit then begin
-      let ctx' = Context.leave ctx in
-      let cid' = intern ctx' in
-      for i = 0 to Array.length inputs - 1 do
-        emit_port ~t_done node i cid' ctx' inputs.(i) nobag
-      done
-    end
-    else
-      (* start, end, loads, stores (and their deferred I-structure
-         wakeups, which emit from the reader's own ports) share the
-         reference firing rule *)
-      begin
-        cur_t_done := t_done;
-        cur_cid := cid;
-        cur_ctx := ctx;
-        Firing.execute env ~emit:emit_shared ~meta:()
-          ~meta_max:(fun () () -> ()) ~on_complete ~double_write ~node ~ctx
-          ~inputs
-      end
-  in
   (* per-node latency, resolved once against this run's config *)
   let lat = Array.init c.n (fun v -> Config.latency config c.kinds.(v)) in
-  let count_fire t node ctx group =
+  (* what every firing does before its operator: count it, feed the
+     sanitizer, assert its certificate requirement on [held] (the joined
+     permission of its consumed tokens) and time it *)
+  let begin_fire t node cid ctx group held =
     incr firings;
     let op = c.opcode.!(node) in
     op_counts.!(op) <- op_counts.!(op) + 1;
     if c.is_mem.!(node) then incr memory_ops;
     (match on_fire with Some cb -> cb t node ctx | None -> ());
-    match san with
+    (match san with
     | Some s -> (
-        match Sanitize.on_fire s ~node ~ctx ~group with
+        match Sanitize.on_fire_id s ~node ~cid ~ctx ~group with
         | Some v -> violations := v :: !violations
         | None -> ())
-    | None -> ()
-  in
-  let exec t node cid ctx inputs bags =
-    count_fire t node ctx (Array.length inputs);
+    | None -> ());
+    (match perm with
+    | Some pm ->
+        ignore (Permission.require pm ~node ~ctx held : Permission.violation list)
+    | None -> ());
     let t_done = t + lat.!(node) in
     if t_done > !last_cycle then last_cycle := t_done;
-    match perm with
-    | Some pm -> exec_cert pm t_done node cid ctx inputs bags
-    | None -> exec_fast t_done node cid ctx inputs
+    t_done
   in
-  (* monadic fast path: merges and single-input operators fire straight
-     from the delivery; the routing opcodes skip the input array *)
+  (* a loop gateway: input [i] leaves on port [i], in the new context *)
+  let emit_group ~t_done node a cid ctx inputs held =
+    let bags = split_ports node 0 a held in
+    let first = c.dest_base.!(c.port_base.!(node)) in
+    for i = 0 to a - 1 do
+      emit_port ~t_done node i cid ctx inputs.(i) bags first
+    done
+  in
+  (* The one dispatcher, for certified and uncertified graphs alike
+     ([held] is [] when the graph carries no certificate).  Each
+     specialised opcode emits on one contiguous range of its ports, so a
+     held bag is split over that range's destination labels and the
+     tokens leave inline; the rest take the generic path *)
+  let exec t node cid ctx inputs held =
+    let t_done = begin_fire t node cid ctx (Array.length inputs) held in
+    let op = c.opcode.!(node) in
+    if op = op_binop then
+      emit1 ~t_done node 0 cid ctx
+        (binop_fn.!(node) inputs.(0) inputs.(1))
+        held
+    else if op = op_const then
+      match c.kinds.(node) with
+      | Dfg.Node.Const v -> emit1 ~t_done node 0 cid ctx v held
+      | _ -> assert false
+    else if op = op_id || op = op_merge then
+      emit1 ~t_done node 0 cid ctx inputs.(0) held
+    else if op = op_switch then
+      emit1 ~t_done node
+        (if Imp.Value.to_bool inputs.(1) then 0 else 1)
+        cid ctx inputs.(0) held
+    else if op = op_synch then emit1 ~t_done node 0 cid ctx dummy_value held
+    else if op = op_unop then
+      match c.kinds.(node) with
+      | Dfg.Node.Unop uop ->
+          emit1 ~t_done node 0 cid ctx (Imp.Value.unop uop inputs.(0)) held
+      | _ -> assert false
+    else if op = op_sink then
+      ignore (split_ports node 0 0 held : Permission.bag array)
+    else if op = op_load && mem_plain.!(node) then begin
+      let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(1) else 0 in
+      let bags = split_ports node 0 2 held in
+      let first = c.dest_base.!(c.port_base.!(node)) in
+      emit_port ~t_done node 0 cid ctx
+        (Imp.Value.Int (Imp.Memory.read_addr env.Firing.memory (mem_addr node i)))
+        bags first;
+      emit_port ~t_done node 1 cid ctx dummy_value bags first
+    end
+    else if op = op_store && mem_plain.!(node) then begin
+      let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(2) else 0 in
+      Imp.Memory.write_addr env.Firing.memory (mem_addr node i)
+        (Imp.Value.to_int inputs.(1));
+      emit1 ~t_done node 0 cid ctx dummy_value held
+    end
+    else if op = op_loop_entry then begin
+      let a = c.loop_ar.!(node) in
+      let ctx' =
+        if Array.length inputs = a then Context.enter ctx else Context.next ctx
+      in
+      emit_group ~t_done node a (intern ctx') ctx' inputs held
+    end
+    else if op = op_loop_exit then begin
+      let ctx' = Context.leave ctx in
+      emit_group ~t_done node (Array.length inputs) (intern ctx') ctx' inputs
+        held
+    end
+    else exec_generic t_done node cid ctx inputs held
+  in
+  (* monadic fast path: merges and single-input routing, ALU and
+     constant operators fire straight from the delivery, with no input
+     array *)
   let exec1 t node cid ctx v bag =
-    match perm with
-    | Some _ ->
-        exec t node cid ctx [| v |] [ bag ]
-    | None ->
-        count_fire t node ctx 1;
-        let t_done = t + lat.!(node) in
-        if t_done > !last_cycle then last_cycle := t_done;
-        let op = c.opcode.!(node) in
-        if op = op_id || op = op_merge then
-          emit_port ~t_done node 0 cid ctx v Permission.empty_bag
-        else if op = op_unop then
-          match c.kinds.(node) with
-          | Dfg.Node.Unop uop ->
-              emit_port ~t_done node 0 cid ctx
-                (Imp.Value.unop uop v) Permission.empty_bag
-          | _ -> assert false
-        else if op = op_synch then
-          emit_port ~t_done node 0 cid ctx dummy_value
-            Permission.empty_bag
-        else if op = op_sink then ()
-        else exec_fast t_done node cid ctx [| v |]
+    let op = c.opcode.!(node) in
+    if op = op_id || op = op_merge || op = op_synch || op = op_unop
+       || op = op_const
+    then begin
+      let t_done = begin_fire t node cid ctx 1 bag in
+      let out =
+        match c.kinds.!(node) with
+        | Dfg.Node.Unop uop -> Imp.Value.unop uop v
+        | Dfg.Node.Const k -> k
+        | Dfg.Node.Synch _ -> dummy_value
+        | _ -> v
+      in
+      emit1 ~t_done node 0 cid ctx out bag
+    end
+    else exec t node cid ctx [| v |] bag
   in
   (* direct mode: with one unbounded PE and no memory-port limit, every
      enabled firing issues in the cycle it matched, so the ready queue
      is an identity step — execute straight from the delivery instead
      (all latencies >= 1, so emissions never land back in the bucket
      being drained) *)
-  let fire t node cid ctx inputs bags =
-    if direct then exec t node cid ctx inputs bags
+  let fire t node cid ctx inputs held =
+    if direct then exec t node cid ctx inputs held
     else
       Queue.add
         {
@@ -811,9 +801,55 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           fr_cid = cid;
           fr_ctx = ctx;
           fr_inputs = inputs;
-          fr_bags = bags;
+          fr_held = held;
         }
         ready
+  in
+  (* --- waiting-matching in frames ---------------------------------- *)
+  (* in direct mode a firing's input array dies inside the delivery
+     that produced it, so one scratch array per arity is reused across
+     the whole run; queued firings still get a fresh array (the record
+     outlives the delivery) *)
+  let scratch = Array.make 33 [||] in
+  let take_inputs n =
+    if (not direct) || n > 32 then Array.make n dummy_value
+    else begin
+      let a = scratch.(n) in
+      if Array.length a = n then a
+      else begin
+        let a = Array.make n dummy_value in
+        scratch.(n) <- a;
+        a
+      end
+    end
+  in
+  (* consume a completed rendezvous and fire it: ports [p0, p0+count) of
+     [node], their stamps cleared and occupancy released, their bags
+     joined into the firing's held permission.  [extra_pad] appends the
+     trailing pad slot that encodes a gateway's back-edge group.  The
+     consumed values and bags stay in their slots, unreadable behind the
+     cleared stamp, until the next token into the slot overwrites them:
+     what a frame can retain is bounded by the code's frame pool *)
+  let gather t cid ctx (f : frame) node p0 count ~extra_pad =
+    let base = c.frame_off.!(node) + p0 in
+    let inputs = take_inputs (count + if extra_pad then 1 else 0) in
+    Array.blit f.f_vals base inputs 0 count;
+    if extra_pad then inputs.(count) <- dummy_value;
+    let held =
+      match perm with
+      | None -> Permission.empty_bag
+      | Some _ -> (
+          (* a fraction past the guard empties the bag, as
+             {!Permission.on_fire} does *)
+          try join_slots f.f_bags base (base + count) Permission.empty_bag
+          with Permission.Frac.Overflow -> Permission.empty_bag)
+    in
+    for i = 0 to count - 1 do
+      f.f_stamp.!(base + i) <- 0
+    done;
+    f.f_occ <- f.f_occ - count;
+    if f.f_occ = 0 then release cid f;
+    fire t node cid ctx inputs held
   in
   (* --- token delivery and waiting-matching -------------------------- *)
   let deliver t node port cid ctx v bag =
@@ -831,16 +867,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         | None -> ()
       end;
       if direct then exec1 t node cid ctx v bag
-      else
-        Queue.add
-          {
-            fr_node = node;
-            fr_cid = cid;
-            fr_ctx = ctx;
-            fr_inputs = [| v |];
-            fr_bags = (match perm with None -> [] | Some _ -> [ bag ]);
-          }
-          ready
+      else fire t node cid ctx [| v |] bag
     end
     else begin
       (match san with
@@ -884,10 +911,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           if f.f_need.!(node) = 0 then begin
             f.f_nstamp.!(node) <- 0;
             decr entries;
-            let inputs, bags =
-              gather cid f node 0 c.in_ar.!(node) ~extra_pad:false
-            in
-            fire t node cid ctx inputs bags
+            gather t cid ctx f node 0 c.in_ar.!(node) ~extra_pad:false
           end
         end
         else if port < la then begin
@@ -905,8 +929,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           if f.f_need.!(node) = 0 then begin
             f.f_nstamp.!(node) <- 0;
             if f.f_bstamp.!(node) <> f.f_gen then decr entries;
-            let inputs, bags = gather cid f node 0 la ~extra_pad:false in
-            fire t node cid ctx inputs bags
+            gather t cid ctx f node 0 la ~extra_pad:false
           end
         end
         else begin
@@ -925,8 +948,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           if f.f_need_back.!(node) = 0 then begin
             f.f_bstamp.!(node) <- 0;
             if f.f_nstamp.!(node) <> f.f_gen then decr entries;
-            let inputs, bags = gather cid f node la la ~extra_pad:true in
-            fire t node cid ctx inputs bags
+            gather t cid ctx f node la la ~extra_pad:true
           end
         end
       end
@@ -935,11 +957,11 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   (* boot: fire Start at cycle 0.  In direct mode the ready queue would
      otherwise stay empty for the whole run, so the main loop can skip
      the issue machinery entirely *)
-  let boot_bags =
-    match perm with Some p -> [ Permission.mint p ] | None -> []
+  let boot_held =
+    match perm with Some p -> Permission.mint p | None -> Permission.empty_bag
   in
   if direct then exec 0 c.start (intern Context.toplevel) Context.toplevel
-      [||] boot_bags
+      [||] boot_held
   else
     Queue.add
       {
@@ -947,7 +969,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         fr_cid = intern Context.toplevel;
         fr_ctx = Context.toplevel;
         fr_inputs = [||];
-        fr_bags = boot_bags;
+        fr_held = boot_held;
       }
       ready;
   try
@@ -966,11 +988,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       for i = 0 to count - 1 do
         decr pending;
         deliver !t b.b_node.!(i) b.b_port.!(i) b.b_cid.!(i) b.b_ctx.!(i)
-          b.b_val.!(i) b.b_bag.!(i);
-        (* release the heap references held by the drained slots *)
-        b.b_ctx.!(i) <- Context.toplevel;
-        b.b_val.!(i) <- dummy_value;
-        b.b_bag.!(i) <- Permission.empty_bag
+          b.b_val.!(i) b.b_bag.!(i)
       done;
       (* 2. issue enabled firings (in direct mode completed matches
          already executed during delivery and the queue is empty) *)
@@ -992,7 +1010,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           in
           if port_free then begin
             if c.is_mem.(f.fr_node) then incr mem_issued;
-            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_bags;
+            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_held;
             incr started
           end
           else begin

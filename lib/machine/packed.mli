@@ -29,7 +29,14 @@
     and no fault injection (those stay with the reference engine, and
     {!Interp.run_report} refuses a packed run that asks for faults).
     Firing counts, cycle counts, peak matching, the sanitizer, and the
-    fractional-permission certificate are all still live. *)
+    fractional-permission certificate are all still live.
+
+    One dispatcher runs certified and uncertified graphs.  ALU, const,
+    id, merge, switch, synch, sink, the loop gateways and plain loads
+    and stores are specialised inline: each emits on one contiguous
+    range of its destinations, over which a held permission bag is split
+    in place.  Start, End, I-structure loads and stores and their
+    deferred wakeups take the generic path through {!Firing.execute}. *)
 
 (** A graph compiled to flat instruction arrays.  Compile once, run
     many times. *)

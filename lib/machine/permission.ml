@@ -131,85 +131,90 @@ let record (t : t) (v : violation) = t.violations <- v :: t.violations
 let mint (t : t) : bag =
   List.init (elements t) (fun e -> (e, Frac.one))
 
-(* The ownership assertion of one firing: join the consumed bags and,
-   for memory operations, check the certificate's requirement — a store
-   must own each required element outright, a load must hold a positive
-   fraction of it (and never more than the whole). *)
-let on_fire (t : t) ~(node : int) ~(ctx : Context.t) (bags : bag list) :
-    bag * violation list =
-  let held = try join_all bags with Frac.Overflow -> [] in
-  let names = t.cert.Dfg.Graph.cert_elements in
-  let fresh = ref [] in
-  (match t.cert.Dfg.Graph.cert_require.(node) with
-  | [] -> ()
+(* The ownership assertion of one firing, on the join of its consumed
+   bags: for memory operations, check the certificate's requirement — a
+   store must own each required element outright, a load must hold a
+   positive fraction of it (and never more than the whole). *)
+let require (t : t) ~(node : int) ~(ctx : Context.t) (held : bag) :
+    violation list =
+  match t.cert.Dfg.Graph.cert_require.(node) with
+  | [] -> []
   | required ->
+      let names = t.cert.Dfg.Graph.cert_elements in
       let label = (Dfg.Graph.node t.graph node).Dfg.Node.label in
       let is_store =
         match Dfg.Graph.kind t.graph node with
         | Dfg.Node.Store _ -> true
         | _ -> false
       in
-      List.iter
-        (fun e ->
-          t.checks <- t.checks + 1;
-          let h = find held e in
-          let ok =
-            if is_store then Frac.is_one h
-            else Frac.positive h && not (Frac.gt_one h)
-          in
-          if not ok then
-            fresh :=
-              Missing
-                {
-                  p_node = node;
-                  p_label = label;
-                  p_ctx = ctx;
-                  p_elem = names.(e);
-                  p_need = (if is_store then "all" else "a fraction");
-                  p_held = Frac.to_string h;
-                }
-              :: !fresh)
-        required);
-  let fresh = List.rev !fresh in
-  List.iter (record t) fresh;
-  (held, fresh)
+      let fresh =
+        List.filter_map
+          (fun e ->
+            t.checks <- t.checks + 1;
+            let h = find held e in
+            let ok =
+              if is_store then Frac.is_one h
+              else Frac.positive h && not (Frac.gt_one h)
+            in
+            if ok then None
+            else
+              Some
+                (Missing
+                   {
+                     p_node = node;
+                     p_label = label;
+                     p_ctx = ctx;
+                     p_elem = names.(e);
+                     p_need = (if is_store then "all" else "a fraction");
+                     p_held = Frac.to_string h;
+                   }))
+          required
+      in
+      List.iter (record t) fresh;
+      fresh
 
-(* Distribute the firing's held bag over its actual emissions:
-   [labels.(i)] is the token-label set of delivery [i]; each element's
-   fraction splits equally over the deliveries labelled with it.  At
-   [End] the whole bag retires instead.  Any positive fraction with no
-   labelled delivery (and no End) has been destroyed — a Lost
-   violation. *)
-let split (t : t) ~(node : int) ~(held : bag) (labels : int list array) :
-    bag array * violation list =
-  let n = Array.length labels in
-  let out = Array.make n empty_bag in
-  if held = [] then (out, [])
-  else begin
-    let is_end =
-      match Dfg.Graph.kind t.graph node with
-      | Dfg.Node.End _ -> true
-      | _ -> false
-    in
-    let fresh = ref [] in
-    List.iter
-      (fun (e, f) ->
-        let takers = ref 0 in
-        Array.iter (fun ls -> if List.mem e ls then incr takers) labels;
-        if !takers > 0 then begin
-          let share =
-            try Frac.div_int f !takers with Frac.Overflow -> Frac.zero
-          in
-          if not (Frac.is_zero share) then
-            Array.iteri
-              (fun i ls ->
-                if List.mem e ls then out.(i) <- join out.(i) [ (e, share) ])
-              labels
-        end
-        else if is_end then
-          t.retired.(e) <- (try Frac.add t.retired.(e) f with Frac.Overflow -> t.retired.(e))
-        else
-          fresh :=
+let on_fire (t : t) ~(node : int) ~(ctx : Context.t) (bags : bag list) :
+    bag * violation list =
+  let held = try join_all bags with Frac.Overflow -> [] in
+  (held, require t ~node ~ctx held)
+
+(* Distribute the firing's held bag over its deliveries [first, stop) of
+   [labels]: [labels.(i)] is the token-label set of delivery [i]; each
+   element's fraction splits equally over the deliveries labelled with
+   it.  At [End] the whole bag retires instead.  Any positive fraction
+   with no labelled delivery (and no End) has been destroyed — a Lost
+   violation.  The elements are visited in descending order so each
+   taker's bag is built by consing, every taker sharing the element's
+   one (element, share) cell; an element with one taker keeps its
+   fraction undivided. *)
+let rec split_elems t node labels first stop out = function
+  | [] -> []
+  | (e, f) :: rest ->
+      let lost = split_elems t node labels first stop out rest in
+      let takers = ref 0 in
+      for i = first to stop - 1 do
+        if List.mem e labels.(i) then incr takers
+      done;
+      if !takers > 0 then begin
+        let share =
+          if !takers = 1 then f
+          else try Frac.div_int f !takers with Frac.Overflow -> Frac.zero
+        in
+        (if not (Frac.is_zero share) then
+           let cell = (e, share) in
+           for i = first to stop - 1 do
+             if List.mem e labels.(i) then
+               out.(i - first) <- cell :: out.(i - first)
+           done);
+        lost
+      end
+      else
+        match Dfg.Graph.kind t.graph node with
+        | Dfg.Node.End _ ->
+            t.retired.(e) <-
+              (try Frac.add t.retired.(e) f with Frac.Overflow -> t.retired.(e));
+            lost
+        | _ ->
             Lost
               {
                 p_node = node;
@@ -217,12 +222,15 @@ let split (t : t) ~(node : int) ~(held : bag) (labels : int list array) :
                 p_elem = t.cert.Dfg.Graph.cert_elements.(e);
                 p_frac = Frac.to_string f;
               }
-            :: !fresh)
-      held;
-    let fresh = List.rev !fresh in
-    List.iter (record t) fresh;
-    (out, fresh)
-  end
+            :: lost
+
+let split (t : t) ~(node : int) ~(held : bag) (labels : int list array) first
+    stop : bag array =
+  let out = Array.make (stop - first) empty_bag in
+  (match split_elems t node labels first stop out held with
+  | [] -> ()
+  | lost -> List.iter (record t) lost);
+  out
 
 (* The global account, checkable only once the machine is quiet: every
    element's permission must have retired in full at End — exactly 1.

@@ -88,18 +88,25 @@ val violations : t -> violation list
 val mint : t -> bag
 
 (** [on_fire t ~node ~ctx bags] — join the consumed input bags and
-    assert the certificate requirement if [node] is a memory operation.
-    Returns the held bag and any fresh violations (also recorded). *)
+    {!require} the result.  Returns the held bag and any fresh
+    violations (also recorded). *)
 val on_fire :
   t -> node:int -> ctx:Context.t -> bag list -> bag * violation list
 
-(** [split t ~node ~held labels] — distribute [held] over the firing's
-    actual deliveries: delivery [i] carries [labels.(i)]; each element
-    splits equally over the deliveries labelled with it.  At End the
-    bag retires instead.  Returns per-delivery bags and fresh Lost
-    violations (also recorded). *)
+(** [require t ~node ~ctx held] — assert the certificate requirement of
+    [node], if it is a memory operation, against the joined bag [held].
+    Returns the fresh violations (also recorded). *)
+val require : t -> node:int -> ctx:Context.t -> bag -> violation list
+
+(** [split t ~node ~held labels first stop] — distribute [held] over
+    the firing's actual deliveries [first .. stop - 1] of [labels]:
+    delivery [i] carries [labels.(i)] and gets bag [i - first] of the
+    result; each element splits equally over the deliveries labelled
+    with it.  At End the bag retires instead.  Positive permission no
+    delivery takes is recorded as a Lost violation.  The packed engine
+    passes its flattened destination labels and one firing's range. *)
 val split :
-  t -> node:int -> held:bag -> int list array -> bag array * violation list
+  t -> node:int -> held:bag -> int list array -> int -> int -> bag array
 
 (** The quiescence account: every element retired exactly 1.  Records
     and returns the discrepancies. *)

@@ -42,24 +42,44 @@ let violation_to_string = function
 
 let pp_violation ppf v = Fmt.string ppf (violation_to_string v)
 
+(* The run's mutable memory, in arrays: one fired bit per (node,
+   context id), per-switch counts, and per-loop fire counts with one bit
+   per (loop, context id) for the distinct entry and exit contexts.  A
+   bit set grows by doubling when a larger context id first shows up.
+   This is what {!snapshot} copies and {!restore} puts back. *)
+type state = {
+  fired : Bytes.t array;  (** per node *)
+  switch_in : int array;  (** data (port 0) deliveries per switch *)
+  switch_fired : int array;
+  entries : int array;  (** per loop: initial-group fires *)
+  exits : int array;  (** per loop: exit-gateway fires *)
+  entry_ctxs : Bytes.t array;
+      (** per loop: contexts of initial entry fires = activations *)
+  exit_ctxs : Bytes.t array;
+}
+
+let copy_state s =
+  {
+    fired = Array.map Bytes.copy s.fired;
+    switch_in = Array.copy s.switch_in;
+    switch_fired = Array.copy s.switch_fired;
+    entries = Array.copy s.entries;
+    exits = Array.copy s.exits;
+    entry_ctxs = Array.map Bytes.copy s.entry_ctxs;
+    exit_ctxs = Array.map Bytes.copy s.exit_ctxs;
+  }
+
 type t = {
   graph : Dfg.Graph.t;
   mutable recurrent : bool array option;
       (** nodes on a gateway-free cycle, which re-fire in one context;
           found at the first repeated (node, context) *)
-  entry_gates : (int, int) Hashtbl.t;  (** loop id -> Loop_entry node count *)
-  exit_gates : (int, int) Hashtbl.t;  (** loop id -> Loop_exit node count *)
-  mutable fired : (int * Context.t, unit) Hashtbl.t;
-  mutable switch_in : int array;  (** data (port 0) deliveries per switch *)
-  mutable switch_fired : int array;
-  mutable loop_entries : (int, int) Hashtbl.t;  (** initial-group fires *)
-  mutable loop_exits : (int, int) Hashtbl.t;
-  mutable entry_ctxs : (int * Context.t, unit) Hashtbl.t;
-      (** distinct (loop, ctx) of initial entry fires = activations *)
-  mutable exit_ctxs : (int * Context.t, unit) Hashtbl.t;
+  is_switch : bool array;
+  entry_gates : int array;  (** loop id -> Loop_entry node count *)
+  exit_gates : int array;  (** loop id -> Loop_exit node count *)
+  ids : (Context.t, int) Hashtbl.t;  (** {!on_fire}'s context ids *)
+  mutable st : state;
 }
-
-let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 (* The nodes on a cycle: in a strongly connected component of two or
    more nodes, or with an arc to themselves. *)
@@ -82,31 +102,74 @@ let on_cycles (g : Dfg.Graph.t) : bool array =
 
 let create (graph : Dfg.Graph.t) : t =
   let n = Dfg.Graph.num_nodes graph in
-  let entry_gates = Hashtbl.create 4 and exit_gates = Hashtbl.create 4 in
-  Dfg.Graph.iter_nodes graph (fun node ->
-      match node.Dfg.Node.kind with
-      | Dfg.Node.Loop_entry { loop; _ } -> bump entry_gates loop
-      | Dfg.Node.Loop_exit { loop; _ } -> bump exit_gates loop
-      | _ -> ());
+  let loops = ref 0 in
+  for v = 0 to n - 1 do
+    match Dfg.Graph.kind graph v with
+    | Dfg.Node.Loop_entry { loop; _ } | Dfg.Node.Loop_exit { loop; _ } ->
+        loops := max !loops (loop + 1)
+    | _ -> ()
+  done;
+  let entry_gates = Array.make !loops 0 and exit_gates = Array.make !loops 0 in
+  for v = 0 to n - 1 do
+    match Dfg.Graph.kind graph v with
+    | Dfg.Node.Loop_entry { loop; _ } ->
+        entry_gates.(loop) <- entry_gates.(loop) + 1
+    | Dfg.Node.Loop_exit { loop; _ } ->
+        exit_gates.(loop) <- exit_gates.(loop) + 1
+    | _ -> ()
+  done;
   {
     graph;
     recurrent = None;
+    is_switch =
+      Array.init n (fun v ->
+          match Dfg.Graph.kind graph v with Dfg.Node.Switch -> true | _ -> false);
     entry_gates;
     exit_gates;
-    fired = Hashtbl.create 256;
-    switch_in = Array.make n 0;
-    switch_fired = Array.make n 0;
-    loop_entries = Hashtbl.create 4;
-    loop_exits = Hashtbl.create 4;
-    entry_ctxs = Hashtbl.create 16;
-    exit_ctxs = Hashtbl.create 16;
+    ids = Hashtbl.create 16;
+    st =
+      {
+        fired = Array.make n Bytes.empty;
+        switch_in = Array.make n 0;
+        switch_fired = Array.make n 0;
+        entries = Array.make !loops 0;
+        exits = Array.make !loops 0;
+        entry_ctxs = Array.make !loops Bytes.empty;
+        exit_ctxs = Array.make !loops Bytes.empty;
+      };
   }
 
+let intern (t : t) (ctx : Context.t) : int =
+  match Hashtbl.find_opt t.ids ctx with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length t.ids in
+      Hashtbl.add t.ids ctx i;
+      i
+
+(* [mark sets i id] sets bit [id] of [sets.(i)], first growing the set
+   to fit; true when the bit was already set *)
+let mark (sets : Bytes.t array) i id =
+  let byte = id lsr 3 and bit = 1 lsl (id land 7) in
+  let len = Bytes.length sets.(i) in
+  if byte >= len then begin
+    let b = Bytes.make (max (byte + 1) (2 * len)) '\000' in
+    Bytes.blit sets.(i) 0 b 0 len;
+    sets.(i) <- b
+  end;
+  let b = sets.(i) in
+  let x = Char.code (Bytes.unsafe_get b byte) in
+  Bytes.unsafe_set b byte (Char.unsafe_chr (x lor bit));
+  x land bit <> 0
+
+let popcount (b : Bytes.t) =
+  let n = ref 0 in
+  Bytes.iter (fun c -> for i = 0 to 7 do n := !n + ((Char.code c lsr i) land 1) done) b;
+  !n
+
 let on_delivery (t : t) ~node ~port =
-  match Dfg.Graph.kind t.graph node with
-  | Dfg.Node.Switch when port = 0 ->
-      t.switch_in.(node) <- t.switch_in.(node) + 1
-  | _ -> ()
+  if port = 0 && t.is_switch.(node) then
+    t.st.switch_in.(node) <- t.st.switch_in.(node) + 1
 
 (* A translation gates either every loop (Schemas 2 and 3, whose
    iterations get contexts of their own) or none (Schema 1's single
@@ -114,7 +177,7 @@ let on_delivery (t : t) ~node ~port =
    nodes re-fire in one context, and it finds them once, at its first
    repeated firing; a graph with gateways never pays. *)
 let recurrent (t : t) node =
-  Hashtbl.length t.entry_gates = 0
+  Array.for_all (( = ) 0) t.entry_gates
   &&
   match t.recurrent with
   | Some r -> r.(node)
@@ -123,27 +186,26 @@ let recurrent (t : t) node =
       t.recurrent <- Some r;
       r.(node)
 
-let on_fire (t : t) ~node ~ctx ~group : violation option =
+let on_fire_id (t : t) ~node ~cid ~ctx ~group : violation option =
+  let st = t.st in
   (match Dfg.Graph.kind t.graph node with
-  | Dfg.Node.Switch -> t.switch_fired.(node) <- t.switch_fired.(node) + 1
+  | Dfg.Node.Switch -> st.switch_fired.(node) <- st.switch_fired.(node) + 1
   | Dfg.Node.Loop_entry { loop; arity } ->
       (* group length [arity] = initial entry; [arity + 1] = back edge *)
       if group = arity then begin
-        bump t.loop_entries loop;
-        Hashtbl.replace t.entry_ctxs (loop, ctx) ()
+        st.entries.(loop) <- st.entries.(loop) + 1;
+        ignore (mark st.entry_ctxs loop cid : bool)
       end
   | Dfg.Node.Loop_exit { loop; _ } ->
-      bump t.loop_exits loop;
-      Hashtbl.replace t.exit_ctxs (loop, ctx) ()
+      st.exits.(loop) <- st.exits.(loop) + 1;
+      ignore (mark st.exit_ctxs loop cid : bool)
   | _ -> ());
-  let key = (node, ctx) in
-  if Hashtbl.mem t.fired key then
-    if recurrent t node then None
-    else Some (Double_fire { df_node = node; df_ctx = ctx })
-  else begin
-    Hashtbl.replace t.fired key ();
-    None
-  end
+  if not (mark st.fired node cid) then None
+  else if recurrent t node then None
+  else Some (Double_fire { df_node = node; df_ctx = ctx })
+
+let on_fire (t : t) ~node ~ctx ~group =
+  on_fire_id t ~node ~cid:(intern t ctx) ~ctx ~group
 
 let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
   let vs = ref [] in
@@ -163,21 +225,13 @@ let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
      shared exit context.  A loop may have several exit sites (goto
      programs), so exit fires are only bounded by the total gateway
      count; the exact conservation law is on the distinct contexts. *)
-  let distinct ctxs l =
-    Hashtbl.fold (fun (l', _) () a -> if l' = l then a + 1 else a) ctxs 0
-  in
-  let loops =
-    Hashtbl.fold (fun l _ acc -> l :: acc) t.entry_gates []
-    |> List.sort_uniq compare
-  in
-  List.iter
-    (fun l ->
-      let e_gates = Option.value ~default:0 (Hashtbl.find_opt t.entry_gates l)
-      and x_gates = Option.value ~default:0 (Hashtbl.find_opt t.exit_gates l) in
-      let entries = Option.value ~default:0 (Hashtbl.find_opt t.loop_entries l)
-      and exits = Option.value ~default:0 (Hashtbl.find_opt t.loop_exits l) in
-      let activations = distinct t.entry_ctxs l in
-      let exit_ctxs = distinct t.exit_ctxs l in
+  let st = t.st in
+  Array.iteri
+    (fun l e_gates ->
+      let x_gates = t.exit_gates.(l) in
+      let entries = st.entries.(l) and exits = st.exits.(l) in
+      let activations = popcount st.entry_ctxs.(l) in
+      let exit_ctxs = popcount st.exit_ctxs.(l) in
       if
         e_gates > 0 && x_gates > 0
         && (entries <> activations * e_gates
@@ -197,46 +251,21 @@ let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
               li_exit_gates = x_gates;
             }
           :: !vs)
-    loops;
+    t.entry_gates;
   Array.iteri
     (fun node inflow ->
-      let fired = t.switch_fired.(node) in
+      let fired = st.switch_fired.(node) in
       if inflow <> fired then
         vs :=
           Switch_imbalance { sw_node = node; sw_in = inflow; sw_fired = fired }
           :: !vs)
-    t.switch_in;
+    st.switch_in;
   List.rev !vs
 
 (* Checkpoint support: the sanitizer's memory of what has fired must
    roll back with the machine, or replayed firings would all read as
-   double fires. *)
-type snap = {
-  sn_fired : (int * Context.t, unit) Hashtbl.t;
-  sn_switch_in : int array;
-  sn_switch_fired : int array;
-  sn_loop_entries : (int, int) Hashtbl.t;
-  sn_loop_exits : (int, int) Hashtbl.t;
-  sn_entry_ctxs : (int * Context.t, unit) Hashtbl.t;
-  sn_exit_ctxs : (int * Context.t, unit) Hashtbl.t;
-}
+   double fires.  Context ids stay interned: an id is only a name. *)
+type snap = state
 
-let snapshot (t : t) : snap =
-  {
-    sn_fired = Hashtbl.copy t.fired;
-    sn_switch_in = Array.copy t.switch_in;
-    sn_switch_fired = Array.copy t.switch_fired;
-    sn_loop_entries = Hashtbl.copy t.loop_entries;
-    sn_loop_exits = Hashtbl.copy t.loop_exits;
-    sn_entry_ctxs = Hashtbl.copy t.entry_ctxs;
-    sn_exit_ctxs = Hashtbl.copy t.exit_ctxs;
-  }
-
-let restore (t : t) (s : snap) : unit =
-  t.fired <- Hashtbl.copy s.sn_fired;
-  t.switch_in <- Array.copy s.sn_switch_in;
-  t.switch_fired <- Array.copy s.sn_switch_fired;
-  t.loop_entries <- Hashtbl.copy s.sn_loop_entries;
-  t.loop_exits <- Hashtbl.copy s.sn_loop_exits;
-  t.entry_ctxs <- Hashtbl.copy s.sn_entry_ctxs;
-  t.exit_ctxs <- Hashtbl.copy s.sn_exit_ctxs
+let snapshot (t : t) : snap = copy_state t.st
+let restore (t : t) (s : snap) : unit = t.st <- copy_state s

@@ -217,6 +217,93 @@ let test_run_exn_reports_diagnosis () =
   | exception Machine.Interp.Divergence msg ->
       checkb "message carries the diagnosis dump" true (contains msg "verdict:")
 
+(* ------------------------------------------------------------------ *)
+(* What the checkers report, pinned                                   *)
+
+let examples () =
+  let dir =
+    List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".imp")
+  |> List.sort compare
+  |> List.map (fun f ->
+         In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+let compile_example schema src =
+  let spec =
+    match Serve.Job.spec_of_string schema with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  let c = Dflow.Driver.compile spec (Imp.Parser.program_of_string src) in
+  { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
+
+let diagnosis = function
+  | Ok r -> r.Machine.Interp.diagnosis
+  | Error d -> d
+
+(* The sanitizer and certificate lists, rendered in report order, of (a)
+   the five examples under the two unsafe translations on both engines,
+   which must agree, and (b) 45 faulty reference runs: the examples ×
+   schemas 1, 2optp, 3 × fault seeds 1–3 dropping, duplicating and
+   flipping tokens at rate 0.02.  Collision detection is off, so the
+   colliding tokens reach the checkers.  One digest pins every line; a
+   checker that reports a violation more, less, or in another order
+   fails it. *)
+let test_checker_reports_pinned () =
+  let config = { Machine.Config.default with Machine.Config.detect_collisions = false } in
+  let out = Buffer.create 65536 and sanitizer = ref 0 and permission = ref 0 in
+  let report (d : D.t) =
+    let lines =
+      List.map Machine.Sanitize.violation_to_string d.D.sanitizer
+      @ ("--" :: List.map Machine.Permission.violation_to_string d.D.permission)
+    in
+    List.iter (fun l -> Buffer.add_string out (l ^ "\n")) lines;
+    lines
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun schema ->
+          let prog = compile_example schema src in
+          let run engine =
+            diagnosis
+              (Machine.Interp.run_report
+                 ~config:{ config with Machine.Config.engine }
+                 prog)
+          in
+          let reference = report (run Machine.Config.Reference) in
+          Alcotest.(check (list string))
+            ("both engines report the same, " ^ schema)
+            reference
+            (report (run Machine.Config.Packed)))
+        [ "fig8"; "3bad" ])
+    (examples ());
+  let classes = F.classes_of_string "drop,dup,flip" in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun schema ->
+          let prog = compile_example schema src in
+          List.iter
+            (fun seed ->
+              let faults = F.make (F.spec ~rate:0.02 ~classes ~seed ()) in
+              let d =
+                diagnosis (Machine.Interp.run_report ~config ~faults prog)
+              in
+              ignore (report d : string list);
+              sanitizer := !sanitizer + List.length d.D.sanitizer;
+              permission := !permission + List.length d.D.permission)
+            [ 1; 2; 3 ])
+        [ "1"; "2optp"; "3" ])
+    (examples ());
+  checki "faulty runs: sanitizer violations" 68 !sanitizer;
+  checki "faulty runs: permission violations" 107 !permission;
+  Alcotest.(check string)
+    "digest of every rendered list" "045ff78c47da89134932aa6dcc042833"
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
 let () =
   Alcotest.run "faults"
     [
@@ -244,5 +331,7 @@ let () =
             test_port_stall_harmless;
           Alcotest.test_case "run_exn reports diagnosis" `Quick
             test_run_exn_reports_diagnosis;
+          Alcotest.test_case "checker reports pinned" `Quick
+            test_checker_reports_pinned;
         ] );
     ]

@@ -353,12 +353,19 @@ let compile_rotating (p : Imp.Ast.program) : Dflow.Driver.compiled =
       Dflow.Driver.compile Dflow.Driver.Schema1 p
 
 (* unbounded and p=1: the stores, verdicts and firing counts agree,
-   and so do the timing and the peak matching *)
+   and so do the timing and the peak matching.  Each program runs
+   certified and with its certificate stripped, so both of the packed
+   engine's paths, with permission bags and without, answer to the
+   same reference *)
 let prop_packed_differential (p : Imp.Ast.program) =
   let c = compile_rotating p in
-  let prog = prog_of c in
+  let certified = prog_of c in
+  let stripped =
+    { certified with
+      Machine.Interp.graph = { c.Dflow.Driver.graph with Dfg.Graph.cert = None } }
+  in
   List.for_all
-    (fun pes ->
+    (fun (prog, pes) ->
       let config = { Cfg_.default with Cfg_.pes } in
       let reference = Machine.Interp.run ~config prog in
       let pk =
@@ -374,7 +381,9 @@ let prop_packed_differential (p : Imp.Ast.program) =
          = pk.Machine.Interp.peak_parallelism
       && reference.Machine.Interp.peak_matching
          = pk.Machine.Interp.peak_matching)
-    [ None; Some 1 ]
+    [
+      (certified, None); (certified, Some 1); (stripped, None); (stripped, Some 1);
+    ]
 
 let qcheck_differential =
   QCheck_alcotest.to_alcotest
