@@ -328,12 +328,12 @@ let scale_cell =
 (* --- sections --------------------------------------------------------- *)
 
 (* The metrics of a (program, schema) cell that compiled and ran:
-   static graph statistics, the traced single-PE run, and its check
-   against the reference interpreter. *)
+   static graph statistics, the single-PE run with its firing log, and
+   its check against the reference interpreter. *)
 type metrics = {
   stats : Dfg.Stats.t;
   result : Machine.Interp.result;
-  max_overlap : int;
+  log : Machine.Trace.t;
   reference_ok : bool;
 }
 
@@ -379,11 +379,12 @@ let record =
           m.result.Machine.Interp.peak_parallelism);
       count "peak_matching" (fun m -> m.result.Machine.Interp.peak_matching);
       count "critical_path_dynamic" (fun m ->
-          m.result.Machine.Interp.critical_path);
+          Machine.Trace.critical_path m.log);
       count "switch_firings" (fun m ->
           Option.value ~default:0
             (List.assoc_opt "switch" m.result.Machine.Interp.firings_by_kind));
-      count "max_context_overlap" (fun m -> m.max_overlap);
+      count "max_context_overlap" (fun m ->
+          Machine.Trace.max_context_overlap m.log);
       metric ~bound:Holds Bool "reference_ok" (fun m -> J.Bool m.reference_ok);
       sweep "multiproc" mp_cell (fun r -> r.multiproc);
       sweep "recovery" recovery_cell (fun r -> r.recovery);

@@ -39,9 +39,11 @@ let claim what = Fmt.pr "claim: %s@.@." what
    it. *)
 let compile ?transforms spec p = Dflow.Memo.compile ?transforms spec p
 
-let execute ?(config = Machine.Config.default) (c : Dflow.Driver.compiled) =
-  Machine.Interp.run_exn ~config
-    { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
+let prog_of (c : Dflow.Driver.compiled) =
+  { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
+
+let execute ?(config = Machine.Config.default) c =
+  Machine.Interp.run_exn ~config (prog_of c)
 
 let check_reference p (r : Machine.Interp.result) =
   let expected = Imp.Eval.run_program ~fuel:10_000_000 p in
@@ -167,8 +169,12 @@ let e3 () =
   Fmt.pr "@.  parallelism profile (one column per cycle; ' '=0 '.'=1 ':'=2           '|'=3 '#'=4+):@.";
   List.iter
     (fun (name, spec) ->
-      let r = execute ~config:Machine.Config.ideal (compile spec p) in
-      Fmt.pr "  %-12s %s@." name (sparkline r.Machine.Interp.profile))
+      let log = Machine.Trace.create () in
+      check_reference p
+        (Machine.Interp.run ~config:Machine.Config.ideal ~log
+           (prog_of (compile spec p)));
+      Fmt.pr "  %-12s %s@." name
+        (sparkline (Machine.Trace.parallelism_curve log)))
     [ ("schema1", s1); ("schema2", s2b); ("schema2-opt", s2ob) ]
 
 (* ===================================================================== *)
@@ -625,18 +631,13 @@ let e15 () =
   List.iter
     (fun (name, spec, transforms) ->
       let c = compile ~transforms spec p in
-      let tracer = Machine.Trace.create () in
-      let r =
-        Machine.Interp.run
-          ~on_fire:(Machine.Trace.on_fire tracer)
-          { Machine.Interp.graph = c.Dflow.Driver.graph;
-            layout = c.Dflow.Driver.layout }
-      in
+      let log = Machine.Trace.create () in
+      let r = Machine.Interp.run ~log (prog_of c) in
       assert (r.Machine.Interp.completed && r.Machine.Interp.leftover_tokens = 0);
       check_reference p r;
       Fmt.pr "  %-28s %8d %12d %12d %10d@." name r.Machine.Interp.cycles
         r.Machine.Interp.peak_matching r.Machine.Interp.peak_in_flight
-        (Machine.Trace.max_context_overlap tracer))
+        (Machine.Trace.max_context_overlap log))
     [
       ("schema1", s1, Dflow.Driver.no_transforms);
       ("schema2 barrier", s2b, Dflow.Driver.no_transforms);
@@ -1385,14 +1386,8 @@ let bench_cell ~sweeps ~program:(pname, p) ~schema:(sname, spec, transforms) =
   | exception Cfg.Intervals.Irreducible _ -> bare "irreducible"
   | exception Dflow.Driver.Aliasing_unsupported _ -> bare "unsupported-aliasing"
   | c ->
-      let tracer = Machine.Trace.create () in
-      let r =
-        Machine.Interp.run ~on_fire:(Machine.Trace.on_fire tracer)
-          {
-            Machine.Interp.graph = c.Dflow.Driver.graph;
-            layout = c.Dflow.Driver.layout;
-          }
-      in
+      let log = Machine.Trace.create () in
+      let r = Machine.Interp.run ~log (prog_of c) in
       if not r.Machine.Interp.completed then bare "stalled"
       else
         let reference = Imp.Eval.run_program ~fuel:10_000_000 p in
@@ -1414,7 +1409,7 @@ let bench_cell ~sweeps ~program:(pname, p) ~schema:(sname, spec, transforms) =
               {
                 S.stats = Dfg.Stats.of_graph c.Dflow.Driver.graph;
                 result = r;
-                max_overlap = Machine.Trace.max_context_overlap tracer;
+                log;
                 reference_ok =
                   Imp.Memory.equal reference r.Machine.Interp.memory;
               };

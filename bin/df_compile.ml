@@ -87,9 +87,8 @@ let or_exit what = function
 (* --- run ------------------------------------------------------------- *)
 
 let run_cmd job verbose trace =
-  let tracer = Machine.Trace.create () in
-  let on_fire = if trace then Some (Machine.Trace.on_fire tracer) else None in
-  let compiled, result = guard (fun () -> Job.run ?on_fire job) in
+  let log = if trace then Some (Machine.Trace.create ()) else None in
+  let compiled, result = guard (fun () -> Job.run ?log job) in
   let result = or_exit "execution" result in
   if not (Machine.Diagnosis.is_clean result.Machine.Interp.diagnosis) then
     Fmt.pr "== diagnosis ==@.%a@." Machine.Diagnosis.pp
@@ -112,14 +111,18 @@ let run_cmd job verbose trace =
     result.Machine.Interp.firings_by_kind;
   Fmt.pr "certificate      %s@."
     (certificate_line result.Machine.Interp.diagnosis);
-  if trace then begin
-    Fmt.pr "== timeline (first 60 cycles) ==@.";
-    Fmt.pr "%a" (Machine.Trace.pp_timeline ~max_cycles:60) tracer;
-    Fmt.pr "== firings per iteration context ==@.";
-    Fmt.pr "%a" Machine.Trace.pp_per_context tracer;
-    Fmt.pr "max overlapping contexts: %d@."
-      (Machine.Trace.max_context_overlap tracer)
-  end;
+  Option.iter
+    (fun log ->
+      Fmt.pr "== timeline (first 60 cycles) ==@.";
+      Fmt.pr "%a"
+        (Machine.Trace.pp_timeline ~max_cycles:60
+           ~graph:compiled.Dflow.Driver.graph)
+        log;
+      Fmt.pr "== firings per iteration context ==@.";
+      Fmt.pr "%a" Machine.Trace.pp_per_context log;
+      Fmt.pr "max overlapping contexts: %d@."
+        (Machine.Trace.max_context_overlap log))
+    log;
   if verbose then begin
     Fmt.pr "== static graph ==@.%a@." Dfg.Stats.pp
       (Dfg.Stats.of_graph compiled.Dflow.Driver.graph);
@@ -141,20 +144,20 @@ let run_term =
 
 (* --- profile: critical path, curves, Chrome trace -------------------- *)
 
-let profile_cmd file job trace_out summary_json limit =
-  let tracer = Machine.Trace.create ~limit () in
-  let compiled, result =
-    guard (fun () -> Job.run ~on_fire:(Machine.Trace.on_fire tracer) job)
-  in
+let profile_cmd file job trace_out summary_json =
+  let log = Machine.Trace.create () in
+  let compiled, result = guard (fun () -> Job.run ~log job) in
   let result = or_exit "execution" result in
   let graph = compiled.Dflow.Driver.graph in
-  let profile = Machine.Profile.make ~graph ~trace:tracer result in
+  let profile = Machine.Profile.make ~graph ~log result in
   let out =
     match trace_out with
     | Some path -> path
     | None -> Filename.remove_extension (Filename.basename file) ^ ".trace.json"
   in
-  let chrome = Machine.Profile.chrome_trace ~config:(Job.config job) ~graph tracer in
+  let chrome =
+    Machine.Profile.chrome_trace ~config:(Job.config job) ~graph log
+  in
   let oc = open_out out in
   output_string oc (Machine.Json.to_string chrome);
   output_char oc '\n';
@@ -177,30 +180,20 @@ let profile_term =
   Term.(
     const profile_cmd $ file_arg
     $ job_term Job.Run
-        [ "schema"; "transforms"; "pes"; "mem-latency"; "optimize" ]
+        [ "schema"; "transforms"; "pes"; "mem-latency"; "optimize"; "engine" ]
     $ trace_out_arg
         "Where to write the Chrome trace_event JSON (default: \
          <FILE>.trace.json in the current directory)."
     $ Arg.(
         value & flag
         & info [ "json" ]
-            ~doc:"Print the profile summary as JSON instead of text.")
-    $ Arg.(
-        value & opt int 100_000
-        & info [ "limit" ] ~docv:"N"
-            ~doc:
-              "Trace recorder capacity; runs longer than N firings are \
-               truncated (and say so)."))
+            ~doc:"Print the profile summary as JSON instead of text."))
 
 (* --- simulate: the multiprocessor machine ----------------------------- *)
 
 let simulate_cmd job trace_out =
-  let events = ref [] in
-  let on_fire cycle node ctx ~pe =
-    if trace_out <> None then
-      events := (cycle, node.Dfg.Node.id, ctx, pe) :: !events
-  in
-  let compiled, r = guard (fun () -> Job.simulate ~on_fire job) in
+  let log = Option.map (fun _ -> Machine.Trace.create ()) trace_out in
+  let compiled, r = guard (fun () -> Job.simulate ?log job) in
   let r = or_exit "simulation" r in
   if not r.Machine.Multiproc.completed then begin
     Fmt.epr "simulation did not complete:@.%a@." Machine.Diagnosis.pp
@@ -268,19 +261,18 @@ let simulate_cmd job trace_out =
         r.Machine.Multiproc.per_pe_firings.(pe)
         (100.0 *. u))
     r.Machine.Multiproc.utilisation;
-  (match trace_out with
-  | None -> ()
-  | Some out ->
+  (match (trace_out, log) with
+  | Some out, Some log ->
       let chrome =
-        Machine.Profile.chrome_trace_pes ~config:(Job.config job) ~graph
-          (List.rev !events)
+        Machine.Profile.chrome_trace_pes ~config:(Job.config job) ~graph log
       in
       let oc = open_out out in
       output_string oc (Machine.Json.to_string chrome);
       output_char oc '\n';
       close_out oc;
       Fmt.epr "chrome trace written to %s (one track per PE; load it in \
-               chrome://tracing or ui.perfetto.dev)@." out);
+               chrome://tracing or ui.perfetto.dev)@." out
+  | _ -> ());
   if Job.reference job r.Machine.Multiproc.memory = "ok" then
     Fmt.pr "reference check  ok@."
   else begin
@@ -314,7 +306,10 @@ let simulate_term =
           "mem-latency"; "fault-seed"; "fault-rate"; "fault-classes";
           "recover"; "no-certify";
         ]
-    $ trace_out_arg "Write a Chrome trace_event JSON with one track per PE.")
+    $ trace_out_arg
+        "Write a Chrome trace_event JSON with one track per PE.  Under \
+         --recover it holds the firings of the run that survived, not the \
+         replayed ones.")
 
 (* --- dot ------------------------------------------------------------- *)
 

@@ -21,6 +21,14 @@ let family (k : Dfg.Node.kind) : string =
   | Dfg.Node.Loop_entry _ -> "loop-entry"
   | Dfg.Node.Loop_exit _ -> "loop-exit"
 
+let by_kind iter : (string * int) list =
+  let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  iter (fun fam n ->
+      let before = Option.value ~default:0 (Hashtbl.find_opt tbl fam) in
+      Hashtbl.replace tbl fam (n + before));
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+
 type 'meta env = {
   graph : Dfg.Graph.t;
   layout : Imp.Layout.t;

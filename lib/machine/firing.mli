@@ -3,9 +3,9 @@
     reports at one PE) and the packed engine ({!Packed}).
 
     The rule is parametrised over a ['meta] provenance type carried on
-    every emitted token: the reference machine threads (depth, firing
-    index) pairs through it for dynamic critical-path accounting; the
-    packed engine uses [unit].  Timing, scheduling, fan-out and token
+    every emitted token: both engines thread the producer's {!Trace}
+    log index through it ([-1] when the run keeps no log).  Timing,
+    scheduling, fan-out and token
     transport stay with the caller — [execute] only decides {e which}
     output ports emit {e which} values (and in which context), and
     performs the split-phase memory side effects. *)
@@ -17,6 +17,13 @@ val dummy_value : Imp.Value.t
     the trace-event category and the key of
     {!Interp.result.firings_by_kind}. *)
 val family : Dfg.Node.kind -> string
+
+(** [by_kind iter] — executions per family, sorted by descending count.
+    [iter add] calls [add family count] in first-firing order (a family
+    may repeat).  Equal counts keep the order that a hash table of the
+    families, filled in first-firing order, folds to: both engines
+    report the one order. *)
+val by_kind : ((string -> int -> unit) -> unit) -> (string * int) list
 
 (** Shared split-phase memory state: the store, I-structure presence
     bits, and deferred I-structure readers keyed by address.  Each

@@ -20,17 +20,12 @@ type result = {
   memory_ops : int;
   dummy_deliveries : int;
   value_deliveries : int;
-  profile : int array;
   peak_parallelism : int;
   completed : bool;
   leftover_tokens : int;
   peak_matching : int;
   peak_in_flight : int;
   firings_by_kind : (string * int) list;
-  in_flight_curve : int array;
-  matching_curve : int array;
-  critical_path : int;
-  critical_chain : (int * Context.t) list;
   diagnosis : Diagnosis.t;
 }
 
@@ -40,19 +35,11 @@ let avg_parallelism (r : result) : float =
 
 (* Packed-engine path: compile the graph once and run it on the explicit
    token store ({!Packed}), then project the packed result onto the
-   single-PE result.  The per-cycle curves and the dynamic
-   critical path are observability the packed engine deliberately does
-   not collect; they come back empty. *)
-let run_packed ~(config : Config.t)
-    ?(on_fire : (int -> Dfg.Node.t -> Context.t -> unit) option)
-    (p : program) : (result, Diagnosis.t) Stdlib.result =
+   single-PE result. *)
+let run_packed ~(config : Config.t) ?log (p : program) :
+    (result, Diagnosis.t) Stdlib.result =
   let code = Packed.compile_graph p.graph in
-  let on_fire =
-    Option.map
-      (fun cb t node ctx -> cb t (Dfg.Graph.node p.graph node) ctx)
-      on_fire
-  in
-  match Packed.run_report ~config ?on_fire ~layout:p.layout code with
+  match Packed.run_report ~config ?log ~layout:p.layout code with
   | Error d -> Error d
   | Ok r ->
       Ok
@@ -63,17 +50,12 @@ let run_packed ~(config : Config.t)
           memory_ops = r.Packed.memory_ops;
           dummy_deliveries = r.Packed.dummy_deliveries;
           value_deliveries = r.Packed.value_deliveries;
-          profile = [||];
           peak_parallelism = r.Packed.peak_parallelism;
           completed = r.Packed.completed;
           leftover_tokens = r.Packed.leftover_tokens;
           peak_matching = r.Packed.peak_matching;
           peak_in_flight = r.Packed.peak_in_flight;
           firings_by_kind = r.Packed.firings_by_kind;
-          in_flight_curve = [||];
-          matching_curve = [||];
-          critical_path = 0;
-          critical_chain = [];
           diagnosis = r.Packed.diagnosis;
         }
 
@@ -87,25 +69,19 @@ let of_machine (r : Multiproc.result) : result =
     memory_ops = r.Multiproc.memory_ops;
     dummy_deliveries = r.Multiproc.dummy_deliveries;
     value_deliveries = r.Multiproc.value_deliveries;
-    profile = r.Multiproc.profile;
     peak_parallelism = r.Multiproc.peak_parallelism;
     completed = r.Multiproc.completed;
     leftover_tokens = r.Multiproc.leftover_tokens;
     peak_matching = r.Multiproc.peak_matching;
     peak_in_flight = r.Multiproc.peak_in_flight;
     firings_by_kind = r.Multiproc.firings_by_kind;
-    in_flight_curve = r.Multiproc.in_flight_curve;
-    matching_curve = r.Multiproc.matching_curve;
-    critical_path = r.Multiproc.critical_path;
-    critical_chain = r.Multiproc.critical_chain;
     diagnosis = r.Multiproc.diagnosis;
   }
 
-let run_report ?(config = Config.default) ?(faults : Fault.plan option)
-    ?(on_fire : (int -> Dfg.Node.t -> Context.t -> unit) option)
+let run_report ?(config = Config.default) ?(faults : Fault.plan option) ?log
     (p : program) : (result, Diagnosis.t) Stdlib.result =
   match (config.Config.engine, faults) with
-  | Config.Packed, None -> run_packed ~config ?on_fire p
+  | Config.Packed, None -> run_packed ~config ?log p
   | Config.Packed, Some _ ->
       (* fault injection is a reference-engine feature; running another
          machine than the one asked for would be a silent fallback *)
@@ -113,10 +89,10 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
         "Interp.run_report: the packed engine has no fault injection; use \
          the reference engine"
   | Config.Reference, _ ->
-      Result.map of_machine (Multiproc.run_single ~config ?faults ?on_fire p)
+      Result.map of_machine (Multiproc.run_single ~config ?faults ?log p)
 
-let run ?config ?faults ?on_fire (p : program) : result =
-  match run_report ?config ?faults ?on_fire p with
+let run ?config ?faults ?log (p : program) : result =
+  match run_report ?config ?faults ?log p with
   | Ok r -> r
   | Error d -> (
       let dump detail = Fmt.str "%s@.%s" detail (Diagnosis.to_string d) in

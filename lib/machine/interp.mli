@@ -15,7 +15,9 @@
     delivery and memory-issue boundaries (reference engine only), and
     every run — clean or not — is summarised by a structured
     {!Diagnosis.t} (verdict, blocked frontier, peak matching, fault
-    log).
+    log).  Given a {!Trace.t}, either engine writes the same firing log
+    and per-cycle samples: the record the profile curves, the dynamic
+    critical path and the context overlap are read from.
 
     Execution is deterministic: the ready queue is FIFO and all graphs
     produced by the translation schemas are determinate. *)
@@ -47,31 +49,19 @@ type result = {
       (** tokens delivered along dummy (access) arcs: pure
           synchronisation traffic *)
   value_deliveries : int;  (** tokens delivered along value arcs *)
-  profile : int array;  (** firings started per cycle *)
-  peak_parallelism : int;
+  peak_parallelism : int;  (** most firings started in one cycle *)
   completed : bool;  (** the End operator fired *)
   leftover_tokens : int;  (** unconsumed tokens at quiescence *)
   peak_matching : int;
       (** maximum simultaneous entries in the waiting-matching store —
           the frame-memory capacity a Monsoon-like machine would need *)
   peak_in_flight : int;
-      (** maximum tokens travelling between operators at once *)
+      (** most tokens travelling between operators at the end of a
+          cycle *)
   firings_by_kind : (string * int) list;
       (** executions per operator family (loads, stores, switches, ...),
-          sorted descending *)
-  in_flight_curve : int array;
-      (** per cycle, tokens travelling between operators at the end of
-          the cycle; its maximum is [peak_in_flight] *)
-  matching_curve : int array;
-      (** per cycle, occupied waiting-matching entries at the end of the
-          cycle; its maximum is [peak_matching] *)
-  critical_path : int;
-      (** dynamic critical path: length (in firings) of the longest
-          dependence chain actually executed.  Equals [cycles] under
-          {!Config.ideal}; latency-independent otherwise. *)
-  critical_chain : (int * Context.t) list;
-      (** one maximal chain, source to sink, as (node id, context);
-          its length is [critical_path] *)
+          sorted descending, equal counts in one order on both engines
+          ({!Firing.by_kind}) *)
   diagnosis : Diagnosis.t;
       (** structured post-mortem: verdict, stall frontier, peak matching
           and fault log *)
@@ -80,31 +70,33 @@ type result = {
 (** Average operator-level parallelism: firings per cycle of makespan. *)
 val avg_parallelism : result -> float
 
-(** [run_report ?config ?faults ?on_fire program] executes [program] to
+(** [run_report ?config ?faults ?log program] executes [program] to
     quiescence on a fresh zeroed memory.  [Ok r] means the machine
     reached quiescence — inspect [r.diagnosis] to distinguish clean
     completion from deadlock or leftover tokens; [Error d] is a hard
     failure (collision, double write, divergence) with the machine state
-    at the failure point.  Never raises the legacy exceptions.
+    at the failure point.  Never raises the legacy exceptions.  [log],
+    when given, receives every firing and every cycle's samples; without
+    one nothing is recorded.
     @raise Invalid_argument when [config] selects the packed engine and
     [faults] is given: fault injection is a reference-engine feature,
     and no engine is swapped for another behind the caller's back. *)
 val run_report :
   ?config:Config.t ->
   ?faults:Fault.plan ->
-  ?on_fire:(int -> Dfg.Node.t -> Context.t -> unit) ->
+  ?log:Trace.t ->
   program ->
   (result, Diagnosis.t) Stdlib.result
 
-(** [run ?config ?faults ?on_fire program] executes [program] to
-    quiescence.  [on_fire] observes every firing (cycle, node, context)
-    — the hook used by tracing.  [faults] injects a deterministic fault
-    plan at the delivery and memory-issue boundaries.
+(** [run ?config ?faults ?log program] executes [program] to
+    quiescence, writing [log] when given.  [faults] injects a
+    deterministic fault plan at the delivery and memory-issue
+    boundaries.
     @raise Token_collision / Double_write / Divergence as documented. *)
 val run :
   ?config:Config.t ->
   ?faults:Fault.plan ->
-  ?on_fire:(int -> Dfg.Node.t -> Context.t -> unit) ->
+  ?log:Trace.t ->
   program ->
   result
 

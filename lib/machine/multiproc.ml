@@ -2,11 +2,10 @@
     {!Firing} rule and the {!Matching} store, with two transports.  The
     single-PE transport is the machine {!Interp} reports; the network
     transport composes per-PE matching stores, ready queues and ALUs
-    with the {!Network} interconnect under a {!Placement}.  One observer
-    records what both report besides the store: the firing profile, the
-    occupancy curves, delivery and kind counts, and the dynamic critical
-    path, which every token carries as its producer's chain depth and
-    firing-log index.
+    with the {!Network} interconnect under a {!Placement}.  Both report
+    the same running counts besides the store: peaks, delivery and kind
+    counts.  Given a {!Trace.t}, the loop also writes its firing log and
+    per-cycle samples, and every token carries its producer's log index.
 
     With [?faults] or [?recovery] the network transport switches from
     the raw wire to the {!Network} reliable transport, runs the
@@ -30,18 +29,12 @@ type result = {
   peak_matching : int;
   dummy_deliveries : int;
   value_deliveries : int;
-  profile : int array;
   peak_parallelism : int;
   peak_in_flight : int;
   firings_by_kind : (string * int) list;
-  in_flight_curve : int array;
-  matching_curve : int array;
-  critical_path : int;
-  critical_chain : (int * Context.t) list;
   per_pe_firings : int array;
   per_pe_busy : int array;
   utilisation : float array;
-  per_pe_curve : int array array;
   local_deliveries : int;
   net_messages : int;
   cut_traffic : float;
@@ -51,7 +44,6 @@ type result = {
   peak_queue : int;
   net_hops : int;
   steals : int;
-  net_occupancy : int array;
   placement : Placement.t;
   placement_stats : Placement.stats;
   transport : Network.rt_stats option;
@@ -60,17 +52,15 @@ type result = {
 }
 
 (* A token in transit to one input port: its value, the permission
-   fractions riding it, and the provenance the critical-path account
-   needs -- the producing firing's chain depth and firing-log index
-   ([-1] for none).  A token waiting in a matching store is the same
-   record. *)
+   fractions riding it, and its producer's firing-log index ([-1] for
+   none, or when the run keeps no log).  A token waiting in a matching
+   store is the same record. *)
 type delivery = {
   m_node : int;
   m_port : int;
   m_ctx : Context.t;
   m_value : Imp.Value.t;
   m_bag : Permission.bag;
-  m_depth : int;
   m_src : int;
 }
 
@@ -82,7 +72,6 @@ let pad =
     m_ctx = Context.toplevel;
     m_value = Firing.dummy_value;
     m_bag = Permission.empty_bag;
-    m_depth = 0;
     m_src = -1;
   }
 
@@ -91,24 +80,22 @@ type firing = {
   x_ctx : Context.t;
   x_inputs : Imp.Value.t array;
   x_bags : Permission.bag list;  (** permission bags of the consumed tokens *)
-  x_depth : int;  (** chain depth of the deepest consumed token *)
-  x_pred : int;  (** that token's producer in the firing log, [-1] *)
+  x_pred : int;  (** the producer in the firing log, [-1] *)
 }
 
-(* A firing of [node] in [ctx] on the consumed tokens: it extends the
-   deepest input chain. *)
-let firing_of node ctx (tokens : delivery array) =
-  let deepest =
-    Array.fold_left (fun a s -> if s.m_depth > a.m_depth then s else a) pad
-      tokens
-  in
+(* A firing of [node] in [ctx] on the consumed tokens: logged, it
+   extends the deepest input chain. *)
+let firing_of log node ctx (tokens : delivery array) =
   {
     x_node = node;
     x_ctx = ctx;
     x_inputs = Array.map (fun s -> s.m_value) tokens;
     x_bags = Array.to_list (Array.map (fun s -> s.m_bag) tokens);
-    x_depth = deepest.m_depth;
-    x_pred = deepest.m_src;
+    x_pred =
+      (match log with
+      | Some l ->
+          Array.fold_left (fun a s -> Trace.deeper l a s.m_src) (-1) tokens
+      | None -> -1);
   }
 
 (* What the two machines do differently: how tokens travel and how
@@ -138,34 +125,6 @@ type link =
   | Raw of delivery Network.t
   | Reliable of delivery Network.rt
 
-(* A growable array.  The observer appends one firing-log entry per
-   firing and one curve sample per cycle; as lists of boxed entries they
-   would be promoted and traced by the major collector for the whole
-   run. *)
-type 'a vec = { mutable data : 'a array; mutable len : int }
-
-let vec x = { data = Array.make 256 x; len = 0 }
-
-let grow v x =
-  let d = Array.make (2 * v.len) x in
-  Array.blit v.data 0 d 0 v.len;
-  v.data <- d
-
-let push v x =
-  if v.len = Array.length v.data then grow v x;
-  v.data.(v.len) <- x;
-  v.len <- v.len + 1
-
-(* [push] for the int columns: typed [int], the store is a plain word
-   write, where the polymorphic one goes through the generic array
-   store *)
-let push_int (v : int vec) (x : int) =
-  if v.len = Array.length v.data then grow v x;
-  v.data.(v.len) <- x;
-  v.len <- v.len + 1
-
-let contents v = Array.sub v.data 0 v.len
-
 (* An epoch checkpoint: a consistent cut of the whole machine taken at
    the end of a cycle.  Matching stores and ready queues are kept in
    their per-PE buckets but restore re-buckets them through the current
@@ -184,14 +143,13 @@ type snapshot = {
   sp_inject_pending : int;
   sp_cells : int array;
   sp_present : bool array;
-  sp_deferred : (int, (int * Context.t * (int * int)) list) Hashtbl.t;
+  sp_deferred : (int, (int * Context.t * int) list) Hashtbl.t;
   sp_undelivered : (int * int * delivery) list;
   sp_completed : bool;
   sp_firings : int;
   sp_san : Sanitize.snap option;
   sp_perm : Permission.snap option;
   sp_logged : int;
-  sp_deepest : int * int;
 }
 
 exception Abort of Diagnosis.t
@@ -212,8 +170,7 @@ let no_wire =
     s_peak_in_flight = 0 }
 
 (* The one run loop. *)
-let exec ~transport ~(config : Config.t)
-    ?(on_fire : (int -> Dfg.Node.t -> Context.t -> pe:int -> unit) option)
+let exec ~transport ~(config : Config.t) ?(log : Trace.t option)
     ?(faults : Fault.plan option) (p : program) :
     (result, Diagnosis.t) Stdlib.result =
   let g = p.graph in
@@ -251,9 +208,8 @@ let exec ~transport ~(config : Config.t)
       steal
   in
   let memory = Imp.Memory.create p.layout in
-  (* split-phase memory state; deferred readers carry their (depth, log
-     index) provenance *)
-  let env : (int * int) Firing.env =
+  (* split-phase memory state; deferred readers carry their log index *)
+  let env : int Firing.env =
     Firing.make_env ~graph:g ~layout:p.layout memory
   in
   (* fractional-permission certificate, active only when the translation
@@ -311,26 +267,21 @@ let exec ~transport ~(config : Config.t)
   let pending_deaths =
     ref (match recovery with Some rs -> rs.Recovery.deaths | None -> [])
   in
-  (* The observer: what both transports report besides the store.  It
-     counts firings per node (remembering which fired first) and per
-     cycle, samples the in-flight and matching curves at the end of
-     every cycle, keeps the matching stores' running size and its peak
-     (counted on insert), and logs every firing as (node, ctx,
-     producer's log index) for the critical chain, whose depth is one
-     more than its producer's: only the deepest firing and its first log
-     index are kept. *)
+  (* What both transports report besides the store, kept as running
+     values: firings per node (remembering which fired first) and per
+     cycle with its peak, the peak of the end-of-cycle in-flight count,
+     and the matching stores' running size and its peak (counted on
+     insert).  The log, when given, gets every firing and every cycle's
+     samples. *)
   let by_node = Array.make n 0 and first = ref [] and fired = ref 0 in
-  let profile = vec 0 and in_flight = vec 0 and matching = vec 0 in
+  let peak_fired = ref 0 and peak_in_flight = ref 0 in
   let dummy = ref 0 and value = ref 0 in
   let waiting = ref 0 and peak_waiting = ref 0 in
-  let log_node = vec 0 and log_ctx = vec Context.toplevel in
-  let log_pred = vec 0 and deepest = ref (0, -1) in
   (* counters *)
   let firings = ref 0 in
   let memory_ops = ref 0 in
   let per_pe_firings = Array.make pcount 0 in
   let per_pe_busy = Array.make pcount 0 in
-  let per_pe_curve = Array.make pcount [] in
   let local_deliveries = ref 0 in
   let mem_local = ref 0 in
   let mem_remote = ref 0 in
@@ -338,7 +289,6 @@ let exec ~transport ~(config : Config.t)
   (* consecutive cycles each PE has sat with an empty ready queue —
      the stealing hysteresis clock *)
   let idle_ctr = Array.make pcount 0 in
-  let net_occupancy = ref [] in
   let completed = ref false in
   let last_cycle = ref 0 in
   let t = ref 0 in
@@ -455,7 +405,7 @@ let exec ~transport ~(config : Config.t)
     match kind with
     | Dfg.Node.Merge ->
         (* no matching: forward immediately as its own firing *)
-        Queue.add (firing_of d.m_node d.m_ctx [| d |]) ready.(pe)
+        Queue.add (firing_of log d.m_node d.m_ctx [| d |]) ready.(pe)
     | _ -> (
         let w = wait.(pe) in
         let before = Matching.entries w in
@@ -477,7 +427,7 @@ let exec ~transport ~(config : Config.t)
                     (if single then "" else Fmt.str " (PE %d)" pe)))
         | Matching.Wait -> ()
         | Matching.Fire tokens ->
-            Queue.add (firing_of d.m_node d.m_ctx tokens) ready.(pe))
+            Queue.add (firing_of log d.m_node d.m_ctx tokens) ready.(pe))
   in
   (* Can a sanitizer violation be rolled back right now? *)
   let can_roll_back () =
@@ -529,16 +479,25 @@ let exec ~transport ~(config : Config.t)
       schedule_local at d
     done
   in
+  (* a completed deferred read's producer: the deeper of the parked
+     load and the store that satisfied it *)
+  let meta_max =
+    match log with Some l -> Trace.deeper l | None -> fun reader _ -> reader
+  in
   let execute pe (f : firing) =
-    let node = Dfg.Graph.node g f.x_node in
-    let kind = node.Dfg.Node.kind in
+    let kind = Dfg.Graph.kind g f.x_node in
     incr firings;
     per_pe_firings.(pe) <- per_pe_firings.(pe) + 1;
     let seen = by_node.(f.x_node) in
     if seen = 0 then first := f.x_node :: !first;
     by_node.(f.x_node) <- seen + 1;
     incr fired;
-    (match on_fire with Some cb -> cb !t node f.x_ctx ~pe | None -> ());
+    let my_id =
+      match log with
+      | Some l ->
+          Trace.fire l ~node:f.x_node ~ctx:f.x_ctx ~cycle:!t ~pe ~pred:f.x_pred
+      | None -> -1
+    in
     (match san with
     | Some s -> (
         match
@@ -599,12 +558,6 @@ let exec ~transport ~(config : Config.t)
     let value_done = t_done + mem_penalty in
     if value_done > !last_cycle then last_cycle := value_done;
     let is_load = match kind with Dfg.Node.Load _ -> true | _ -> false in
-    (* chain accounting: this firing extends the deepest input chain *)
-    let depth = f.x_depth + 1 and my_id = log_node.len in
-    push_int log_node f.x_node;
-    push log_ctx f.x_ctx;
-    push_int log_pred f.x_pred;
-    if depth > fst !deepest then deepest := (depth, my_id);
     (* emissions are buffered so the held permission can be split over
        the actual deliveries; the replay below preserves the original
        per-arc order, keeping fault draws, routing and timing
@@ -613,9 +566,7 @@ let exec ~transport ~(config : Config.t)
     Firing.execute env
       ~emit:(fun ~node ~port ~ctx ~meta v ->
         buffered := (node, port, ctx, meta, v) :: !buffered)
-      ~meta:(depth, my_id)
-      ~meta_max:(fun (d1, s1) (d2, s2) ->
-        if d1 >= d2 then (d1, s1) else (d2, s2))
+      ~meta:my_id ~meta_max
       ~on_complete:(fun () -> completed := true)
       ~double_write:(fun msg -> abort (Diagnosis.Double_write msg))
       ~node:f.x_node ~ctx:f.x_ctx ~inputs:f.x_inputs;
@@ -643,7 +594,7 @@ let exec ~transport ~(config : Config.t)
             (Array.length labels)
     in
     List.iteri
-      (fun i ((node, port, ctx, (depth, src), v), (a : Dfg.Graph.arc)) ->
+      (fun i ((node, port, ctx, src, v), (a : Dfg.Graph.arc)) ->
         let t_done =
           if is_load && node = f.x_node && port = 0 then value_done else t_done
         in
@@ -655,7 +606,6 @@ let exec ~transport ~(config : Config.t)
             m_ctx = ctx;
             m_value = v;
             m_bag = bags.(i);
-            m_depth = depth;
             m_src = src;
           }
         in
@@ -752,10 +702,8 @@ let exec ~transport ~(config : Config.t)
         for _ = 1 to budget do
           execute pe (Queue.pop ready.(pe))
         done;
-        per_pe_curve.(pe) <- budget :: per_pe_curve.(pe);
         if budget > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1
       end
-      else per_pe_curve.(pe) <- 0 :: per_pe_curve.(pe)
     done
   in
   (* --- checkpoint / restore ------------------------------------------- *)
@@ -776,8 +724,7 @@ let exec ~transport ~(config : Config.t)
       sp_firings = !firings;
       sp_san = Option.map Sanitize.snapshot san;
       sp_perm = Option.map Permission.snapshot perm;
-      sp_logged = log_node.len;
-      sp_deepest = !deepest;
+      sp_logged = (match log with Some l -> Trace.length l | None -> 0);
     }
   in
   (* Restore the last epoch and resume after the failover penalty.  Time
@@ -855,9 +802,7 @@ let exec ~transport ~(config : Config.t)
     (match (perm, sp.sp_perm) with
     | Some p, Some snap -> Permission.restore p snap
     | _ -> ());
-    List.iter (fun v -> v.len <- sp.sp_logged) [ log_node; log_pred ];
-    log_ctx.len <- sp.sp_logged;
-    deepest := sp.sp_deepest;
+    Option.iter (fun l -> Trace.rollback l sp.sp_logged) log;
     t := resume;
     Array.fill idle_ctr 0 pcount 0;
     if resume > !last_cycle then last_cycle := resume
@@ -870,7 +815,6 @@ let exec ~transport ~(config : Config.t)
       x_ctx = Context.toplevel;
       x_inputs = [||];
       x_bags = (match perm with Some p -> [ Permission.mint p ] | None -> []);
-      x_depth = 0;
       x_pred = -1;
     }
     ready.((!place).Placement.assign.(g.Dfg.Graph.start));
@@ -945,10 +889,15 @@ let exec ~transport ~(config : Config.t)
             net_step ();
             (* end-of-cycle sampling *)
             let on_wire = net_pending () in
-            if not single then net_occupancy := on_wire :: !net_occupancy;
-            push_int profile !fired;
-            push_int in_flight (!local_pending + !inject_pending + on_wire);
-            push_int matching !waiting;
+            let in_flight = !local_pending + !inject_pending + on_wire in
+            if !fired > !peak_fired then peak_fired := !fired;
+            if in_flight > !peak_in_flight then peak_in_flight := in_flight;
+            (* the single PE is busy in every cycle that fired *)
+            if single && !fired > 0 then per_pe_busy.(0) <- per_pe_busy.(0) + 1;
+            (match log with
+            | Some l ->
+                Trace.sample l ~fired:!fired ~in_flight ~matching:!waiting
+            | None -> ());
             (* epoch checkpoint *)
             (match recovery with
             | Some rs when !t >= !next_checkpoint ->
@@ -1028,31 +977,11 @@ let exec ~transport ~(config : Config.t)
       | Reliable r -> (Network.rt_stats r).Network.r_sends
       | _ -> st.Network.s_messages
     in
-    let profile = contents profile in
-    (* the single PE's own curve is the profile *)
-    if single then
-      per_pe_busy.(0) <- Array.fold_left (fun a k -> a + min k 1) 0 profile;
-    let in_flight_curve = contents in_flight in
-    (* dynamic critical path: the first deepest firing, its chain walked
-       back through the logged producer indices *)
-    let critical_path, deepest_at = !deepest in
-    let rec walk i acc =
-      if i < 0 then acc
-      else walk log_pred.data.(i) ((log_node.data.(i), log_ctx.data.(i)) :: acc)
-    in
-    let critical_chain = walk deepest_at [] in
-    (* families enter the table in order of first firing, which fixes
-       the order of equal counts *)
     let firings_by_kind =
-      let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun v ->
-          let fam = Firing.family (Dfg.Graph.kind g v) in
-          Hashtbl.replace tbl fam
-            (by_node.(v) + Option.value ~default:0 (Hashtbl.find_opt tbl fam)))
-        (List.rev !first);
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort (fun (_, a) (_, b) -> compare b a)
+      Firing.by_kind (fun add ->
+          List.iter
+            (fun v -> add (Firing.family (Dfg.Graph.kind g v)) by_node.(v))
+            (List.rev !first))
     in
     Ok
       {
@@ -1065,23 +994,15 @@ let exec ~transport ~(config : Config.t)
         peak_matching = !peak_waiting;
         dummy_deliveries = !dummy;
         value_deliveries = !value;
-        profile;
-        peak_parallelism = Array.fold_left max 0 profile;
-        peak_in_flight = Array.fold_left max 0 in_flight_curve;
+        peak_parallelism = !peak_fired;
+        peak_in_flight = !peak_in_flight;
         firings_by_kind;
-        in_flight_curve;
-        matching_curve = contents matching;
-        critical_path;
-        critical_chain;
         per_pe_firings;
         per_pe_busy;
         utilisation =
           Array.map
             (fun b -> float_of_int b /. float_of_int (max 1 total_cycles))
             per_pe_busy;
-        per_pe_curve =
-          (if single then [| profile |]
-           else Array.map (fun c -> Array.of_list (List.rev c)) per_pe_curve);
         local_deliveries = !local_deliveries;
         net_messages = payloads;
         cut_traffic =
@@ -1095,7 +1016,6 @@ let exec ~transport ~(config : Config.t)
         peak_queue = st.Network.s_peak_queue;
         net_hops = st.Network.s_hops;
         steals = !steals;
-        net_occupancy = Array.of_list (List.rev !net_occupancy);
         placement = !place;
         placement_stats = Placement.stats g !place;
         transport =
@@ -1108,26 +1028,24 @@ let exec ~transport ~(config : Config.t)
   with Abort d -> Error d
 
 let run ?(config = Config.default) ?(net = Network.default)
-    ?(placement = Placement.Hash) ?(tree = []) ?topo ?steal ?on_fire ?faults
+    ?(placement = Placement.Hash) ?(tree = []) ?topo ?steal ?log ?faults
     ?recovery ~pes (p : program) : (result, Diagnosis.t) Stdlib.result =
   if pes < 1 then invalid_arg "Multiproc.run: pes must be >= 1";
   if config.Config.engine <> Config.Reference then
     invalid_arg
       "Multiproc.run: the multiprocessor runs on the reference engine only";
-  exec ~config ?on_fire ?faults
+  exec ~config ?log ?faults
     ~transport:
       (Network { net; policy = placement; tree; topo; steal; recovery; pes })
     p
 
-let run_single ?(config = Config.default) ?faults ?on_fire (p : program) =
-  exec ~config ?faults ~transport:Single_pe
-    ?on_fire:(Option.map (fun cb t node ctx ~pe:_ -> cb t node ctx) on_fire)
-    p
+let run_single ?(config = Config.default) ?faults ?log (p : program) =
+  exec ~config ?faults ?log ~transport:Single_pe p
 
-let run_exn ?config ?net ?placement ?tree ?topo ?steal ?on_fire ?faults
+let run_exn ?config ?net ?placement ?tree ?topo ?steal ?log ?faults
     ?recovery ~pes p : result =
   match
-    run ?config ?net ?placement ?tree ?topo ?steal ?on_fire ?faults ?recovery
+    run ?config ?net ?placement ?tree ?topo ?steal ?log ?faults ?recovery
       ~pes p
   with
   | Error d ->

@@ -1,11 +1,12 @@
 (** The reference ETS machine: one run loop over the {!Firing} rule and
     the {!Matching} store with two transports.  A machine with one PE is
     the simplest case of the paper's explicit-token-store multiprocessor
-    (Monsoon), so the transport owns only what differs, and one observer
-    reports for both: the per-cycle firing profile, the in-flight and
-    matching curves, peak in-flight, peak matching (counted on insert,
-    summed over PEs), dummy and value deliveries, firings by kind, and
-    the dynamic critical path with one maximal chain.
+    (Monsoon), so the transport owns only what differs, and both report
+    the same running counts: peak parallelism, peak in-flight, peak
+    matching (counted on insert, summed over PEs), dummy and value
+    deliveries and firings by kind.  Given a {!Trace.t}, both write one
+    firing log with its per-cycle samples, the record from which the
+    profile curves and the dynamic critical path are read.
 
     {b Single PE} ({!run_single}, what {!Interp} reports): up to
     [Config.pes] enabled firings start a cycle (all when [None]), oldest
@@ -48,7 +49,8 @@
     [?faults] injects seeded wire faults via {!Fault.on_link}.
     [?recovery] adds epoch checkpoints of the whole machine — matching
     stores, ready queues, undelivered transport payloads, memory and
-    split-phase state, sanitizer counters, the firing log — plus a
+    split-phase state, sanitizer counters, the firing log if one is
+    kept — plus a
     schedule of PE fail-stops: on a death the dead PE's nodes are
     remapped over the survivors ({!Recovery.remap}) and the last epoch
     is replayed.  Time is monotonic across rollbacks: lost cycles and
@@ -77,21 +79,14 @@ type result = {
           counted on insert *)
   dummy_deliveries : int;  (** tokens delivered along dummy (access) arcs *)
   value_deliveries : int;  (** tokens delivered along value arcs *)
-  profile : int array;  (** firings started per cycle, all PEs *)
-  peak_parallelism : int;  (** the maximum of [profile] *)
-  peak_in_flight : int;  (** the maximum of [in_flight_curve] *)
+  peak_parallelism : int;  (** most firings started in one cycle, all PEs *)
+  peak_in_flight : int;
+      (** most tokens scheduled, queued or on the wire at a cycle's end *)
   firings_by_kind : (string * int) list;
       (** executions per operator family, sorted descending *)
-  in_flight_curve : int array;
-      (** per cycle, tokens scheduled, queued or on the wire at its end *)
-  matching_curve : int array;  (** per cycle, matching entries at its end *)
-  critical_path : int;
-      (** firings on the longest dependence chain actually executed *)
-  critical_chain : (int * Context.t) list;  (** one such chain, source first *)
   per_pe_firings : int array;
   per_pe_busy : int array;  (** cycles in which the PE issued a firing *)
   utilisation : float array;  (** per PE, busy cycles / total cycles *)
-  per_pe_curve : int array array;  (** firings started per cycle, per PE *)
   local_deliveries : int;  (** tokens that bypassed the network *)
   net_messages : int;  (** tokens that crossed between PEs *)
   cut_traffic : float;
@@ -105,8 +100,6 @@ type result = {
       (** total links crossed by network messages; equals the message
           count on the uniform wire, more under a topology *)
   steals : int;  (** ready firings moved by work stealing *)
-  net_occupancy : int array;
-      (** per cycle, messages queued + in flight at end of cycle *)
   placement : Placement.t;
       (** the placement in force at the end — remapped if a PE died *)
   placement_stats : Placement.stats;
@@ -118,10 +111,12 @@ type result = {
       (** [diagnosis.network] is [Some _] under the network transport *)
 }
 
-(** [run ?config ?net ?placement ?on_fire ~pes program] —
-    execute to quiescence on a fresh zeroed memory.  [on_fire] receives
-    (cycle, node, context, pe) for every firing, in deterministic
-    order — the feed for per-PE Chrome-trace tracks.
+(** [run ?config ?net ?placement ?log ~pes program] —
+    execute to quiescence on a fresh zeroed memory.  [log], when given,
+    receives every firing with its PE, in deterministic order, and every
+    cycle's samples — the feed for per-PE Chrome-trace tracks.  Under
+    recovery it rolls back with the epoch, so it holds the firings of
+    the run that survived.
     [Ok r] is quiescence (see [r.diagnosis] for deadlock/leftover);
     [Error d] is a hard failure (collision, double write, divergence).
 
@@ -145,14 +140,14 @@ val run :
   ?tree:(int * int option) list ->
   ?topo:Sched.Topology.t ->
   ?steal:Sched.Steal.spec ->
-  ?on_fire:(int -> Dfg.Node.t -> Context.t -> pe:int -> unit) ->
+  ?log:Trace.t ->
   ?faults:Fault.plan ->
   ?recovery:Recovery.spec ->
   pes:int ->
   program ->
   (result, Diagnosis.t) Stdlib.result
 
-(** [run_single ?config ?faults ?on_fire program] — execute to
+(** [run_single ?config ?faults ?log program] — execute to
     quiescence on the single-PE transport: [config.pes] is the issue
     width, [config.memory_ports] the memory issue limit, and [faults]
     acts at the delivery and memory-issue boundaries.  [config.engine]
@@ -162,7 +157,7 @@ val run :
 val run_single :
   ?config:Config.t ->
   ?faults:Fault.plan ->
-  ?on_fire:(int -> Dfg.Node.t -> Context.t -> unit) ->
+  ?log:Trace.t ->
   program ->
   (result, Diagnosis.t) Stdlib.result
 
@@ -176,7 +171,7 @@ val run_exn :
   ?tree:(int * int option) list ->
   ?topo:Sched.Topology.t ->
   ?steal:Sched.Steal.spec ->
-  ?on_fire:(int -> Dfg.Node.t -> Context.t -> pe:int -> unit) ->
+  ?log:Trace.t ->
   ?faults:Fault.plan ->
   ?recovery:Recovery.spec ->
   pes:int ->

@@ -6,7 +6,8 @@
     compiled code with a real explicit token store: operand slots and
     presence stamps live in preallocated per-context frames recycled
     through a free list, and the schedule is an event-driven ready
-    wheel, so empty cycles cost nothing.
+    wheel, so empty cycles cost nothing but their samples in a firing
+    log, when one is kept.
 
     The operator semantics are shared with the reference machines: the
     hot ALU/routing opcodes and plain loads and stores are specialised
@@ -65,10 +66,13 @@ let opcode_of_kind : Dfg.Node.kind -> int = function
    counts the inputs a node still waits for ([f_need_back] for a loop
    gateway's back-edge group); the lazily stamped counters re-arm after
    every fire, so a node can rendezvous repeatedly in one context
-   exactly as the reference matching store allows. *)
+   exactly as the reference matching store allows.  [f_src] holds each
+   slot's producer log index: empty until a run that keeps a log
+   acquires the frame. *)
 type frame = {
   f_vals : Imp.Value.t array;
   f_bags : Permission.bag array;
+  mutable f_src : int array;
   f_stamp : int array;  (** slot holds a token iff [= f_gen] *)
   f_need : int array;
   f_nstamp : int array;
@@ -84,6 +88,7 @@ let nil_frame =
   {
     f_vals = [||];
     f_bags = [||];
+    f_src = [||];
     f_stamp = [||];
     f_need = [||];
     f_nstamp = [||];
@@ -218,7 +223,9 @@ external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 (* One ready-wheel bucket: a reusable growable vector of in-flight
    deliveries held as parallel arrays, so scheduling a token allocates
    nothing.  A token's context rides along both as its interned id
-   (the frame key) and as the structural context (for observers).
+   (the frame key) and as the structural context (for observers);
+   [b_src] carries its producer's log index, and is empty unless the
+   run keeps a log.
 
    A drained bucket is emptied by resetting [b_len] alone: its slots
    keep their last context, value and bag until the next push
@@ -233,10 +240,11 @@ type bucket = {
   mutable b_ctx : Context.t array;
   mutable b_val : Imp.Value.t array;
   mutable b_bag : Permission.bag array;
+  mutable b_src : int array;
   mutable b_len : int;
 }
 
-let fresh_bucket n =
+let fresh_bucket ~logging n =
   {
     b_node = Array.make n 0;
     b_port = Array.make n 0;
@@ -244,10 +252,11 @@ let fresh_bucket n =
     b_ctx = Array.make n Context.toplevel;
     b_val = Array.make n dummy_value;
     b_bag = Array.make n Permission.empty_bag;
+    b_src = (if logging then Array.make n (-1) else [||]);
     b_len = 0;
   }
 
-let bucket_push (b : bucket) node port cid ctx v bag =
+let bucket_push (b : bucket) node port cid ctx v bag src =
   let k = b.b_len in
   if k = Array.length b.b_node then begin
     let n = max 16 (2 * k) in
@@ -261,7 +270,8 @@ let bucket_push (b : bucket) node port cid ctx v bag =
     b.b_cid <- grow b.b_cid 0;
     b.b_ctx <- grow b.b_ctx Context.toplevel;
     b.b_val <- grow b.b_val dummy_value;
-    b.b_bag <- grow b.b_bag Permission.empty_bag
+    b.b_bag <- grow b.b_bag Permission.empty_bag;
+    if Array.length b.b_src > 0 then b.b_src <- grow b.b_src (-1)
   end;
   b.b_node.!(k) <- node;
   b.b_port.!(k) <- port;
@@ -269,6 +279,7 @@ let bucket_push (b : bucket) node port cid ctx v bag =
   b.b_ctx.!(k) <- ctx;
   b.b_val.!(k) <- v;
   b.b_bag.!(k) <- bag;
+  if Array.length b.b_src > 0 then b.b_src.!(k) <- src;
   b.b_len <- k + 1
 
 (* [acc] joined with [bags.(i)] for [i] in [\[lo, hi)], in slot order *)
@@ -283,6 +294,7 @@ type firing = {
   fr_inputs : Imp.Value.t array;
   fr_held : Permission.bag;
       (** the consumed tokens' joined permission; [] uncertified *)
+  fr_pred : int;  (** the producer in the firing log, [-1] *)
 }
 
 type result = {
@@ -305,12 +317,12 @@ type result = {
 exception Abort of Diagnosis.t
 
 let run_report ?(config = Config.default) ?(sanitize = true)
-    ?(on_fire : (int -> int -> Context.t -> unit) option)
-    ~(layout : Imp.Layout.t) (c : code) :
+    ?(log : Trace.t option) ~(layout : Imp.Layout.t) (c : code) :
     (result, Diagnosis.t) Stdlib.result =
   let g = c.g in
   let memory = Imp.Memory.create layout in
-  let env : unit Firing.env = Firing.make_env ~graph:g ~layout memory in
+  let env : int Firing.env = Firing.make_env ~graph:g ~layout memory in
+  let logging = Option.is_some log in
   let san = if sanitize then Some (Sanitize.create g) else None in
   let violations : Sanitize.violation list ref = ref [] in
   let perm =
@@ -371,6 +383,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     {
       f_vals = Array.make (max 1 c.slots) dummy_value;
       f_bags = Array.make (max 1 c.slots) Permission.empty_bag;
+      f_src = [||];
       f_stamp = Array.make (max 1 c.slots) 0;
       f_need = Array.make c.n 0;
       f_nstamp = Array.make c.n 0;
@@ -388,6 +401,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           f
       | [] -> fresh_frame ()
     in
+    if logging && Array.length f.f_src = 0 then
+      f.f_src <- Array.make (max 1 c.slots) (-1);
     c.gen <- c.gen + 1;
     f.f_gen <- c.gen;
     f.f_occ <- 0;
@@ -421,8 +436,10 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   in
   let mask = wheel_size - 1 in
   let wheel =
-    Array.init wheel_size (fun _ -> fresh_bucket 16)
+    Array.init wheel_size (fun _ -> fresh_bucket ~logging 16)
   in
+  (* tokens scheduled and not yet delivered; sampled at the end of each
+     cycle, as the reference samples its in-flight count *)
   let pending = ref 0 in
   let peak_in_flight = ref 0 in
   (* the ready queue (FIFO) *)
@@ -431,6 +448,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let firings = ref 0 in
   let memory_ops = ref 0 in
   let op_counts = Array.make (Array.length op_family) 0 in
+  (* opcodes in first-firing order, one byte each, then '\255' *)
+  let op_order = Bytes.make (Array.length op_family) '\255' in
   let dummy_deliveries = ref 0 in
   let value_deliveries = ref 0 in
   let peak_parallelism = ref 0 in
@@ -515,11 +534,14 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   in
   let abort verdict = raise (Abort (diagnose verdict)) in
   (* --- token transport --------------------------------------------- *)
-  let schedule at node port cid ctx v bag =
+  let schedule at node port cid ctx v bag src =
     incr pending;
-    if !pending > !peak_in_flight then peak_in_flight := !pending;
-    bucket_push wheel.(at land mask) node port cid ctx v bag
+    bucket_push wheel.(at land mask) node port cid ctx v bag src
   in
+  (* the log index of the firing whose tokens are leaving: set as each
+     firing is logged, and per emission by the generic path, whose
+     deferred wakeups carry their own *)
+  let cur_src = ref (-1) in
   (* A firing's permission split: [bags.(j - first)] rides delivery [j]
      of the firing's range, which starts at flattened destination
      [first]; [no_bags] when the firing holds nothing, so every delivery
@@ -536,6 +558,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       else incr value_deliveries;
       schedule t_done c.dst_node.!(j) c.dst_port.!(j) cid ctx v
         (if bags == no_bags then Permission.empty_bag else bags.!(j - first))
+        !cur_src
     done
   in
   (* split [held] over the deliveries of ports [p0, p1) of [node], which
@@ -569,9 +592,13 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let cur_t_done = ref 0 in
   let cur_cid = ref 0 in
   let cur_ctx = ref Context.toplevel in
-  let emit_shared ~node ~port ~ctx ~meta:() v =
+  let emit_shared ~node ~port ~ctx ~meta v =
+    cur_src := meta;
     emit_port ~t_done:!cur_t_done node port
       (cid_of !cur_cid !cur_ctx ctx) ctx v no_bags 0
+  in
+  let meta_max =
+    match log with Some l -> Trace.deeper l | None -> fun reader _ -> reader
   in
   (* the generic path: start, end, I-structure loads and stores, and
      their deferred wakeups (which emit from the reader's own ports)
@@ -579,27 +606,26 @@ let run_report ?(config = Config.default) ?(sanitize = true)
      buffered so the held permission can be split over the actual
      deliveries in emission-then-arc order, matching the reference
      engine's split bit for bit *)
-  let ebuf : (int * int * Context.t * Imp.Value.t) list ref = ref [] in
+  let ebuf : (int * int * Context.t * int * Imp.Value.t) list ref = ref [] in
   let exec_generic t_done node fcid fctx inputs held =
     match perm with
     | None ->
         cur_t_done := t_done;
         cur_cid := fcid;
         cur_ctx := fctx;
-        Firing.execute env ~emit:emit_shared ~meta:()
-          ~meta_max:(fun () () -> ()) ~on_complete ~double_write ~node
-          ~ctx:fctx ~inputs
+        Firing.execute env ~emit:emit_shared ~meta:!cur_src ~meta_max
+          ~on_complete ~double_write ~node ~ctx:fctx ~inputs
     | Some pm ->
         ebuf := [];
         Firing.execute env
-          ~emit:(fun ~node ~port ~ctx ~meta:() v ->
-            ebuf := (node, port, ctx, v) :: !ebuf)
-          ~meta:() ~meta_max:(fun () () -> ()) ~on_complete ~double_write
-          ~node ~ctx:fctx ~inputs;
+          ~emit:(fun ~node ~port ~ctx ~meta v ->
+            ebuf := (node, port, ctx, meta, v) :: !ebuf)
+          ~meta:!cur_src ~meta_max ~on_complete ~double_write ~node ~ctx:fctx
+          ~inputs;
         let emissions = List.rev !ebuf in
         let labels =
           List.concat_map
-            (fun (en, ep, _, _) ->
+            (fun (en, ep, _, _, _) ->
               let base = c.dest_base.(c.port_base.(en) + ep) in
               let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
               List.init (stop - base) (fun j ->
@@ -610,14 +636,14 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         let bags = Permission.split pm ~node ~held labels 0 (Array.length labels) in
         let k = ref 0 in
         List.iter
-          (fun (en, ep, ectx, ev) ->
+          (fun (en, ep, ectx, src, ev) ->
             let base = c.dest_base.(c.port_base.(en) + ep) in
             let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
             for j = base to stop - 1 do
               if c.dst_dummy.(j) then incr dummy_deliveries
               else incr value_deliveries;
               schedule t_done c.dst_node.(j) c.dst_port.(j)
-                (cid_of fcid fctx ectx) ectx ev bags.(!k);
+                (cid_of fcid fctx ectx) ectx ev bags.(!k) src;
               incr k
             done)
           emissions
@@ -677,15 +703,21 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   in
   (* per-node latency, resolved once against this run's config *)
   let lat = Array.init c.n (fun v -> Config.latency config c.kinds.(v)) in
-  (* what every firing does before its operator: count it, feed the
-     sanitizer, assert its certificate requirement on [held] (the joined
-     permission of its consumed tokens) and time it *)
-  let begin_fire t node cid ctx group held =
+  (* what every firing does before its operator: count it (remembering
+     which opcodes fired first), log it, feed the sanitizer, assert its
+     certificate requirement on [held] (the joined permission of its
+     consumed tokens) and time it *)
+  let begin_fire t node cid ctx group held pred =
     incr firings;
     let op = c.opcode.!(node) in
-    op_counts.!(op) <- op_counts.!(op) + 1;
+    let seen = op_counts.!(op) in
+    if seen = 0 then
+      Bytes.set op_order (Bytes.index op_order '\255') (Char.chr op);
+    op_counts.!(op) <- seen + 1;
     if c.is_mem.!(node) then incr memory_ops;
-    (match on_fire with Some cb -> cb t node ctx | None -> ());
+    (match log with
+    | Some l -> cur_src := Trace.fire l ~node ~ctx ~cycle:t ~pe:0 ~pred
+    | None -> ());
     (match san with
     | Some s -> (
         match Sanitize.on_fire_id s ~node ~cid ~ctx ~group with
@@ -713,8 +745,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
      specialised opcode emits on one contiguous range of its ports, so a
      held bag is split over that range's destination labels and the
      tokens leave inline; the rest take the generic path *)
-  let exec t node cid ctx inputs held =
-    let t_done = begin_fire t node cid ctx (Array.length inputs) held in
+  let exec t node cid ctx inputs held pred =
+    let t_done = begin_fire t node cid ctx (Array.length inputs) held pred in
     let op = c.opcode.!(node) in
     if op = op_binop then
       emit1 ~t_done node 0 cid ctx
@@ -770,12 +802,12 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   (* monadic fast path: merges and single-input routing, ALU and
      constant operators fire straight from the delivery, with no input
      array *)
-  let exec1 t node cid ctx v bag =
+  let exec1 t node cid ctx v bag pred =
     let op = c.opcode.!(node) in
     if op = op_id || op = op_merge || op = op_synch || op = op_unop
        || op = op_const
     then begin
-      let t_done = begin_fire t node cid ctx 1 bag in
+      let t_done = begin_fire t node cid ctx 1 bag pred in
       let out =
         match c.kinds.!(node) with
         | Dfg.Node.Unop uop -> Imp.Value.unop uop v
@@ -785,15 +817,15 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       in
       emit1 ~t_done node 0 cid ctx out bag
     end
-    else exec t node cid ctx [| v |] bag
+    else exec t node cid ctx [| v |] bag pred
   in
   (* direct mode: with one unbounded PE and no memory-port limit, every
      enabled firing issues in the cycle it matched, so the ready queue
      is an identity step — execute straight from the delivery instead
      (all latencies >= 1, so emissions never land back in the bucket
      being drained) *)
-  let fire t node cid ctx inputs held =
-    if direct then exec t node cid ctx inputs held
+  let fire t node cid ctx inputs held pred =
+    if direct then exec t node cid ctx inputs held pred
     else
       Queue.add
         {
@@ -802,6 +834,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           fr_ctx = ctx;
           fr_inputs = inputs;
           fr_held = held;
+          fr_pred = pred;
         }
         ready
   in
@@ -825,8 +858,9 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   in
   (* consume a completed rendezvous and fire it: ports [p0, p0+count) of
      [node], their stamps cleared and occupancy released, their bags
-     joined into the firing's held permission.  [extra_pad] appends the
-     trailing pad slot that encodes a gateway's back-edge group.  The
+     joined into the firing's held permission, their producers folded
+     into its own.  [extra_pad] appends the trailing pad slot that
+     encodes a gateway's back-edge group.  The
      consumed values and bags stay in their slots, unreadable behind the
      cleared stamp, until the next token into the slot overwrites them:
      what a frame can retain is bounded by the code's frame pool *)
@@ -844,30 +878,40 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           try join_slots f.f_bags base (base + count) Permission.empty_bag
           with Permission.Frac.Overflow -> Permission.empty_bag)
     in
+    let pred =
+      match log with
+      | None -> -1
+      | Some l ->
+          let p = ref (-1) in
+          for i = base to base + count - 1 do
+            p := Trace.deeper l !p f.f_src.!(i)
+          done;
+          !p
+    in
     for i = 0 to count - 1 do
       f.f_stamp.!(base + i) <- 0
     done;
     f.f_occ <- f.f_occ - count;
     if f.f_occ = 0 then release cid f;
-    fire t node cid ctx inputs held
+    fire t node cid ctx inputs held pred
   in
   (* --- token delivery and waiting-matching -------------------------- *)
-  let deliver t node port cid ctx v bag =
+  let deliver t node port cid ctx v bag src =
     let op = c.opcode.!(node) in
     if op = op_merge || c.in_ar.!(node) = 1 then begin
       (* no rendezvous needed: a merge fires on every delivery, and a
          single token is already a complete match for a monadic
          operator — neither touches a frame.  The monadic token is a
          momentary matching entry, as in {!Matching}; a merge makes
-         none *)
+         none.  Its one token is the deepest input *)
       if op <> op_merge then begin
         if !entries >= !peak_matching then peak_matching := !entries + 1;
         match san with
         | Some s -> Sanitize.on_delivery s ~node ~port
         | None -> ()
       end;
-      if direct then exec1 t node cid ctx v bag
-      else fire t node cid ctx [| v |] bag
+      if direct then exec1 t node cid ctx v bag src
+      else fire t node cid ctx [| v |] bag src
     end
     else begin
       (match san with
@@ -888,12 +932,14 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         (* undetected: the late token overwrites the slot, exactly the
            Figure 8 pile-up the sanitizer then reports as Double_fire *)
         f.f_vals.!(slot) <- v;
-        f.f_bags.!(slot) <- bag
+        f.f_bags.!(slot) <- bag;
+        if logging then f.f_src.!(slot) <- src
       end
       else begin
         f.f_stamp.!(slot) <- f.f_gen;
         f.f_vals.!(slot) <- v;
         f.f_bags.!(slot) <- bag;
+        if logging then f.f_src.!(slot) <- src;
         f.f_occ <- f.f_occ + 1;
         if f.f_occ = 1 then begin
           incr live;
@@ -960,8 +1006,13 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let boot_held =
     match perm with Some p -> Permission.mint p | None -> Permission.empty_bag
   in
-  if direct then exec 0 c.start (intern Context.toplevel) Context.toplevel
-      [||] boot_held
+  (* the firings counted into earlier cycles' samples: the delta at a
+     cycle's end is its parallelism in both the direct and queued modes,
+     a Start executed at boot included *)
+  let counted = ref 0 in
+  if direct then
+    exec 0 c.start (intern Context.toplevel) Context.toplevel [||] boot_held
+      (-1)
   else
     Queue.add
       {
@@ -970,6 +1021,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         fr_ctx = Context.toplevel;
         fr_inputs = [||];
         fr_held = boot_held;
+        fr_pred = -1;
       }
       ready;
   try
@@ -977,9 +1029,6 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     while not !finished do
       if !t > config.Config.max_cycles then
         abort (Diagnosis.Diverged config.Config.max_cycles);
-      (* the firing count at cycle start: the delta is this cycle's
-         parallelism in both the direct and queued modes *)
-      let fired_before = !firings in
       (* 1. deliver the tokens scheduled for this cycle (in direct mode
          completed matches execute inline here) *)
       let b = wheel.(!t land mask) in
@@ -989,6 +1038,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         decr pending;
         deliver !t b.b_node.!(i) b.b_port.!(i) b.b_cid.!(i) b.b_ctx.!(i)
           b.b_val.!(i) b.b_bag.!(i)
+          (if logging then b.b_src.!(i) else -1)
       done;
       (* 2. issue enabled firings (in direct mode completed matches
          already executed during delivery and the queue is empty) *)
@@ -1010,7 +1060,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           in
           if port_free then begin
             if c.is_mem.(f.fr_node) then incr mem_issued;
-            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_held;
+            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_held f.fr_pred;
             incr started
           end
           else begin
@@ -1021,15 +1071,28 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         done;
         List.iter (fun f -> Queue.add f ready) (List.rev !deferred_mem)
       end;
-      let fired = !firings - fired_before in
+      (* 3. end-of-cycle samples *)
+      let fired = !firings - !counted in
+      counted := !firings;
       if fired > !peak_parallelism then peak_parallelism := fired;
-      (* 3. quiescence / event-driven skip to the next scheduled cycle *)
+      if !pending > !peak_in_flight then peak_in_flight := !pending;
+      (match log with
+      | Some l -> Trace.sample l ~fired ~in_flight:!pending ~matching:!entries
+      | None -> ());
+      (* 4. quiescence / event-driven skip to the next scheduled cycle *)
       if Queue.is_empty ready && !pending = 0 then finished := true
       else if not (Queue.is_empty ready) then incr t
       else begin
-        (* nothing enabled: jump straight to the next delivery cycle *)
+        (* nothing enabled: jump straight to the next delivery cycle;
+           a skipped cycle fires nothing and moves no token *)
         let j = ref 1 in
         while wheel.((!t + !j) land mask).b_len = 0 do incr j done;
+        (match log with
+        | Some l ->
+            for _ = 2 to !j do
+              Trace.sample l ~fired:0 ~in_flight:!pending ~matching:!entries
+            done
+        | None -> ());
         t := !t + !j
       end
     done;
@@ -1049,15 +1112,12 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       else Diagnosis.Clean
     in
     let firings_by_kind =
-      let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-      Array.iteri
-        (fun op n ->
-          if n > 0 then
-            Hashtbl.replace tbl op_family.(op)
-              (n + (try Hashtbl.find tbl op_family.(op) with Not_found -> 0)))
-        op_counts;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort (fun (_, a) (_, b) -> compare b a)
+      Firing.by_kind (fun add ->
+          Bytes.iter
+            (fun ch ->
+              if ch <> '\255' then
+                add op_family.(Char.code ch) op_counts.(Char.code ch))
+            op_order)
     in
     let diagnosis = diagnose verdict in
     repool ();

@@ -24,12 +24,14 @@
     stores and identical [Diagnosis.certified] verdicts against the
     reference interpreter on randomized programs.
 
-    Observability is deliberately coarser than the reference engine's:
-    no per-cycle parallelism/matching curves, no dynamic critical path,
-    and no fault injection (those stay with the reference engine, and
-    {!Interp.run_report} refuses a packed run that asks for faults).
-    Firing counts, cycle counts, peak matching, the sanitizer, and the
-    fractional-permission certificate are all still live.
+    It reports what the reference reports: given a {!Trace.t} it writes
+    the same firing log, with the same producer indices, and the same
+    per-cycle samples (a cycle the event wheel skips is sampled too), so
+    the profile curves and the dynamic critical path are the same under
+    either engine.  Its tokens carry their producer's log index in a
+    bucket column and a frame-slot column, written only when a log is
+    kept.  Fault injection stays with the reference engine, and
+    {!Interp.run_report} refuses a packed run that asks for faults.
 
     One dispatcher runs certified and uncertified graphs.  ALU, const,
     id, merge, switch, synch, sink, the loop gateways and plain loads
@@ -66,6 +68,7 @@ type result = {
           {!Matching} counts them *)
   peak_frames : int;  (** most simultaneously live context frames *)
   peak_in_flight : int;
+      (** most tokens scheduled and undelivered at a cycle's end *)
   firings_by_kind : (string * int) list;
   diagnosis : Diagnosis.t;
 }
@@ -74,15 +77,16 @@ type result = {
     [config.pes], [config.memory_ports] and the latencies.
 
     [sanitize] (default true) runs the token-conservation sanitizer.
-    [on_fire cycle node ctx] observes every firing.  The permission
-    certificate is checked whenever the graph carries one.
+    [log], when given, receives every firing and every cycle's samples.
+    The permission certificate is checked whenever the graph carries
+    one.
 
     Returns [Error diagnosis] on collision, double write, or
     divergence, like the reference engine's report. *)
 val run_report :
   ?config:Config.t ->
   ?sanitize:bool ->
-  ?on_fire:(int -> int -> Context.t -> unit) ->
+  ?log:Trace.t ->
   layout:Imp.Layout.t ->
   code ->
   (result, Diagnosis.t) Stdlib.result

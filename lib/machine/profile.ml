@@ -1,5 +1,5 @@
-(** Machine observability: post-run profiles over the interpreter's
-    [on_fire] hook and {!Interp.result}, with exporters.
+(** Machine observability: post-run profiles over a run's firing log
+    ({!Trace}) and its {!Interp.result}, with exporters.
 
     A {!t} bundles everything a perf investigation needs: the per-node
     firing histogram, the per-cycle parallelism / token-in-flight /
@@ -9,7 +9,7 @@
     executed — next to the static single-iteration critical path from
     {!Dfg.Stats} for comparison.
 
-    Exporters: {!chrome_trace} renders a recorded {!Trace.t} as Chrome
+    Exporters: {!chrome_trace} renders a firing log as Chrome
     [trace_event] JSON (open in [chrome://tracing] or Perfetto; one
     track per access-token variable, one per concurrent ALU lane), and
     {!summary_json} emits the compact record of
@@ -38,67 +38,49 @@ type t = {
   dynamic_critical_path : int;
   critical_chain : (int * Context.t) list;
   static_critical_path : int;
-  dropped_events : int;
-      (** trace-recorder truncation: nonzero means the histogram,
-          overlap and per-context views cover only a prefix *)
 }
 
-let family (k : Dfg.Node.kind) : string =
-  match k with
-  | Dfg.Node.Start _ -> "start"
-  | Dfg.Node.End _ -> "end"
-  | Dfg.Node.Const _ -> "const"
-  | Dfg.Node.Binop _ | Dfg.Node.Unop _ -> "alu"
-  | Dfg.Node.Id -> "id"
-  | Dfg.Node.Sink -> "sink"
-  | Dfg.Node.Load _ -> "load"
-  | Dfg.Node.Store _ -> "store"
-  | Dfg.Node.Switch -> "switch"
-  | Dfg.Node.Merge -> "merge"
-  | Dfg.Node.Synch _ -> "synch"
-  | Dfg.Node.Loop_entry _ -> "loop-entry"
-  | Dfg.Node.Loop_exit _ -> "loop-exit"
-
-let make ~(graph : Dfg.Graph.t) ~(trace : Trace.t) (r : Interp.result) : t =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      Hashtbl.replace counts e.Trace.node
-        (1 + (try Hashtbl.find counts e.Trace.node with Not_found -> 0)))
-    (Trace.events trace);
+let make ~(graph : Dfg.Graph.t) ~(log : Trace.t) (r : Interp.result) : t =
+  let counts = Array.make (Dfg.Graph.num_nodes graph) 0 in
+  for i = 0 to Trace.length log - 1 do
+    let n = Trace.node log i in
+    counts.(n) <- counts.(n) + 1
+  done;
   let node_firings =
-    Hashtbl.fold
-      (fun n c acc ->
-        let node = Dfg.Graph.node graph n in
-        {
-          nf_node = n;
-          nf_label = node.Dfg.Node.label;
-          nf_family = family node.Dfg.Node.kind;
-          nf_count = c;
-        }
-        :: acc)
-      counts []
+    List.filter_map
+      (fun n ->
+        if counts.(n) = 0 then None
+        else
+          let node = Dfg.Graph.node graph n in
+          Some
+            {
+              nf_node = n;
+              nf_label = node.Dfg.Node.label;
+              nf_family = Firing.family node.Dfg.Node.kind;
+              nf_count = counts.(n);
+            })
+      (List.init (Array.length counts) Fun.id)
     |> List.sort (fun a b ->
            compare (b.nf_count, a.nf_node) (a.nf_count, b.nf_node))
   in
   let st = Dfg.Stats.of_graph graph in
+  let overlap = Trace.overlap log in
   {
     cycles = r.Interp.cycles;
     firings = r.Interp.firings;
     avg_parallelism = Interp.avg_parallelism r;
     peak_parallelism = r.Interp.peak_parallelism;
-    parallelism_curve = r.Interp.profile;
-    in_flight_curve = r.Interp.in_flight_curve;
-    matching_curve = r.Interp.matching_curve;
+    parallelism_curve = Trace.parallelism_curve log;
+    in_flight_curve = Trace.in_flight_curve log;
+    matching_curve = Trace.matching_curve log;
     peak_matching = r.Interp.peak_matching;
     node_firings;
-    overlap = Trace.overlap trace;
-    max_overlap = Trace.max_context_overlap trace;
-    per_context = Trace.per_context trace;
-    dynamic_critical_path = r.Interp.critical_path;
-    critical_chain = r.Interp.critical_chain;
+    overlap;
+    max_overlap = Array.fold_left max 0 overlap;
+    per_context = Trace.per_context log;
+    dynamic_critical_path = Trace.critical_path log;
+    critical_chain = Trace.critical_chain log;
     static_critical_path = st.Dfg.Stats.critical_path;
-    dropped_events = Trace.dropped trace;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -122,16 +104,61 @@ let track_of (g : Dfg.Graph.t) (n : int) : [ `Var of string | `Control | `Alu ]
 
 let max_alu_lanes = 32
 
-let chrome_trace ?(config = Config.default) ~(graph : Dfg.Graph.t)
-    (trace : Trace.t) : Json.t =
-  (* stable cycle order: the recorder stores events in firing order,
-     which is already nondecreasing in cycle; sort defensively anyway *)
-  let events =
-    List.stable_sort
-      (fun (a : Trace.event) (b : Trace.event) ->
-        compare a.Trace.cycle b.Trace.cycle)
-      (Trace.events trace)
+(* One Chrome trace_event document over a log: a "thread_name" event per
+   track of [tracks ()], read once every firing is placed, then an "X"
+   event per firing in log order (which is cycle order) on track
+   [tid node cycle dur i], its [args i] after its node and context. *)
+let chrome_document ~config ~graph ~generator ~tid ~args ~tracks log =
+  let trace_events =
+    List.map
+      (fun i ->
+        let node = Trace.node log i and cycle = Trace.cycle log i in
+        let kind = Dfg.Graph.kind graph node in
+        let dur = Config.latency config kind in
+        Json.Assoc
+          [
+            ("name", Json.String (Dfg.Graph.node graph node).Dfg.Node.label);
+            ("cat", Json.String (Firing.family kind));
+            ("ph", Json.String "X");
+            ("ts", Json.Int cycle);
+            ("dur", Json.Int dur);
+            ("pid", Json.Int 1);
+            ("tid", Json.Int (tid node cycle dur i));
+            ( "args",
+              Json.Assoc
+                (("node", Json.Int node)
+                :: ("ctx", Json.String (Context.to_string (Trace.ctx log i)))
+                :: args i) );
+          ])
+      (List.init (Trace.length log) Fun.id)
   in
+  let metadata =
+    List.map
+      (fun (tid, name) ->
+        Json.Assoc
+          [
+            ("name", Json.String "thread_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int 1);
+            ("tid", Json.Int tid);
+            ("args", Json.Assoc [ ("name", Json.String name) ]);
+          ])
+      (tracks ())
+  in
+  Json.Assoc
+    [
+      ("traceEvents", Json.List (metadata @ trace_events));
+      ("displayTimeUnit", Json.String "ms");
+      ( "otherData",
+        Json.Assoc
+          [
+            ("generator", Json.String generator);
+            ("clock", Json.String "machine cycles (1 cycle = 1 us)");
+          ] );
+    ]
+
+let chrome_trace ?(config = Config.default) ~(graph : Dfg.Graph.t)
+    (log : Trace.t) : Json.t =
   (* tid table: name -> id, in order of first appearance *)
   let tids : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let tid_names = ref [] in
@@ -165,118 +192,29 @@ let chrome_trace ?(config = Config.default) ~(graph : Dfg.Graph.t)
     lane_free.(!chosen) <- max lane_free.(!chosen) ts + dur;
     !chosen
   in
-  let trace_events =
-    List.map
-      (fun (e : Trace.event) ->
-        let kind = Dfg.Graph.kind graph e.Trace.node in
-        let dur = Config.latency config kind in
-        let track =
-          match track_of graph e.Trace.node with
-          | `Var v -> "access " ^ v
-          | `Control -> "control"
-          | `Alu -> Fmt.str "alu-%d" (alu_lane e.Trace.cycle dur)
-        in
-        Json.Assoc
-          [
-            ("name", Json.String e.Trace.label);
-            ("cat", Json.String (family kind));
-            ("ph", Json.String "X");
-            ("ts", Json.Int e.Trace.cycle);
-            ("dur", Json.Int dur);
-            ("pid", Json.Int 1);
-            ("tid", Json.Int (tid_of track));
-            ( "args",
-              Json.Assoc
-                [
-                  ("node", Json.Int e.Trace.node);
-                  ("ctx", Json.String (Context.to_string e.Trace.ctx));
-                ] );
-          ])
-      events
-  in
-  let metadata =
-    List.rev_map
-      (fun (i, name) ->
-        Json.Assoc
-          [
-            ("name", Json.String "thread_name");
-            ("ph", Json.String "M");
-            ("pid", Json.Int 1);
-            ("tid", Json.Int i);
-            ("args", Json.Assoc [ ("name", Json.String name) ]);
-          ])
-      !tid_names
-  in
-  Json.Assoc
-    [
-      ("traceEvents", Json.List (metadata @ trace_events));
-      ("displayTimeUnit", Json.String "ms");
-      ( "otherData",
-        Json.Assoc
-          [
-            ("generator", Json.String "df_compile profile");
-            ("clock", Json.String "machine cycles (1 cycle = 1 us)");
-            ("droppedEvents", Json.Int (Trace.dropped trace));
-          ] );
-    ]
+  chrome_document ~config ~graph ~generator:"df_compile profile" log
+    ~tid:(fun node cycle dur _ ->
+      tid_of
+        (match track_of graph node with
+        | `Var v -> "access " ^ v
+        | `Control -> "control"
+        | `Alu -> Fmt.str "alu-%d" (alu_lane cycle dur)))
+    ~args:(fun _ -> [])
+    ~tracks:(fun () -> List.rev !tid_names)
 
 (* Per-PE tracks for a multiprocessor run: one lane per processing
-   element, fed by Multiproc's on_fire (cycle, node, ctx, pe).  The
-   single-PE exporter groups by operator family; here the interesting
-   axis is which PE did the work, so the placement's load balance and
-   the network-induced idle gaps are visible at a glance. *)
+   element, read from the log's PE column.  The single-PE exporter
+   groups by operator family; here the interesting axis is which PE did
+   the work, so the placement's load balance and the network-induced
+   idle gaps are visible at a glance. *)
 let chrome_trace_pes ?(config = Config.default) ~(graph : Dfg.Graph.t)
-    (events : (int * int * Context.t * int) list) : Json.t =
-  let events =
-    List.stable_sort (fun (c1, _, _, _) (c2, _, _, _) -> compare c1 c2) events
-  in
-  let max_pe = List.fold_left (fun m (_, _, _, pe) -> max m pe) 0 events in
-  let trace_events =
-    List.map
-      (fun (cycle, node, ctx, pe) ->
-        let kind = Dfg.Graph.kind graph node in
-        let label = (Dfg.Graph.node graph node).Dfg.Node.label in
-        Json.Assoc
-          [
-            ("name", Json.String label);
-            ("cat", Json.String (family kind));
-            ("ph", Json.String "X");
-            ("ts", Json.Int cycle);
-            ("dur", Json.Int (Config.latency config kind));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int pe);
-            ( "args",
-              Json.Assoc
-                [
-                  ("node", Json.Int node);
-                  ("ctx", Json.String (Context.to_string ctx));
-                  ("pe", Json.Int pe);
-                ] );
-          ])
-      events
-  in
-  let metadata =
-    List.init (max_pe + 1) (fun pe ->
-        Json.Assoc
-          [
-            ("name", Json.String "thread_name");
-            ("ph", Json.String "M");
-            ("pid", Json.Int 1);
-            ("tid", Json.Int pe);
-            ("args", Json.Assoc [ ("name", Json.String (Fmt.str "pe-%d" pe)) ]);
-          ])
-  in
-  Json.Assoc
-    [
-      ("traceEvents", Json.List (metadata @ trace_events));
-      ("displayTimeUnit", Json.String "ms");
-      ( "otherData",
-        Json.Assoc
-          [
-            ("generator", Json.String "df_compile simulate");
-            ("clock", Json.String "machine cycles (1 cycle = 1 us)");
-          ] );
-    ]
+    (log : Trace.t) : Json.t =
+  let pe i = Trace.pe log i in
+  let pes = 1 + List.fold_left max 0 (List.init (Trace.length log) pe) in
+  chrome_document ~config ~graph ~generator:"df_compile simulate" log
+    ~tid:(fun _ _ _ i -> pe i)
+    ~args:(fun i -> [ ("pe", Json.Int (pe i)) ])
+    ~tracks:(fun () -> List.init pes (fun p -> (p, Fmt.str "pe-%d" p)))
 
 (* ---------------------------------------------------------------- *)
 (* summary record                                                   *)
@@ -294,7 +232,6 @@ let summary_json (p : t) : Json.t =
       ("critical_path_dynamic", Json.Int p.dynamic_critical_path);
       ("critical_path_static", Json.Int p.static_critical_path);
       ("max_context_overlap", Json.Int p.max_overlap);
-      ("dropped_events", Json.Int p.dropped_events);
       ("parallelism_curve", int_curve p.parallelism_curve);
       ("in_flight_curve", int_curve p.in_flight_curve);
       ("matching_curve", int_curve p.matching_curve);
@@ -356,11 +293,6 @@ let pp ppf (p : t) =
     p.dynamic_critical_path p.static_critical_path;
   Fmt.pf ppf "context overlap   max %d simultaneous iteration contexts@."
     p.max_overlap;
-  if p.dropped_events > 0 then
-    Fmt.pf ppf
-      "TRUNCATED         %d events dropped by the recorder; histogram, \
-       overlap and context views cover a prefix@."
-      p.dropped_events;
   let w = 72 in
   Fmt.pf ppf "parallelism       |%s|@." (sparkline (resample p.parallelism_curve w));
   Fmt.pf ppf "tokens in flight  |%s|@." (sparkline (resample p.in_flight_curve w));

@@ -1,7 +1,7 @@
-(** Machine observability: post-run profiles computed from the
-    interpreter's [on_fire] hook (a recorded {!Trace.t}) and the
-    {!Interp.result}, plus exporters — Chrome [trace_event] JSON and a
-    compact JSON summary. *)
+(** Machine observability: post-run profiles computed from a run's
+    firing log ({!Trace.t}) and its {!Interp.result}, plus exporters —
+    Chrome [trace_event] JSON and a compact JSON summary.  Both engines
+    write the same log, so every view here is the same under either. *)
 
 type node_firings = {
   nf_node : int;
@@ -28,21 +28,13 @@ type t = {
   critical_chain : (int * Context.t) list;
   static_critical_path : int;
       (** single-iteration operator chain from {!Dfg.Stats} *)
-  dropped_events : int;
-      (** trace truncation: nonzero means histogram/overlap/context
-          views cover only a prefix of the run *)
 }
 
-(** The operator family of a node kind (the [cat] of its trace events
-    and the key of {!Interp.result.firings_by_kind}). *)
-val family : Dfg.Node.kind -> string
+(** [make ~graph ~log result] assembles the profile of one run.  [log]
+    must be the one the run that returned [result] wrote. *)
+val make : graph:Dfg.Graph.t -> log:Trace.t -> Interp.result -> t
 
-(** [make ~graph ~trace result] assembles the profile of one run.
-    [trace] must come from the same run as [result] (pass
-    [Trace.on_fire] to the interpreter). *)
-val make : graph:Dfg.Graph.t -> trace:Trace.t -> Interp.result -> t
-
-(** [chrome_trace ?config ~graph trace] — the run as Chrome
+(** [chrome_trace ?config ~graph log] — the run as Chrome
     [trace_event] JSON ([ph:"X"] duration events; ts = cycle, dur =
     the configured latency).  Tracks: one per access-token variable
     ("access x"), one shared "control" track (switches, merges, synchs,
@@ -51,17 +43,12 @@ val make : graph:Dfg.Graph.t -> trace:Trace.t -> Interp.result -> t
     or {{:https://ui.perfetto.dev}Perfetto}. *)
 val chrome_trace : ?config:Config.t -> graph:Dfg.Graph.t -> Trace.t -> Json.t
 
-(** [chrome_trace_pes ?config ~graph events] — a multiprocessor run as
-    Chrome [trace_event] JSON with one track per processing element.
-    [events] are (cycle, node, context, pe) in deterministic firing
-    order, exactly what {!Multiproc.run}'s [on_fire] hook yields; the
-    per-PE lanes make the placement's load balance and network-induced
-    idle gaps directly visible. *)
+(** [chrome_trace_pes ?config ~graph log] — a multiprocessor run's log
+    as Chrome [trace_event] JSON with one track per processing element;
+    the per-PE lanes make the placement's load balance and
+    network-induced idle gaps directly visible. *)
 val chrome_trace_pes :
-  ?config:Config.t ->
-  graph:Dfg.Graph.t ->
-  (int * int * Context.t * int) list ->
-  Json.t
+  ?config:Config.t -> graph:Dfg.Graph.t -> Trace.t -> Json.t
 
 (** Compact JSON rendering of a profile (curves included). *)
 val summary_json : t -> Json.t
@@ -75,6 +62,5 @@ val sparkline : int array -> string
 val resample : int array -> int -> int array
 
 (** Terminal rendering: headline metrics, sparkline curves, hottest
-    operators, and the critical chain; says so explicitly when the
-    recorder dropped events. *)
+    operators, and the critical chain. *)
 val pp : Format.formatter -> t -> unit

@@ -304,11 +304,13 @@ let faults j =
         (Machine.Fault.spec ~seed ~rate:j.fault_rate ~classes:j.fault_classes ()))
     j.fault_seed
 
-let run ?on_fire j =
+let run ?log j =
   let c = compile j in
-  (c, Machine.Interp.run_report ~config:(config j) ?faults:(faults j) ?on_fire (prog c))
+  ( c,
+    Machine.Interp.run_report ~config:(config j) ?faults:(faults j) ?log
+      (prog c) )
 
-let simulate ?on_fire j =
+let simulate ?log j =
   let c = compile j in
   let pes = sim_pes j in
   (* with a fault seed, recovery also kills one seeded PE *)
@@ -330,7 +332,7 @@ let simulate ?on_fire j =
   let steal = if j.steal then Some Sched.Steal.default else None in
   ( c,
     Machine.Multiproc.run ~config:(config j) ~net ~placement:j.placement
-      ~tree:c.Dflow.Driver.ltree ?topo:(topology j) ?steal ?on_fire
+      ~tree:c.Dflow.Driver.ltree ?topo:(topology j) ?steal ?log
       ?faults:(faults j) ?recovery ~pes (prog c) )
 
 let reference j m =

@@ -105,23 +105,25 @@ val sim_pes : t -> int
     ([None] for the uniform wire) and its multiprocessor PE count. *)
 
 val run :
-  ?on_fire:(int -> Dfg.Node.t -> Machine.Context.t -> unit) ->
+  ?log:Machine.Trace.t ->
   t ->
   Dflow.Driver.compiled * (Machine.Interp.result, Machine.Diagnosis.t) result
 (** {!compile}, then execute on the single-PE machine with the job's
-    engine, PEs, memory latency and fault plan.  [Error d] is a hard
+    engine, PEs, memory latency and fault plan, writing [log] when
+    given (either engine writes the same one).  [Error d] is a hard
     machine failure (collision, double write, divergence).
     @raise whatever compiling raises (parse, type, aliasing,
     irreducible). *)
 
 val simulate :
-  ?on_fire:(int -> Dfg.Node.t -> Machine.Context.t -> pe:int -> unit) ->
+  ?log:Machine.Trace.t ->
   t ->
   Dflow.Driver.compiled
   * (Machine.Multiproc.result, Machine.Diagnosis.t) result
 (** {!compile}, then execute on the multiprocessor: [sim_pes] PEs, the
     placement (with the loop tree for [hier]), the interconnect,
-    stealing, the fault plan and recovery.  Exceptions as for {!run}. *)
+    stealing, the fault plan and recovery, writing [log] when given.
+    Exceptions as for {!run}. *)
 
 val reference : t -> Imp.Memory.t -> string
 (** A final store against the memoized reference interpreter's: ["ok"],

@@ -1,6 +1,7 @@
 (* Direct unit tests for small public-API surfaces that the integration
    suites exercise only indirectly: token universes, pretty-printers,
-   statistics strings, spec names. *)
+   statistics strings, spec names, and the names docs/PAPER_MAP.md
+   cites. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -134,6 +135,133 @@ let test_avg_parallelism () =
   checki "kind sum" r.Machine.Interp.firings
     (List.fold_left (fun a (_, n) -> a + n) 0 r.Machine.Interp.firings_by_kind)
 
+(* ------------------------------------------------------------------ *)
+(* docs/PAPER_MAP.md cites only names that exist                      *)
+
+(* the libraries under lib/, by OCaml name *)
+let libraries =
+  [
+    ("Analysis", "analysis"); ("Cfg", "cfg"); ("Dflow", "core"); ("Dfg", "dfg");
+    ("Imp", "imp"); ("Machine", "machine"); ("Sched", "sched");
+    ("Serve", "service"); ("Service", "service"); ("Ssa", "ssa");
+    ("Workloads", "workloads");
+  ]
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let root =
+  List.find_opt
+    (fun r -> Sys.file_exists (Filename.concat r "docs/PAPER_MAP.md"))
+    [ ".."; "." ]
+  |> Option.value ~default:".."
+
+(* the interface of module [m] in one of [dirs]: its .mli, or its .ml
+   when it has none *)
+let interface dirs m =
+  List.find_map
+    (fun dir ->
+      List.find_opt Sys.file_exists
+        (List.map
+           (fun ext ->
+             Filename.concat root
+               (Fmt.str "lib/%s/%s%s" dir (String.uncapitalize_ascii m) ext))
+           [ ".mli"; ".ml" ]))
+    dirs
+
+(* the identifiers and one-character symbols of OCaml source, comments
+   and string literals dropped *)
+let tokens src =
+  let n = String.length src in
+  let ident c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
+  in
+  let rec go i depth acc =
+    if i >= n then List.rev acc
+    else if i + 1 < n && src.[i] = '(' && src.[i + 1] = '*' then go (i + 2) (depth + 1) acc
+    else if i + 1 < n && src.[i] = '*' && src.[i + 1] = ')' && depth > 0 then
+      go (i + 2) (depth - 1) acc
+    else if depth > 0 then go (i + 1) depth acc
+    else if src.[i] = '"' then
+      let j = ref (i + 1) in
+      while !j < n && src.[!j] <> '"' do
+        if src.[!j] = '\\' then incr j;
+        incr j
+      done;
+      go (!j + 1) depth acc
+    else if ident src.[i] then begin
+      let j = ref i in
+      while !j < n && ident src.[!j] do incr j done;
+      go !j depth (String.sub src i (!j - i) :: acc)
+    end
+    else if src.[i] = ' ' || src.[i] = '\n' || src.[i] = '\t' then go (i + 1) depth acc
+    else go (i + 1) depth (String.make 1 src.[i] :: acc)
+  in
+  go 0 0 []
+
+(* [name] is declared in [toks] as a value, type, exception, module,
+   constructor or record field *)
+let declares toks name =
+  let toks = Array.of_list toks in
+  let n = Array.length toks in
+  let rec after_params i =
+    (* skip back over a type's parameters: 'a, ('a, 'b), +'a *)
+    if i >= 0 && (toks.(i).[0] = '\'' || List.mem toks.(i) [ ","; "("; ")"; "+"; "-" ])
+    then after_params (i - 1)
+    else i
+  in
+  let at i =
+    toks.(i) = name
+    && i > 0
+    &&
+    let prev = toks.(i - 1) in
+    List.mem prev [ "val"; "external"; "exception"; "module" ]
+    || (name.[0] >= 'A' && name.[0] <= 'Z' && List.mem prev [ "|"; "=" ])
+    || (i + 1 < n && toks.(i + 1) = ":" && List.mem prev [ "{"; ";"; "mutable" ])
+    || (let j = after_params (i - 1) in
+        j >= 0 && List.mem toks.(j) [ "type"; "and" ])
+  in
+  List.exists at (List.init n Fun.id)
+
+(* the backticked dotted names of the map: [Lib.Module.name],
+   [Module.name] or [Lib.Module] *)
+let cited_names () =
+  let text = read (Filename.concat root "docs/PAPER_MAP.md") in
+  let dotted s =
+    String.length s > 0
+    && s.[0] >= 'A' && s.[0] <= 'Z'
+    && String.contains s '.'
+    && String.for_all
+         (fun c ->
+           match c with
+           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' | '.' -> true
+           | _ -> false)
+         s
+    && List.for_all (fun p -> p <> "") (String.split_on_char '.' s)
+  in
+  List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' text)
+  |> List.filter dotted
+  |> List.sort_uniq compare
+
+let test_paper_map_names () =
+  let unresolved =
+    List.filter
+      (fun name ->
+        let dirs, m, rest =
+          match String.split_on_char '.' name with
+          | lib :: m :: rest when List.mem_assoc lib libraries ->
+              ([ List.assoc lib libraries ], m, rest)
+          | m :: rest -> (List.map snd libraries, m, rest)
+          | [] -> assert false
+        in
+        match (interface dirs m, List.rev rest) with
+        | None, _ -> true
+        | Some _, [] -> false
+        | Some file, last :: _ -> not (declares (tokens (read file)) last))
+      (cited_names ())
+  in
+  checkb "the map cites names" true (List.length (cited_names ()) > 30);
+  Alcotest.(check (list string)) "names that resolve to no declaration" [] unresolved
+
 let () =
   Alcotest.run "api"
     [
@@ -154,4 +282,6 @@ let () =
         ] );
       ( "metrics",
         [ Alcotest.test_case "average parallelism" `Quick test_avg_parallelism ] );
+      ( "docs",
+        [ Alcotest.test_case "paper map names resolve" `Quick test_paper_map_names ] );
     ]

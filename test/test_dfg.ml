@@ -527,10 +527,10 @@ let test_trace_records () =
   let c = Dflow.Driver.compile (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) p in
   let t = Machine.Trace.create () in
   let _ =
-    Machine.Interp.run ~on_fire:(Machine.Trace.on_fire t)
+    Machine.Interp.run ~log:t
       { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
   in
-  checkb "events recorded" true (Machine.Trace.total t > 20);
+  checkb "firings logged" true (Machine.Trace.length t > 20);
   let per_ctx = Machine.Trace.per_context t in
   (* 4 loop iterations + top level: at least 5 contexts *)
   checkb "several contexts" true (List.length per_ctx >= 5)
@@ -550,7 +550,7 @@ let test_trace_overlap_pipelined_vs_barrier () =
     let c = Dflow.Driver.compile spec p in
     let t = Machine.Trace.create () in
     let _ =
-      Machine.Interp.run ~on_fire:(Machine.Trace.on_fire t)
+      Machine.Interp.run ~log:t
         { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
     in
     Machine.Trace.max_context_overlap t
@@ -566,10 +566,14 @@ let test_trace_timeline_renders () =
   let c = Dflow.Driver.compile Dflow.Driver.Schema1 p in
   let t = Machine.Trace.create () in
   let _ =
-    Machine.Interp.run ~on_fire:(Machine.Trace.on_fire t)
+    Machine.Interp.run ~log:t
       { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
   in
-  let s = Fmt.str "%a" (Machine.Trace.pp_timeline ~max_cycles:10) t in
+  let s =
+    Fmt.str "%a"
+      (Machine.Trace.pp_timeline ~max_cycles:10 ~graph:c.Dflow.Driver.graph)
+      t
+  in
   checkb "nonempty" true (String.length s > 50)
 
 let () =

@@ -366,9 +366,10 @@ let test_memory_ports () =
 
 let test_profile_sums_to_firings () =
   let g, layout = wide_graph 6 in
-  let r = Machine.Interp.run_exn { Machine.Interp.graph = g; layout } in
+  let log = Machine.Trace.create () in
+  let r = Machine.Interp.run ~log { Machine.Interp.graph = g; layout } in
   checki "profile total" r.Machine.Interp.firings
-    (Array.fold_left ( + ) 0 r.Machine.Interp.profile)
+    (Array.fold_left ( + ) 0 (Machine.Trace.parallelism_curve log))
 
 (* ------------------------------------------------------------------ *)
 (* Determinacy under every machine configuration                      *)

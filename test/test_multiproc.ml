@@ -190,11 +190,19 @@ let test_examples_determinate () =
 (* ------------------------------------------------------------------ *)
 (* Accounting invariants of one multiproc run                         *)
 
+(* a firing log as rows, with its three curves *)
+let log_rows log =
+  let module T = Machine.Trace in
+  ( List.init (T.length log) (fun i ->
+        (T.node log i, T.ctx log i, T.cycle log i, T.pe log i, T.pred log i)),
+    (T.parallelism_curve log, T.in_flight_curve log, T.matching_curve log) )
+
 let test_multiproc_accounting () =
   let p = example "stencil" in
   let c = compile_best p in
   let prog = { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout } in
-  let r = MP.run_exn ~placement:P.Affinity ~pes:4 prog in
+  let log = Machine.Trace.create () in
+  let r = MP.run_exn ~placement:P.Affinity ~log ~pes:4 prog in
   checki "per-PE firings sum to the total" r.MP.firings
     (Array.fold_left ( + ) 0 r.MP.per_pe_firings);
   checkb "network saw traffic" true (r.MP.net_messages > 0);
@@ -204,32 +212,40 @@ let test_multiproc_accounting () =
     (r.MP.cut_traffic > 0.0 && r.MP.cut_traffic < 1.0);
   checkb "memory accesses all routed" true
     (r.MP.mem_local + r.MP.mem_remote = r.MP.memory_ops);
-  checki "occupancy curve covers the run"
-    (Array.length r.MP.per_pe_curve.(0))
-    (Array.length r.MP.net_occupancy);
   checkb "diagnosis carries the network section" true
     (r.MP.diagnosis.Machine.Diagnosis.network <> None);
-  (* the observer: the profile sums to the firings, a chain is as long
-     as the critical path, and peak matching (counted on insert) is at
-     least every end-of-cycle sample *)
+  (* the log: the profile sums to the firings, each firing sits on its
+     placed PE, a chain is as long as the critical path, and peak
+     matching (counted on insert) is at least every end-of-cycle
+     sample *)
+  let module T = Machine.Trace in
+  checki "one entry per firing" r.MP.firings (T.length log);
   checki "profile sums to the firings" r.MP.firings
-    (Array.fold_left ( + ) 0 r.MP.profile);
-  checki "critical chain is the critical path" r.MP.critical_path
-    (List.length r.MP.critical_chain);
+    (Array.fold_left ( + ) 0 (T.parallelism_curve log));
+  checki "its peak is the running peak" r.MP.peak_parallelism
+    (Array.fold_left max 0 (T.parallelism_curve log));
+  checki "per-PE firings are the PE column's" r.MP.per_pe_firings.(3)
+    (List.length
+       (List.filter (fun i -> T.pe log i = 3) (List.init (T.length log) Fun.id)));
+  checki "critical chain is the critical path" (T.critical_path log)
+    (List.length (T.critical_chain log));
   checkb "peak matching bounds the curve" true
-    (Array.for_all (fun m -> m <= r.MP.peak_matching) r.MP.matching_curve);
+    (Array.for_all (fun m -> m <= r.MP.peak_matching) (T.matching_curve log));
   (* p=1 never touches the network *)
-  let r1 = MP.run_exn ~placement:P.Hash ~pes:1 prog in
+  let log1 = T.create () in
+  let r1 = MP.run_exn ~placement:P.Hash ~log:log1 ~pes:1 prog in
   checki "p=1 sends no messages" 0 r1.MP.net_messages;
   checki "p=1 pays no remote accesses" 0 r1.MP.mem_remote;
-  (* and reports what the single PE issuing one firing a cycle reports *)
-  let one = Machine.Interp.run_exn ~config:(Machine.Config.bounded 1) prog in
+  (* and writes the log the single PE issuing one firing a cycle writes *)
+  let one_log = T.create () in
+  let one =
+    Machine.Interp.run ~config:(Machine.Config.bounded 1) ~log:one_log prog
+  in
   checkb "p=1 observes the single PE's run" true
-    (r1.MP.profile = one.Machine.Interp.profile
-    && r1.MP.in_flight_curve = one.Machine.Interp.in_flight_curve
-    && r1.MP.matching_curve = one.Machine.Interp.matching_curve
+    (log_rows log1 = log_rows one_log
+    && r1.MP.peak_parallelism = one.Machine.Interp.peak_parallelism
+    && r1.MP.peak_in_flight = one.Machine.Interp.peak_in_flight
     && r1.MP.peak_matching = one.Machine.Interp.peak_matching
-    && r1.MP.critical_chain = one.Machine.Interp.critical_chain
     && r1.MP.firings_by_kind = one.Machine.Interp.firings_by_kind
     && r1.MP.dummy_deliveries = one.Machine.Interp.dummy_deliveries
     && r1.MP.value_deliveries = one.Machine.Interp.value_deliveries)
@@ -292,7 +308,8 @@ let test_failstop_recovery () =
   let recovery =
     R.spec ~interval:25 ~failover:5 ~deaths:[ (30, 1) ] ()
   in
-  let r = MP.run_exn ~placement:P.Affinity ~pes:4 ~recovery prog in
+  let log = Machine.Trace.create () in
+  let r = MP.run_exn ~placement:P.Affinity ~pes:4 ~recovery ~log prog in
   checkb "store agrees after fail-stop recovery" true
     (Imp.Memory.equal reference r.MP.memory);
   (match r.MP.recovery with
@@ -301,7 +318,13 @@ let test_failstop_recovery () =
       checki "one death" 1 m.R.m_deaths;
       checkb "the death forced a rollback" true (m.R.m_rollbacks >= 1);
       checkb "epoch checkpoints were taken" true (m.R.m_checkpoints >= 1);
-      checkb "lost cycles accounted" true (m.R.m_lost_cycles > 0));
+      checkb "lost cycles accounted" true (m.R.m_lost_cycles > 0);
+      (* the log rolled back with the epoch: it holds the firings of
+         the run that survived, not the replayed ones *)
+      checkb "replayed firings" true (m.R.m_replayed_firings > 0);
+      checki "the log holds the surviving firings"
+        (r.MP.firings - m.R.m_replayed_firings)
+        (Machine.Trace.length log));
   (* the dead PE keeps none of its nodes and issues no firings after
      the remap replays everything it had done *)
   checkb "no node remains on the dead PE" true

@@ -3,10 +3,11 @@
    headline is the differential property — over random programs,
    rotating translation schemas and single-PE configurations, packed
    and reference runs must produce bit-identical final stores,
-   identical certificate verdicts, and the same cycle count, peak
-   parallelism and peak matching.  The engines run one machine with
-   one timing model, so any divergence is an engine bug, not a timing
-   artefact. *)
+   identical certificate verdicts, the same cycle count, peaks and op
+   breakdown, and the same firing log: every firing's node, context,
+   cycle and producer, the per-cycle curves and the critical chain.
+   The engines run one machine with one timing model, so any divergence
+   is an engine bug, not a timing artefact. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -75,17 +76,47 @@ let test_compile_layout () =
 (* ------------------------------------------------------------------ *)
 (* The example suite, reference vs packed                             *)
 
+(* A run with a firing log: the log as rows (node, context, cycle, PE,
+   producer) with its three curves, and its critical path and chain *)
+let run_logged ~config prog =
+  let log = Machine.Trace.create () in
+  let r = Machine.Interp.run ~config ~log prog in
+  let module T = Machine.Trace in
+  ( r,
+    ( List.init (T.length log) (fun i ->
+          (T.node log i, T.ctx log i, T.cycle log i, T.pe log i, T.pred log i)),
+      (T.parallelism_curve log, T.in_flight_curve log, T.matching_curve log),
+      (T.critical_path log, T.critical_chain log) ) )
+
+(* the scalars both engines keep as running values *)
+let scalars (r : Machine.Interp.result) =
+  ( (r.Machine.Interp.firings, r.Machine.Interp.memory_ops, r.Machine.Interp.cycles),
+    (r.Machine.Interp.peak_parallelism, r.Machine.Interp.peak_in_flight,
+     r.Machine.Interp.peak_matching),
+    (r.Machine.Interp.dummy_deliveries, r.Machine.Interp.value_deliveries),
+    r.Machine.Interp.firings_by_kind )
+
 (* What must agree between the engines on any run of the same graph:
    the final store bit for bit, the firing multiset size, completion,
    leftover count, the certificate verdict, the timing — cycle count
-   and peak parallelism — and the peak count of waiting-matching
-   entries.  The engine is a wall-clock choice, not a different
-   machine. *)
+   and peak parallelism — the peak counts of tokens in flight and of
+   waiting-matching entries, the delivery counts, the op breakdown in
+   its order, and the whole firing log with its curves and chain.  A log
+   changes nothing else.  The engine is a wall-clock choice, not a
+   different machine. *)
 let engines_agree name (prog : Machine.Interp.program) ~config =
-  let reference = Machine.Interp.run ~config prog in
-  let pk =
-    Machine.Interp.run ~config:{ config with Cfg_.engine = Cfg_.Packed } prog
-  in
+  let reference, rlog = run_logged ~config prog in
+  let pconfig = { config with Cfg_.engine = Cfg_.Packed } in
+  let pk, plog = run_logged ~config:pconfig prog in
+  let rows (r, _, _) = r and curves (_, c, _) = c and chain (_, _, c) = c in
+  checkb (name ^ ": same firing log") true (rows rlog = rows plog);
+  checkb (name ^ ": same curves") true (curves rlog = curves plog);
+  checkb (name ^ ": same critical path and chain") true (chain rlog = chain plog);
+  checkb (name ^ ": same peak in flight, deliveries and op breakdown") true
+    (scalars reference = scalars pk);
+  checkb (name ^ ": a log changes no result") true
+    (Machine.Interp.run ~config prog = reference
+    && Machine.Interp.run ~config:pconfig prog = pk);
   checkb
     (name ^ ": final stores bit-identical")
     true
@@ -133,6 +164,30 @@ let test_examples_differential () =
         ~config:
           { Cfg_.default with Cfg_.pes = Some 4; Cfg_.memory_ports = Some 1 })
     (example_programs ())
+
+(* A program whose op breakdown has equal counts (const and loop-entry
+   both fire 10 times under -s 2optp): both engines list them in one
+   order *)
+let test_equal_counts_one_order () =
+  let p =
+    Imp.Parser.program_of_string
+      {|array a0[4]; c0 := 0;
+        while c0 < 1 do
+          if 5 >= 6 * (a0[0] - (-1)) then
+            v3 := v1; v1 := (-(a0[0] * a0[2] % 2));
+            a0[v0 / v0 % (-a0[0])] := a0[(-4)] + 4 % a0[1] + ((-1) - v3 - v0 % v3)
+          end;
+          c0 := c0 + 1
+        end;
+        a0[v3 - a0[2] + (-a0[1])] := (-v2)|}
+  in
+  let c =
+    Dflow.Driver.compile (Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined) p
+  in
+  let r = Machine.Interp.run (prog_of c) in
+  let count fam = List.assoc fam r.Machine.Interp.firings_by_kind in
+  checki "const and loop-entry tie" (count "const") (count "loop-entry");
+  engines_agree "equal counts" (prog_of c) ~config:Cfg_.default
 
 let test_examples_match_eval () =
   (* the packed engine agrees with the sequential evaluator on every
@@ -353,10 +408,10 @@ let compile_rotating (p : Imp.Ast.program) : Dflow.Driver.compiled =
       Dflow.Driver.compile Dflow.Driver.Schema1 p
 
 (* unbounded and p=1: the stores, verdicts and firing counts agree,
-   and so do the timing and the peak matching.  Each program runs
-   certified and with its certificate stripped, so both of the packed
-   engine's paths, with permission bags and without, answer to the
-   same reference *)
+   and so do the timing, the peaks, the delivery counts, the op
+   breakdown and the firing log.  Each program runs certified and with
+   its certificate stripped, so both of the packed engine's paths, with
+   permission bags and without, answer to the same reference *)
 let prop_packed_differential (p : Imp.Ast.program) =
   let c = compile_rotating p in
   let certified = prog_of c in
@@ -367,20 +422,15 @@ let prop_packed_differential (p : Imp.Ast.program) =
   List.for_all
     (fun (prog, pes) ->
       let config = { Cfg_.default with Cfg_.pes } in
-      let reference = Machine.Interp.run ~config prog in
-      let pk =
-        Machine.Interp.run ~config:{ config with Cfg_.engine = Cfg_.Packed }
-          prog
+      let reference, rlog = run_logged ~config prog in
+      let pk, plog =
+        run_logged ~config:{ config with Cfg_.engine = Cfg_.Packed } prog
       in
       Imp.Memory.equal reference.Machine.Interp.memory pk.Machine.Interp.memory
       && reference.Machine.Interp.diagnosis.Machine.Diagnosis.certified
          = pk.Machine.Interp.diagnosis.Machine.Diagnosis.certified
-      && reference.Machine.Interp.firings = pk.Machine.Interp.firings
-      && reference.Machine.Interp.cycles = pk.Machine.Interp.cycles
-      && reference.Machine.Interp.peak_parallelism
-         = pk.Machine.Interp.peak_parallelism
-      && reference.Machine.Interp.peak_matching
-         = pk.Machine.Interp.peak_matching)
+      && scalars reference = scalars pk
+      && rlog = plog)
     [
       (certified, None); (certified, Some 1); (stripped, None); (stripped, Some 1);
     ]
@@ -406,6 +456,8 @@ let () =
             test_examples_differential;
           Alcotest.test_case "example suite matches Imp.Eval" `Quick
             test_examples_match_eval;
+          Alcotest.test_case "equal op counts, one order" `Quick
+            test_equal_counts_one_order;
           qcheck_differential;
         ] );
       ( "token-store",

@@ -1,8 +1,7 @@
-(* Unit tests of the observability layer: the Json module, the Trace
-   recorder (including the truncation reporting), the Profile builder
-   with its dynamic critical path, the Chrome trace exporter, and the
-   BENCH schema of bench/main.exe held against the committed
-   BENCH_machine.json. *)
+(* Unit tests of the observability layer: the Json module, the firing
+   log (Trace), the Profile builder with its dynamic critical path, the
+   Chrome trace exporter, and the BENCH schema of bench/main.exe held
+   against the committed BENCH_machine.json. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -73,38 +72,10 @@ let test_json_accessors () =
           (Option.bind (J.member "b" sample) (J.member "c"))
           J.to_int_opt))
 
-(* --- Trace: recording, truncation, overlap --------------------------- *)
+(* --- Trace: the firing log, its chain and its overlap -------------------- *)
 
-let fake_node id label = { Dfg.Node.id; kind = Dfg.Node.Id; label }
-
-let test_trace_limit () =
-  let tr = Machine.Trace.create ~limit:4 () in
-  for i = 1 to 7 do
-    Machine.Trace.on_fire tr i (fake_node i "op") Machine.Context.toplevel
-  done;
-  checki "limit" 4 (Machine.Trace.limit tr);
-  checki "total counts past the limit" 7 (Machine.Trace.total tr);
-  checki "stored events capped" 4 (List.length (Machine.Trace.events tr));
-  checki "dropped" 3 (Machine.Trace.dropped tr)
-
-let test_trace_truncation_banners () =
-  let tr = Machine.Trace.create ~limit:2 () in
-  for i = 1 to 5 do
-    Machine.Trace.on_fire tr i (fake_node i "op") Machine.Context.toplevel
-  done;
-  let timeline = Fmt.str "%a" (Machine.Trace.pp_timeline ~max_cycles:10) tr in
-  let per_ctx = Fmt.str "%a" Machine.Trace.pp_per_context tr in
-  checkb "timeline says TRUNCATED" true (contains timeline "TRUNCATED");
-  checkb "timeline counts the loss" true
-    (contains timeline "3 of 5 firings not recorded");
-  checkb "per-context says TRUNCATED" true (contains per_ctx "TRUNCATED");
-  (* and a recorder that kept everything says nothing of the sort *)
-  let ok = Machine.Trace.create ~limit:100 () in
-  Machine.Trace.on_fire ok 1 (fake_node 1 "op") Machine.Context.toplevel;
-  checki "no drops" 0 (Machine.Trace.dropped ok);
-  checkb "no banner" false
-    (contains (Fmt.str "%a" (Machine.Trace.pp_timeline ~max_cycles:10) ok)
-       "TRUNCATED")
+let fire tr cycle node ctx pred =
+  Machine.Trace.fire tr ~node ~ctx ~cycle ~pe:0 ~pred
 
 let test_trace_overlap () =
   let tr = Machine.Trace.create () in
@@ -112,13 +83,10 @@ let test_trace_overlap () =
   let c1 = Machine.Context.enter c0 in
   let c2 = Machine.Context.next c1 in
   (* cycle 1: two contexts; cycle 2: three; cycle 3: one, repeated *)
-  Machine.Trace.on_fire tr 1 (fake_node 0 "a") c0;
-  Machine.Trace.on_fire tr 1 (fake_node 1 "b") c1;
-  Machine.Trace.on_fire tr 2 (fake_node 2 "c") c0;
-  Machine.Trace.on_fire tr 2 (fake_node 3 "d") c1;
-  Machine.Trace.on_fire tr 2 (fake_node 4 "e") c2;
-  Machine.Trace.on_fire tr 3 (fake_node 5 "f") c2;
-  Machine.Trace.on_fire tr 3 (fake_node 6 "g") c2;
+  List.iter
+    (fun (cycle, node, ctx) -> ignore (fire tr cycle node ctx (-1) : int))
+    [ (1, 0, c0); (1, 1, c1); (2, 2, c0); (2, 3, c1); (2, 4, c2); (3, 5, c2);
+      (3, 6, c2) ];
   let ov = Machine.Trace.overlap tr in
   checki "cycle 1 overlap" 2 ov.(1);
   checki "cycle 2 overlap" 3 ov.(2);
@@ -127,6 +95,30 @@ let test_trace_overlap () =
   checki "three contexts in the table" 3
     (List.length (Machine.Trace.per_context tr))
 
+(* the producer rule: the deeper chain wins, the first on a tie; the
+   chain ends at the first deepest firing; a rollback forgets the
+   firings past the epoch but keeps the cycles' samples *)
+let test_trace_chain () =
+  let tr = Machine.Trace.create () in
+  let top = Machine.Context.toplevel in
+  let a = fire tr 0 0 top (-1) in
+  let b = fire tr 1 1 top a in
+  let c = fire tr 1 2 top (-1) in
+  checki "deeper chain wins" b (Machine.Trace.deeper tr c b);
+  checki "first on a tie" a (Machine.Trace.deeper tr a c);
+  checki "no producer is the shallowest" a (Machine.Trace.deeper tr (-1) a);
+  let d = fire tr 2 3 top (Machine.Trace.deeper tr c b) in
+  let _e = fire tr 2 4 top b in
+  checki "critical path" 3 (Machine.Trace.critical_path tr);
+  checkb "chain ends at the first deepest firing" true
+    (Machine.Trace.critical_chain tr = [ (0, top); (1, top); (3, top) ]);
+  checki "its producer" b (Machine.Trace.pred tr d);
+  Machine.Trace.sample tr ~fired:2 ~in_flight:1 ~matching:0;
+  Machine.Trace.rollback tr 2;
+  checki "rolled back" 2 (Machine.Trace.length tr);
+  checki "chain shortened" 2 (Machine.Trace.critical_path tr);
+  checki "samples kept" 1 (Array.length (Machine.Trace.parallelism_curve tr))
+
 (* --- Profile: end-to-end on a real run ------------------------------- *)
 
 let sum_src = "i := 0 s := 0 while i < 10 do s := s + i i := i + 1 end"
@@ -134,23 +126,23 @@ let sum_src = "i := 0 s := 0 while i < 10 do s := s + i i := i + 1 end"
 let traced_run ?(config = Machine.Config.ideal) spec src =
   let p = Imp.Parser.program_of_string src in
   let c = Dflow.Driver.compile spec p in
-  let tracer = Machine.Trace.create () in
+  let log = Machine.Trace.create () in
   let r =
-    Machine.Interp.run ~config ~on_fire:(Machine.Trace.on_fire tracer)
+    Machine.Interp.run ~config ~log
       {
         Machine.Interp.graph = c.Dflow.Driver.graph;
         layout = c.Dflow.Driver.layout;
       }
   in
-  (c.Dflow.Driver.graph, tracer, r)
+  (c.Dflow.Driver.graph, log, r)
 
 let test_profile_critical_path () =
   (* under unit latencies and unbounded PEs the machine is exactly
      dataflow-limited: the dynamic critical path IS the cycle count *)
   List.iter
     (fun spec ->
-      let graph, tracer, r = traced_run spec sum_src in
-      let prof = Machine.Profile.make ~graph ~trace:tracer r in
+      let graph, log, r = traced_run spec sum_src in
+      let prof = Machine.Profile.make ~graph ~log r in
       checkb "completed" true r.Machine.Interp.completed;
       checki
         (Fmt.str "%s: ideal machine is critical-path bound"
@@ -172,10 +164,10 @@ let test_profile_critical_path () =
     ]
 
 let test_profile_fields () =
-  let graph, tracer, r =
+  let graph, log, r =
     traced_run (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) sum_src
   in
-  let prof = Machine.Profile.make ~graph ~trace:tracer r in
+  let prof = Machine.Profile.make ~graph ~log r in
   checki "cycles" r.Machine.Interp.cycles prof.Machine.Profile.cycles;
   checki "firings" r.Machine.Interp.firings prof.Machine.Profile.firings;
   checki "curves cover the same cycles"
@@ -197,38 +189,27 @@ let test_profile_fields () =
        | _ -> true
      in
      sorted prof.Machine.Profile.node_firings);
-  checki "nothing dropped" 0 prof.Machine.Profile.dropped_events;
   checkb "the loop pipeline overlaps iterations" true
     (prof.Machine.Profile.max_overlap >= 1);
+  checki "the parallelism curve sums to the firing count"
+    r.Machine.Interp.firings
+    (Array.fold_left ( + ) 0 prof.Machine.Profile.parallelism_curve);
+  checki "its peak is the running peak" r.Machine.Interp.peak_parallelism
+    (Array.fold_left max 0 prof.Machine.Profile.parallelism_curve);
+  checki "so is the in-flight curve's" r.Machine.Interp.peak_in_flight
+    (Array.fold_left max 0 prof.Machine.Profile.in_flight_curve);
   let rendered = Fmt.str "%a" Machine.Profile.pp prof in
   checkb "pp mentions the critical path" true
-    (contains rendered "critical path");
-  checkb "pp has no truncation banner" false (contains rendered "TRUNCATED")
-
-let test_profile_truncated () =
-  let p = Imp.Parser.program_of_string sum_src in
-  let c = Dflow.Driver.compile (Dflow.Driver.Schema1) p in
-  let tracer = Machine.Trace.create ~limit:10 () in
-  let r =
-    Machine.Interp.run ~on_fire:(Machine.Trace.on_fire tracer)
-      {
-        Machine.Interp.graph = c.Dflow.Driver.graph;
-        layout = c.Dflow.Driver.layout;
-      }
-  in
-  let prof = Machine.Profile.make ~graph:c.Dflow.Driver.graph ~trace:tracer r in
-  checkb "drop count surfaces" true (prof.Machine.Profile.dropped_events > 0);
-  checkb "pp says TRUNCATED" true
-    (contains (Fmt.str "%a" Machine.Profile.pp prof) "TRUNCATED")
+    (contains rendered "critical path")
 
 (* --- Chrome trace export --------------------------------------------- *)
 
 let test_chrome_trace () =
-  let graph, tracer, r =
+  let graph, log, r =
     traced_run (Dflow.Driver.Schema2 Dflow.Engine.Pipelined) sum_src
   in
   checkb "completed" true r.Machine.Interp.completed;
-  let j = Machine.Profile.chrome_trace ~graph tracer in
+  let j = Machine.Profile.chrome_trace ~graph log in
   (* the export must survive its own printer/parser: what a browser
      receives is the printed text *)
   let reread = J.of_string (J.to_string j) in
@@ -242,8 +223,7 @@ let test_chrome_trace () =
         Option.bind (J.member "ph" e) J.to_string_opt = Some "X")
       events
   in
-  checki "one X event per recorded firing"
-    (List.length (Machine.Trace.events tracer))
+  checki "one X event per logged firing" (Machine.Trace.length log)
     (List.length xs);
   let named_tids =
     List.filter_map
@@ -529,18 +509,15 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "limit and dropped" `Quick test_trace_limit;
-          Alcotest.test_case "truncation banners" `Quick
-            test_trace_truncation_banners;
           Alcotest.test_case "context overlap" `Quick test_trace_overlap;
+          Alcotest.test_case "producer rule, chain and rollback" `Quick
+            test_trace_chain;
         ] );
       ( "profile",
         [
           Alcotest.test_case "ideal machine is critical-path bound" `Quick
             test_profile_critical_path;
           Alcotest.test_case "fields are consistent" `Quick test_profile_fields;
-          Alcotest.test_case "truncated runs say so" `Quick
-            test_profile_truncated;
         ] );
       ( "chrome-trace",
         [ Alcotest.test_case "well-formed and monotone" `Quick test_chrome_trace ] );
