@@ -48,6 +48,12 @@ type t = {
 let is_clean (d : t) =
   d.verdict = Clean && d.faults = [] && d.sanitizer = [] && d.permission = []
 
+let order_by_count (counts : (Context.t * int) list) =
+  List.sort
+    (fun (c1, a) (c2, b) ->
+      match Int.compare b a with 0 -> Context.compare c1 c2 | o -> o)
+    counts
+
 let verdict_to_string = function
   | Clean -> "clean"
   | Deadlock -> "deadlock (End never fired)"

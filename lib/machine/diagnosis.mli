@@ -54,7 +54,8 @@ type t = {
   blocked : blocked list;  (** stall frontier, largest contexts first *)
   deferred_reads : (int * int) list;  (** address, waiting readers *)
   tokens_by_context : (Context.t * int) list;
-      (** waiting tokens per iteration context, descending *)
+      (** waiting tokens per iteration context, descending; ties in
+          {!Context.compare} order (see {!order_by_count}) *)
   waiting_by_pe : (int * int) list;
       (** waiting tokens per PE (multiprocessor runs; [] on single-PE) —
           a dead or backpressured PE shows up as the one hoarding
@@ -77,6 +78,13 @@ type t = {
     neither the sanitizer nor the permission certificate found
     anything. *)
 val is_clean : t -> bool
+
+(** [order_by_count counts] — per-context waiting-token counts in the
+    order {!t.tokens_by_context} reports them: descending by count,
+    equal counts in {!Context.compare} order.  Every engine sorts its
+    counts through this one function, so their reports agree line for
+    line. *)
+val order_by_count : (Context.t * int) list -> (Context.t * int) list
 
 val verdict_to_string : verdict -> string
 val pp : Format.formatter -> t -> unit

@@ -304,6 +304,57 @@ let test_checker_reports_pinned () =
     "digest of every rendered list" "045ff78c47da89134932aa6dcc042833"
     (Digest.to_hex (Digest.string (Buffer.contents out)))
 
+(* The whole rendered diagnosis of the same runs: the examples under
+   fig8 and 3bad on each engine, and the 45 faulty reference runs.  Its
+   digest pins every line a post-mortem prints — verdict, cycles,
+   leftover count, peak matching, the blocked frontier, deferred reads,
+   the waiting tokens per context (equal counts in
+   {!Machine.Diagnosis.order_by_count} order) and the fault log besides
+   the two checkers' lists — so a change to the matching store or the
+   run loop that moves any of it fails here. *)
+let test_diagnoses_pinned () =
+  let config = { Machine.Config.default with Machine.Config.detect_collisions = false } in
+  let out = Buffer.create 262144 in
+  let render label (d : D.t) =
+    Buffer.add_string out ("=== " ^ label ^ "\n");
+    Buffer.add_string out (D.to_string d)
+  in
+  List.iteri
+    (fun i src ->
+      List.iter
+        (fun schema ->
+          let prog = compile_example schema src in
+          List.iter
+            (fun (name, engine) ->
+              render
+                (Fmt.str "example %d %s %s" i schema name)
+                (diagnosis
+                   (Machine.Interp.run_report
+                      ~config:{ config with Machine.Config.engine }
+                      prog)))
+            [ ("reference", Machine.Config.Reference);
+              ("packed", Machine.Config.Packed) ])
+        [ "fig8"; "3bad" ])
+    (examples ());
+  let classes = F.classes_of_string "drop,dup,flip" in
+  List.iteri
+    (fun i src ->
+      List.iter
+        (fun schema ->
+          let prog = compile_example schema src in
+          List.iter
+            (fun seed ->
+              let faults = F.make (F.spec ~rate:0.02 ~classes ~seed ()) in
+              render
+                (Fmt.str "example %d %s seed %d" i schema seed)
+                (diagnosis (Machine.Interp.run_report ~config ~faults prog)))
+            [ 1; 2; 3 ])
+        [ "1"; "2optp"; "3" ])
+    (examples ());
+  Alcotest.(check string)
+    "digest of every rendered diagnosis" "365d007c33025c63e7840d6bcb3a7e5e"
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
 let () =
   Alcotest.run "faults"
     [
@@ -333,5 +384,6 @@ let () =
             test_run_exn_reports_diagnosis;
           Alcotest.test_case "checker reports pinned" `Quick
             test_checker_reports_pinned;
+          Alcotest.test_case "diagnoses pinned" `Quick test_diagnoses_pinned;
         ] );
     ]
