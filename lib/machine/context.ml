@@ -37,3 +37,29 @@ let pp ppf (c : t) =
   Fmt.pf ppf "<%a>" (Fmt.list ~sep:(Fmt.any ".") Fmt.int) (List.rev c)
 
 let to_string c = Fmt.str "%a" pp c
+
+type table = {
+  ids : (t, int) Hashtbl.t;
+  mutable ctxs : t array;  (** id -> context *)
+  mutable count : int;
+}
+
+let table () = { ids = Hashtbl.create 64; ctxs = Array.make 64 toplevel; count = 0 }
+
+let id (tbl : table) (c : t) : int =
+  match Hashtbl.find_opt tbl.ids c with
+  | Some i -> i
+  | None ->
+      let i = tbl.count in
+      if i = Array.length tbl.ctxs then begin
+        let a = Array.make (2 * i) toplevel in
+        Array.blit tbl.ctxs 0 a 0 i;
+        tbl.ctxs <- a
+      end;
+      tbl.ctxs.(i) <- c;
+      tbl.count <- i + 1;
+      Hashtbl.add tbl.ids c i;
+      i
+
+let of_id (tbl : table) i = tbl.ctxs.(i)
+let count (tbl : table) = tbl.count

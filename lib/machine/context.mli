@@ -30,3 +30,25 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** {1 Dense ids}
+
+    One per-run table numbers the contexts a run meets densely from 0,
+    so an engine keys its rendezvous and its checker state by an int
+    instead of hashing and comparing the list on every token.  Both
+    engines mint ids only where contexts are minted (loop gateways,
+    completed deferred reads); every other token reuses its producer's
+    id.  Ids are never reused or rolled back: an id is only a name. *)
+
+type table
+
+val table : unit -> table
+
+(** [id tbl c] — [c]'s id, numbering it on first sight. *)
+val id : table -> t -> int
+
+(** [of_id tbl i] — the context numbered [i]. *)
+val of_id : table -> int -> t
+
+(** Contexts numbered so far; every id is below it. *)
+val count : table -> int

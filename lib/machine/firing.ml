@@ -56,13 +56,15 @@ let deferred_reads (env : 'meta env) =
   |> List.sort compare
 
 let address (env : 'meta env) (kind : Dfg.Node.kind)
-    (inputs : Imp.Value.t array) : int =
+    ~(value : 'tok -> Imp.Value.t) (inputs : 'tok array) : int =
   match kind with
   | Dfg.Node.Load { var; indexed; _ } ->
-      if indexed then Imp.Layout.addr env.layout var (Imp.Value.to_int inputs.(1))
+      if indexed then
+        Imp.Layout.addr env.layout var (Imp.Value.to_int (value inputs.(1)))
       else Imp.Layout.addr env.layout var 0
   | Dfg.Node.Store { var; indexed; _ } ->
-      if indexed then Imp.Layout.addr env.layout var (Imp.Value.to_int inputs.(2))
+      if indexed then
+        Imp.Layout.addr env.layout var (Imp.Value.to_int (value inputs.(2)))
       else Imp.Layout.addr env.layout var 0
   | _ -> assert false
 
@@ -71,31 +73,36 @@ let execute (env : 'meta env)
        node:int -> port:int -> ctx:Context.t -> meta:'meta -> Imp.Value.t -> unit)
     ~(meta : 'meta) ~(meta_max : 'meta -> 'meta -> 'meta)
     ~(on_complete : unit -> unit) ~(double_write : string -> unit) ~node
-    ~(ctx : Context.t) ~(inputs : Imp.Value.t array) : unit =
+    ~(ctx : Context.t) ~(value : 'tok -> Imp.Value.t) ~(inputs : 'tok array) :
+    unit =
   let kind = Dfg.Graph.kind env.graph node in
-  let out port v = emit ~node ~port ~ctx ~meta v in
-  let out_ctx ctx' port v = emit ~node ~port ~ctx:ctx' ~meta v in
   match kind with
   | Dfg.Node.Start k ->
       for i = 0 to k - 1 do
-        out i dummy_value
+        emit ~node ~port:i ~ctx ~meta dummy_value
       done
   | Dfg.Node.End _ -> on_complete ()
-  | Dfg.Node.Const v -> out 0 v
-  | Dfg.Node.Binop op -> out 0 (Imp.Value.binop op inputs.(0) inputs.(1))
-  | Dfg.Node.Unop op -> out 0 (Imp.Value.unop op inputs.(0))
-  | Dfg.Node.Id -> out 0 inputs.(0)
+  | Dfg.Node.Const v -> emit ~node ~port:0 ~ctx ~meta v
+  | Dfg.Node.Binop op ->
+      emit ~node ~port:0 ~ctx ~meta
+        (Imp.Value.binop op (value inputs.(0)) (value inputs.(1)))
+  | Dfg.Node.Unop op ->
+      emit ~node ~port:0 ~ctx ~meta (Imp.Value.unop op (value inputs.(0)))
+  | Dfg.Node.Id | Dfg.Node.Merge ->
+      emit ~node ~port:0 ~ctx ~meta (value inputs.(0))
   | Dfg.Node.Sink -> ()
   | Dfg.Node.Load { mem; _ } -> (
-      let a = address env kind inputs in
+      let a = address env kind ~value inputs in
       match mem with
       | Dfg.Node.Plain ->
-          out 0 (Imp.Value.Int (Imp.Memory.read_addr env.memory a));
-          out 1 dummy_value
+          emit ~node ~port:0 ~ctx ~meta
+            (Imp.Value.Int (Imp.Memory.read_addr env.memory a));
+          emit ~node ~port:1 ~ctx ~meta dummy_value
       | Dfg.Node.I_structure ->
           if env.present.(a) then begin
-            out 0 (Imp.Value.Int (Imp.Memory.read_addr env.memory a));
-            out 1 dummy_value
+            emit ~node ~port:0 ~ctx ~meta
+              (Imp.Value.Int (Imp.Memory.read_addr env.memory a));
+            emit ~node ~port:1 ~ctx ~meta dummy_value
           end
           else
             (* deferred read: completes when the cell is written *)
@@ -103,19 +110,19 @@ let execute (env : 'meta env)
               ((node, ctx, meta)
               :: (try Hashtbl.find env.deferred a with Not_found -> [])))
   | Dfg.Node.Store { mem; _ } -> (
-      let a = address env kind inputs in
-      let v = Imp.Value.to_int inputs.(1) in
+      let a = address env kind ~value inputs in
+      let v = Imp.Value.to_int (value inputs.(1)) in
       match mem with
       | Dfg.Node.Plain ->
           Imp.Memory.write_addr env.memory a v;
-          out 0 dummy_value
+          emit ~node ~port:0 ~ctx ~meta dummy_value
       | Dfg.Node.I_structure ->
           if env.present.(a) then
             double_write
               (Fmt.str "I-structure cell %d written twice (node %d)" a node);
           Imp.Memory.write_addr env.memory a v;
           env.present.(a) <- true;
-          out 0 dummy_value;
+          emit ~node ~port:0 ~ctx ~meta dummy_value;
           (* wake deferred readers: the completed split-phase read emits
              from the load's own output ports, bypassing rendezvous --
              exactly as a real I-fetch response *)
@@ -130,26 +137,24 @@ let execute (env : 'meta env)
                 waiters
           | None -> ()))
   | Dfg.Node.Switch ->
-      let data = inputs.(0) and pred = inputs.(1) in
-      if Imp.Value.to_bool pred then out 0 data else out 1 data
-  | Dfg.Node.Merge -> out 0 inputs.(0)
-  | Dfg.Node.Synch _ -> out 0 dummy_value
+      let data = value inputs.(0) in
+      emit ~node
+        ~port:(if Imp.Value.to_bool (value inputs.(1)) then 0 else 1)
+        ~ctx ~meta data
+  | Dfg.Node.Synch _ -> emit ~node ~port:0 ~ctx ~meta dummy_value
   | Dfg.Node.Loop_entry { arity; _ } ->
-      (* group encoded by input array length (see {!Matching.deliver}) *)
-      if Array.length inputs = arity then
-        (* initial entry: open iteration 0 *)
-        let ctx' = Context.enter ctx in
-        for i = 0 to arity - 1 do
-          out_ctx ctx' i inputs.(i)
-        done
-      else
-        (* back edge: advance the iteration tag *)
-        let ctx' = Context.next ctx in
-        for i = 0 to arity - 1 do
-          out_ctx ctx' i inputs.(i)
-        done
-  | Dfg.Node.Loop_exit { arity; _ } ->
-      let ctx' = Context.leave ctx in
+      (* group encoded by input array length (see {!Matching.deliver}):
+         the initial group opens iteration 0, the back edge advances the
+         iteration tag *)
+      let ctx =
+        if Array.length inputs = arity then Context.enter ctx
+        else Context.next ctx
+      in
       for i = 0 to arity - 1 do
-        out_ctx ctx' i inputs.(i)
+        emit ~node ~port:i ~ctx ~meta (value inputs.(i))
+      done
+  | Dfg.Node.Loop_exit { arity; _ } ->
+      let ctx = Context.leave ctx in
+      for i = 0 to arity - 1 do
+        emit ~node ~port:i ~ctx ~meta (value inputs.(i))
       done

@@ -42,24 +42,32 @@ val make_env : graph:Dfg.Graph.t -> layout:Imp.Layout.t -> Imp.Memory.t -> 'meta
 val deferred_count : 'meta env -> int
 val deferred_reads : 'meta env -> (int * int) list
 
-(** [address env kind inputs] — the memory address a [Load]/[Store]
-    firing with these inputs touches (used by the multiprocessor to
-    route the access to its owning memory module).
+(** [address env kind ~value inputs] — the memory address a
+    [Load]/[Store] firing with these inputs touches (used by the
+    multiprocessor to route the access to its owning memory module);
+    [value] reads an input's value.
     @raise Assert_failure on non-memory kinds. *)
-val address : 'meta env -> Dfg.Node.kind -> Imp.Value.t array -> int
+val address :
+  'meta env -> Dfg.Node.kind -> value:('tok -> Imp.Value.t) -> 'tok array -> int
 
 (** [execute env ~emit ~meta ~meta_max ~on_complete ~double_write ~node
-    ~ctx ~inputs] performs one firing of [node] in context [ctx] on the
-    consumed [inputs] (as produced by {!Matching.deliver} — for
-    [Loop_entry] the group is encoded in the array length).
+    ~ctx ~value ~inputs] performs one firing of [node] in context [ctx]
+    on the consumed [inputs] (as produced by {!Matching.deliver} — for
+    [Loop_entry] the group is encoded in the array length), reading each
+    input's value through [value]: the reference machine passes the
+    tokens themselves, the packed engine plain values.
 
     Every output token goes through [emit]; ordinary emissions carry
     [meta], and a deferred I-structure read completed by a store carries
     [meta_max reader_meta meta] (the completed split-phase read depends
-    on both the parked load and the store that satisfied it).
+    on both the parked load and the store that satisfied it).  A
+    firing's own emissions carry [ctx] itself, physically, except at
+    loop gateways, which mint the next context.
     [on_complete] runs when the [End] operator fires.  [double_write]
     receives the message of a second write to an I-structure cell and
-    {e must raise}. *)
+    {e must raise}.  [execute] allocates no closure: a caller that
+    builds its callbacks once per run pays nothing per firing for
+    them. *)
 val execute :
   'meta env ->
   emit:
@@ -70,5 +78,6 @@ val execute :
   double_write:(string -> unit) ->
   node:int ->
   ctx:Context.t ->
-  inputs:Imp.Value.t array ->
+  value:('tok -> Imp.Value.t) ->
+  inputs:'tok array ->
   unit

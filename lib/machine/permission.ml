@@ -173,11 +173,6 @@ let require (t : t) ~(node : int) ~(ctx : Context.t) (held : bag) :
       List.iter (record t) fresh;
       fresh
 
-let on_fire (t : t) ~(node : int) ~(ctx : Context.t) (bags : bag list) :
-    bag * violation list =
-  let held = try join_all bags with Frac.Overflow -> [] in
-  (held, require t ~node ~ctx held)
-
 (* Distribute the firing's held bag over its deliveries [first, stop) of
    [labels]: [labels.(i)] is the token-label set of delivery [i]; each
    element's fraction splits equally over the deliveries labelled with

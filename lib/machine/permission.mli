@@ -87,14 +87,10 @@ val violations : t -> violation list
 (** The Start firing's bag: full permission for every element. *)
 val mint : t -> bag
 
-(** [on_fire t ~node ~ctx bags] — join the consumed input bags and
-    {!require} the result.  Returns the held bag and any fresh
-    violations (also recorded). *)
-val on_fire :
-  t -> node:int -> ctx:Context.t -> bag list -> bag * violation list
-
 (** [require t ~node ~ctx held] — assert the certificate requirement of
-    [node], if it is a memory operation, against the joined bag [held].
+    [node], if it is a memory operation, against the joined bag [held]:
+    the {!join} of the consumed tokens' bags in port order (a
+    {!Frac.Overflow} while joining leaves the firing holding nothing).
     Returns the fresh violations (also recorded). *)
 val require : t -> node:int -> ctx:Context.t -> bag -> violation list
 

@@ -77,7 +77,6 @@ type t = {
   is_switch : bool array;
   entry_gates : int array;  (** loop id -> Loop_entry node count *)
   exit_gates : int array;  (** loop id -> Loop_exit node count *)
-  ids : (Context.t, int) Hashtbl.t;  (** {!on_fire}'s context ids *)
   mutable st : state;
 }
 
@@ -126,7 +125,6 @@ let create (graph : Dfg.Graph.t) : t =
           match Dfg.Graph.kind graph v with Dfg.Node.Switch -> true | _ -> false);
     entry_gates;
     exit_gates;
-    ids = Hashtbl.create 16;
     st =
       {
         fired = Array.make n Bytes.empty;
@@ -138,14 +136,6 @@ let create (graph : Dfg.Graph.t) : t =
         exit_ctxs = Array.make !loops Bytes.empty;
       };
   }
-
-let intern (t : t) (ctx : Context.t) : int =
-  match Hashtbl.find_opt t.ids ctx with
-  | Some i -> i
-  | None ->
-      let i = Hashtbl.length t.ids in
-      Hashtbl.add t.ids ctx i;
-      i
 
 (* [mark sets i id] sets bit [id] of [sets.(i)], first growing the set
    to fit; true when the bit was already set *)
@@ -203,9 +193,6 @@ let on_fire_id (t : t) ~node ~cid ~ctx ~group : violation option =
   if not (mark st.fired node cid) then None
   else if recurrent t node then None
   else Some (Double_fire { df_node = node; df_ctx = ctx })
-
-let on_fire (t : t) ~node ~ctx ~group =
-  on_fire_id t ~node ~cid:(intern t ctx) ~ctx ~group
 
 let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
   let vs = ref [] in

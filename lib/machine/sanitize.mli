@@ -63,25 +63,19 @@ val create : Dfg.Graph.t -> t
     switches).  Call once per token actually handed to matching. *)
 val on_delivery : t -> node:int -> port:int -> unit
 
-(** [on_fire t ~node ~ctx ~group] — record a firing ([group] = matched
-    input-array length, which distinguishes a loop gateway's initial
-    group from its back edge).  Returns the violation immediately if
-    this (node, ctx) has already fired — the rollback trigger.
+(** [on_fire_id t ~node ~cid ~ctx ~group] — record a firing of [node]
+    in context [ctx], whose dense id in the run's {!Context.table} is
+    [cid] ([group] = matched input-array length, which distinguishes a
+    loop gateway's initial group from its back edge).  Returns the
+    violation immediately if this (node, ctx) has already fired — the
+    rollback trigger.
 
-    What the fired set costs: each context gets a dense id once, in a
-    table of the sanitizer's own (or the caller's, through
-    {!on_fire_id}), and the set is one bit per (node, context id), in a
+    What the fired set costs: one bit per (node, context id), in a
     per-node bit set that doubles when a larger id first fires there.
     Switch counts are per-node arrays; each loop keeps entry and exit
-    counts and a bit set of their context ids.  A firing costs at most
-    one context lookup plus array reads and writes, and allocates only
-    when a bit set grows. *)
-val on_fire : t -> node:int -> ctx:Context.t -> group:int -> violation option
-
-(** [on_fire_id t ~node ~cid ~ctx ~group] — {!on_fire} for a caller
-    that numbers its contexts itself, densely from 0 ({!Packed}'s frame
-    keys): [cid] is [ctx]'s id, and no lookup is made.  A sanitizer is
-    fed through one of the two for its whole run, never both. *)
+    counts and a bit set of their context ids.  A firing costs array
+    reads and writes and no lookup, and allocates only when a bit set
+    grows. *)
 val on_fire_id :
   t -> node:int -> cid:int -> ctx:Context.t -> group:int -> violation option
 
