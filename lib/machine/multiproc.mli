@@ -8,6 +8,18 @@
     firing log with its per-cycle samples, the record from which the
     profile curves and the dynamic critical path are read.
 
+    The per-token path is array work on both transports.  A token
+    carries its context and the context's dense id in the run's
+    {!Context.table}; each PE's {!Matching} store finds a rendezvous by
+    the one int [cid * nodes + node], its empty slots holding a pad
+    token, and a firing carries the tokens it consumed.  Merges and
+    one-input nodes fire on arrival without a store entry (a one-input
+    token still counts as a momentary entry in peak matching).  A
+    firing's emissions go through reusable column buffers, in
+    emission-then-arc order, and pending deliveries — the local
+    schedule and the network's injection schedule alike — sit in rings
+    of per-cycle buckets that grow rather than wrap.
+
     {b Single PE} ({!run_single}, what {!Interp} reports): up to
     [Config.pes] enabled firings start a cycle (all when [None]), oldest
     first, at most [Config.memory_ports] of them memory operations.  A

@@ -1,8 +1,8 @@
 (** Packed explicit-token-store execution core.
 
-    The reference machine ({!Multiproc}'s run loop) walks functional
-    structures — hashtables keyed by (node, context), per-cycle delivery
-    lists — on every token.  This module is the
+    The reference machine ({!Multiproc}'s run loop) keeps the graph as
+    it is and allocates a record per token, a firing record per firing
+    and an int-keyed table entry per rendezvous.  This module is the
     compiled alternative, the move Monsoon made for the paper's
     abstract ETS machine: {!compile_graph} lowers a {!Dfg.Graph.t}
     {e once} into flat instruction arrays (int opcode, matching arity,
