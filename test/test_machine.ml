@@ -18,6 +18,14 @@ let run_exn ?config g =
   Machine.Interp.run_exn ?config
     { Machine.Interp.graph = g; layout = layout_with_x () }
 
+(* the two single-PE engines, at the default configuration *)
+let engines =
+  [
+    ("reference", Machine.Config.default);
+    ( "packed",
+      { Machine.Config.default with Machine.Config.engine = Machine.Config.Packed } );
+  ]
+
 (* Store the value arriving on [src] into variable [x], then feed [dst]. *)
 let store_then (b : B.t) (x : string) (src : int * int) (dst : int * int) =
   let st = B.add b (N.Store { var = x; indexed = false; mem = N.Plain }) in
@@ -274,9 +282,16 @@ let test_istructure_deferred_read () =
   B.connect b (slow, 0) (wr, 1);
   (* the read's value lands in y; program ends on the store of y *)
   store_then b "y" (rd, 0) (stop, 0);
-  let r = run_exn (B.finish b) in
-  checki "deferred read saw the write" 33
-    (Imp.Memory.read r.Machine.Interp.memory "y" 0)
+  let g = B.finish b in
+  (* both engines park the read and complete it from the store, in one
+     timing *)
+  List.iter
+    (fun (name, config) ->
+      let r = run_exn ~config g in
+      checki (name ^ ": deferred read saw the write") 33
+        (Imp.Memory.read r.Machine.Interp.memory "y" 0);
+      checki (name ^ ": cycles") 12 r.Machine.Interp.cycles)
+    engines
 
 let test_istructure_double_write () =
   let b = B.create () in
@@ -294,9 +309,24 @@ let test_istructure_double_write () =
   B.connect b (c2, 0) (w2, 1);
   B.connect b ~dummy:true (w1, 0) (stop, 0);
   B.connect b ~dummy:true (w2, 0) (stop, 1);
-  match run (B.finish b) with
+  let g = B.finish b in
+  (match run g with
   | _ -> Alcotest.fail "expected Double_write"
-  | exception Machine.Interp.Double_write _ -> ()
+  | exception Machine.Interp.Double_write _ -> ());
+  (* both engines stop on the second write with one diagnosis *)
+  let diagnosis config =
+    match
+      Machine.Interp.run_report ~config
+        { Machine.Interp.graph = g; layout = layout_with_x () }
+    with
+    | Error ({ Machine.Diagnosis.verdict = Machine.Diagnosis.Double_write _; _ }
+             as d) ->
+        Machine.Diagnosis.to_string d
+    | _ -> Alcotest.fail "expected a Double_write diagnosis"
+  in
+  Alcotest.(check string) "engines agree on the double write"
+    (diagnosis (List.assoc "reference" engines))
+    (diagnosis (List.assoc "packed" engines))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                         *)
