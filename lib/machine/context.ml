@@ -62,4 +62,5 @@ let id (tbl : table) (c : t) : int =
       i
 
 let of_id (tbl : table) i = tbl.ctxs.(i)
+let move (tbl : table) f i = id tbl (f tbl.ctxs.(i))
 let count (tbl : table) = tbl.count

@@ -33,11 +33,12 @@ val to_string : t -> string
 
 (** {1 Dense ids}
 
-    One per-run table numbers the contexts a run meets densely from 0,
-    so an engine keys its rendezvous and its checker state by an int
-    instead of hashing and comparing the list on every token.  Both
-    engines mint ids only where contexts are minted (loop gateways,
-    completed deferred reads); every other token reuses its producer's
+    One per-run table numbers the contexts a run meets densely from 0.
+    A token's tag is its id alone: an engine keys its rendezvous and its
+    checker state by the int, and reads the context back with {!of_id}
+    only where something logs, checks or prints it.  Ids are minted
+    only where contexts are, at loop gateways ({!move}); every other
+    token, a completed deferred read included, carries its producer's
     id.  Ids are never reused or rolled back: an id is only a name. *)
 
 type table
@@ -49,6 +50,11 @@ val id : table -> t -> int
 
 (** [of_id tbl i] — the context numbered [i]. *)
 val of_id : table -> int -> t
+
+(** [move tbl f i] — the id of [f] applied to the context numbered [i]:
+    how a loop gateway's {!enter}, {!next} and {!leave} move a token's
+    id. *)
+val move : table -> (t -> t) -> int -> int
 
 (** Contexts numbered so far; every id is below it. *)
 val count : table -> int
