@@ -28,12 +28,12 @@ val unit_latencies : latencies
     ground machine.  [Packed] is the compiled engine ({!Packed}): flat
     instruction arrays, preallocated per-context frames with presence
     bits, and an event-driven ready wheel.  The choice changes only
-    wall-clock time: both engines give bit-identical final stores and
-    the same cycle count, peak parallelism and peak matching.  Packed
-    observability
-    is coarser (no per-cycle curves or dynamic critical path), fault
-    injection remains a reference-engine feature, and the
-    multiprocessor ({!Multiproc}) runs the reference engine only. *)
+    wall-clock time: both engines give bit-identical final stores, the
+    same cycle count, peaks and op breakdown, and the same firing log
+    ({!Trace}), so the per-cycle curves and the dynamic critical path
+    are the same under either.  Fault injection remains a
+    reference-engine feature, and the multiprocessor ({!Multiproc})
+    runs the reference engine only. *)
 type engine =
   | Reference
   | Packed

@@ -9,24 +9,25 @@
     profile curves and the dynamic critical path are read.
 
     The per-token path is array work on both transports.  A token
-    carries its context and the context's dense id in the run's
-    {!Context.table}; each PE's {!Matching} store finds a rendezvous by
-    the one int [cid * nodes + node], its empty slots holding a pad
+    carries its context id in the run's {!Context.table} and nothing
+    else of its context; each PE's {!Matching} store finds a rendezvous
+    by the one int [cid * nodes + node], its empty slots holding a pad
     token, and a firing carries the tokens it consumed.  Merges and
     one-input nodes fire on arrival without a store entry (a one-input
     token still counts as a momentary entry in peak matching).  A
-    firing's emissions go through reusable column buffers, in
-    emission-then-arc order, and pending deliveries — the local
+    firing's emissions go through {!Firing}'s reusable buffer, read back
+    in emission-then-arc order, and pending deliveries — the local
     schedule and the network's injection schedule alike — sit in rings
     of per-cycle buckets that grow rather than wrap.
 
-    {b Single PE} ({!run_single}, what {!Interp} reports): up to
-    [Config.pes] enabled firings start a cycle (all when [None]), oldest
-    first, at most [Config.memory_ports] of them memory operations.  A
-    seeded {!Fault.plan} enters at the delivery and memory-issue
-    boundaries; the {!Sanitize} checker and the permission certificate
-    only report.  No placement, memory home, network step or steal scan
-    is computed.
+    {b Single PE} ({!run_single}, what {!Interp} reports): the issue
+    rule is {!Firing.issue} — up to [Config.pes] enabled firings start a
+    cycle (all when [None]), oldest first, at most
+    [Config.memory_ports] of them memory operations.  A seeded
+    {!Fault.plan} enters at the delivery and memory-issue boundaries;
+    the {!Sanitize} checker and the permission certificate only report.
+    No placement, memory home, network step or steal scan is
+    computed.
 
     {b Network} ({!run}): [p] processing elements — each with its own
     matching store, ready queue and ALU — joined by a {!Network}

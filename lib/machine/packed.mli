@@ -13,9 +13,11 @@
     an event-driven ready wheel, so empty cycles cost nothing.
 
     It is a single-PE engine: it runs exactly the machine the reference
-    loop's single-PE transport runs, with the same timing, so the two
-    report the same cycle count and peak parallelism for the same graph
-    and configuration.  The multiprocessor has one model, {!Multiproc}.
+    loop's single-PE transport runs, with the same timing and the same
+    issue rule ({!Firing.issue}), so the two report the same cycle count
+    and peak parallelism for the same graph and configuration.  A token
+    carries its context id only, the key of its frame.  The
+    multiprocessor has one model, {!Multiproc}.
 
     Why this is safe to use: the translated graphs are determinate, so
     the final store and the certificate verdict are independent of
@@ -38,7 +40,9 @@
     and stores are specialised inline: each emits on one contiguous
     range of its destinations, over which a held permission bag is split
     in place.  Start, End, I-structure loads and stores and their
-    deferred wakeups take the generic path through {!Firing.execute}. *)
+    deferred wakeups take one generic path: {!Firing.execute} fills its
+    emission buffer, which is read back with the permission split
+    ({!Firing.split}) as the reference engine reads it. *)
 
 (** A graph compiled to flat instruction arrays.  Compile once, run
     many times. *)

@@ -107,15 +107,17 @@ let pp_violation ppf v = Fmt.string ppf (violation_to_string v)
 type t = {
   graph : Dfg.Graph.t;
   cert : Dfg.Graph.cert;
+  ids : Context.table;
   mutable retired : frac array;  (** per element, accumulated at End *)
   mutable violations : violation list;  (** reverse order *)
   mutable checks : int;  (** memory-op ownership assertions performed *)
 }
 
-let create (graph : Dfg.Graph.t) (cert : Dfg.Graph.cert) : t =
+let create ~ids (graph : Dfg.Graph.t) (cert : Dfg.Graph.cert) : t =
   {
     graph;
     cert;
+    ids;
     retired = Array.make (Array.length cert.Dfg.Graph.cert_elements) Frac.zero;
     violations = [];
     checks = 0;
@@ -135,7 +137,7 @@ let mint (t : t) : bag =
    bags: for memory operations, check the certificate's requirement — a
    store must own each required element outright, a load must hold a
    positive fraction of it (and never more than the whole). *)
-let require (t : t) ~(node : int) ~(ctx : Context.t) (held : bag) :
+let require (t : t) ~(node : int) ~(cid : int) (held : bag) :
     violation list =
   match t.cert.Dfg.Graph.cert_require.(node) with
   | [] -> []
@@ -163,7 +165,7 @@ let require (t : t) ~(node : int) ~(ctx : Context.t) (held : bag) :
                    {
                      p_node = node;
                      p_label = label;
-                     p_ctx = ctx;
+                     p_ctx = Context.of_id t.ids cid;
                      p_elem = names.(e);
                      p_need = (if is_store then "all" else "a fraction");
                      p_held = Frac.to_string h;

@@ -77,7 +77,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-val create : Dfg.Graph.t -> Dfg.Graph.cert -> t
+(** [create ~ids graph cert] — the account of one run whose context ids
+    are [ids]. *)
+val create : ids:Context.table -> Dfg.Graph.t -> Dfg.Graph.cert -> t
 val elements : t -> int
 val checks : t -> int
 
@@ -87,12 +89,13 @@ val violations : t -> violation list
 (** The Start firing's bag: full permission for every element. *)
 val mint : t -> bag
 
-(** [require t ~node ~ctx held] — assert the certificate requirement of
-    [node], if it is a memory operation, against the joined bag [held]:
+(** [require t ~node ~cid held] — assert the certificate requirement of
+    [node], fired in the context whose id is [cid], if it is a memory
+    operation, against the joined bag [held]:
     the {!join} of the consumed tokens' bags in port order (a
     {!Frac.Overflow} while joining leaves the firing holding nothing).
     Returns the fresh violations (also recorded). *)
-val require : t -> node:int -> ctx:Context.t -> bag -> violation list
+val require : t -> node:int -> cid:int -> bag -> violation list
 
 (** [split t ~node ~held labels first stop] — distribute [held] over
     the firing's actual deliveries [first .. stop - 1] of [labels]:

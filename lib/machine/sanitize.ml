@@ -71,6 +71,7 @@ let copy_state s =
 
 type t = {
   graph : Dfg.Graph.t;
+  ids : Context.table;
   mutable recurrent : bool array option;
       (** nodes on a gateway-free cycle, which re-fire in one context;
           found at the first repeated (node, context) *)
@@ -99,7 +100,7 @@ let on_cycles (g : Dfg.Graph.t) : bool array =
        { Cfg.Intervals.nn = Array.length gsucc; gsucc; gpred = [||]; entry = 0 });
   cyclic
 
-let create (graph : Dfg.Graph.t) : t =
+let create ~ids (graph : Dfg.Graph.t) : t =
   let n = Dfg.Graph.num_nodes graph in
   let loops = ref 0 in
   for v = 0 to n - 1 do
@@ -119,6 +120,7 @@ let create (graph : Dfg.Graph.t) : t =
   done;
   {
     graph;
+    ids;
     recurrent = None;
     is_switch =
       Array.init n (fun v ->
@@ -176,7 +178,7 @@ let recurrent (t : t) node =
       t.recurrent <- Some r;
       r.(node)
 
-let on_fire_id (t : t) ~node ~cid ~ctx ~group : violation option =
+let on_fire_id (t : t) ~node ~cid ~group : violation option =
   let st = t.st in
   (match Dfg.Graph.kind t.graph node with
   | Dfg.Node.Switch -> st.switch_fired.(node) <- st.switch_fired.(node) + 1
@@ -192,7 +194,7 @@ let on_fire_id (t : t) ~node ~cid ~ctx ~group : violation option =
   | _ -> ());
   if not (mark st.fired node cid) then None
   else if recurrent t node then None
-  else Some (Double_fire { df_node = node; df_ctx = ctx })
+  else Some (Double_fire { df_node = node; df_ctx = Context.of_id t.ids cid })
 
 let at_quiescence ?(by_pe = []) (t : t) ~leftover : violation list =
   let vs = ref [] in

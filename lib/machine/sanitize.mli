@@ -57,18 +57,20 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-val create : Dfg.Graph.t -> t
+(** [create ~ids graph] — a checker for one run whose context ids are
+    [ids]. *)
+val create : ids:Context.table -> Dfg.Graph.t -> t
 
 (** [on_delivery t ~node ~port] — count a token delivery (data inflow of
     switches).  Call once per token actually handed to matching. *)
 val on_delivery : t -> node:int -> port:int -> unit
 
-(** [on_fire_id t ~node ~cid ~ctx ~group] — record a firing of [node]
-    in context [ctx], whose dense id in the run's {!Context.table} is
-    [cid] ([group] = matched input-array length, which distinguishes a
-    loop gateway's initial group from its back edge).  Returns the
-    violation immediately if this (node, ctx) has already fired — the
-    rollback trigger.
+(** [on_fire_id t ~node ~cid ~group] — record a firing of [node] in
+    the context whose id is [cid] ([group] = matched input-array
+    length, which distinguishes a loop gateway's initial group from its
+    back edge).  Returns the violation immediately if this (node,
+    context) has already fired — the rollback trigger; only then is the
+    context read back from the table.
 
     What the fired set costs: one bit per (node, context id), in a
     per-node bit set that doubles when a larger id first fires there.
@@ -76,8 +78,7 @@ val on_delivery : t -> node:int -> port:int -> unit
     counts and a bit set of their context ids.  A firing costs array
     reads and writes and no lookup, and allocates only when a bit set
     grows. *)
-val on_fire_id :
-  t -> node:int -> cid:int -> ctx:Context.t -> group:int -> violation option
+val on_fire_id : t -> node:int -> cid:int -> group:int -> violation option
 
 (** [at_quiescence ?by_pe t ~leftover] — the balance checks that only
     make sense once the machine is quiet: switch in/out balance,

@@ -358,20 +358,21 @@ let test_recovery_policy_units () =
 
 let test_sanitizer_double_fire () =
   let g = (compile_best (example "sum")).Dflow.Driver.graph in
-  let san = San.create g in
-  let ctx = Machine.Context.toplevel in
-  checkb "first fire is fine" true (San.on_fire_id san ~node:0 ~cid:0 ~ctx ~group:2 = None);
-  (match San.on_fire_id san ~node:0 ~cid:0 ~ctx ~group:2 with
+  let ids = Machine.Context.table () in
+  let cid = Machine.Context.id ids Machine.Context.toplevel in
+  let san = San.create ~ids g in
+  checkb "first fire is fine" true (San.on_fire_id san ~node:0 ~cid ~group:2 = None);
+  (match San.on_fire_id san ~node:0 ~cid ~group:2 with
   | Some (San.Double_fire { df_node = 0; _ }) -> ()
   | _ -> Alcotest.fail "re-firing a (node, ctx) must trip the sanitizer");
   (* snapshot/restore: replayed firings must not read as double fires *)
   let snap = San.snapshot san in
   checkb "fresh (node, ctx) fires" true
-    (San.on_fire_id san ~node:1 ~cid:0 ~ctx ~group:2 = None);
+    (San.on_fire_id san ~node:1 ~cid ~group:2 = None);
   San.restore san snap;
   checkb "restored sanitizer forgets post-snapshot fires" true
-    (San.on_fire_id san ~node:1 ~cid:0 ~ctx ~group:2 = None);
-  (match San.on_fire_id san ~node:0 ~cid:0 ~ctx ~group:2 with
+    (San.on_fire_id san ~node:1 ~cid ~group:2 = None);
+  (match San.on_fire_id san ~node:0 ~cid ~group:2 with
   | Some (San.Double_fire _) -> ()
   | _ -> Alcotest.fail "restored sanitizer must remember pre-snapshot fires");
   (* a quiescent machine with waiting tokens is a leak *)
